@@ -225,6 +225,33 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyKggDelta is greedy in the paper's k ≫ Δ regime, on the
+// instance of mmbench's rounds-heavy workload (gen's bounded-degree family
+// at n=16384, k=1024, Δ=3): 1023 rounds in which only the few nodes whose
+// class is being decided do anything. The engine skips the rest through
+// GreedyMachine.Sleep, so a run costs O(m + k) machine calls rather than
+// Θ(n·k). One pooled machine arena serves both rows.
+func BenchmarkGreedyKggDelta(b *testing.B) {
+	inst, _, err := gen.BuildSpec("bounded-degree:n=16384,k=1024,delta=3", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := inst.G
+	g.Flatten()
+	pool := dist.NewGreedyMachinePool(g.N())
+	maxR := runtime.DefaultMaxRounds(g)
+	for _, workers := range []int{1, 2} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, maxR, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE11SweepParallel measures the parallel palette sweep behind E11
 // at several GOMAXPROCS settings; the speedup at procs=N over procs=1 is
 // the sweep's multi-core yield (palette sizes are embarrassingly parallel).

@@ -17,12 +17,26 @@ import (
 // outputs, Stats) — any per-round allocation would show up as a slope.
 func TestWorkersRoundLoopAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	short := graph.RandomMatchingUnion(256, 2, 0.7, rng)
-	long := graph.RandomMatchingUnion(256, 8, 0.7, rng)
+	t.Run("greedy", func(t *testing.T) {
+		checkRoundLoopAllocFree(t,
+			graph.RandomMatchingUnion(256, 2, 0.7, rng),
+			graph.RandomMatchingUnion(256, 8, 0.7, rng))
+	})
+	// k ≫ Δ: greedy sleeps through most of its rounds, so the long run
+	// pushes hundreds of wakeups through the heap and fast-forwards past
+	// rounds no node runs. Neither may allocate per round.
+	t.Run("sleeping-greedy", func(t *testing.T) {
+		checkRoundLoopAllocFree(t,
+			graph.RandomBoundedDegree(256, 16, 3, 1000, rng),
+			graph.RandomBoundedDegree(256, 512, 3, 1000, rng))
+	})
+}
+
+func checkRoundLoopAllocFree(t *testing.T, short, long *graph.Graph) {
 	src := dist.NewGreedyMachinePool(256)
 
 	run := func(g *graph.Graph) (rounds int) {
-		_, stats, err := runtime.RunWorkersN(g, nil, src, 128, 2)
+		_, stats, err := runtime.RunWorkersN(g, nil, src, runtime.DefaultMaxRounds(g), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

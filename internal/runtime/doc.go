@@ -83,6 +83,38 @@
 // byte-identical outputs and Stats, which the steal-interleaving tests pin
 // by shrinking chunks to one word and yielding between claims.
 //
+// # Sleeping nodes
+//
+// In the LOCAL model a node that sends nothing and receives nothing in a
+// round cannot be told apart from one the simulator skipped. Greedy with
+// k ≫ Δ is almost entirely such rounds: a node does something only in the
+// rounds that decide its own ≤ Δ colour classes, yet the frontier would
+// call it in all k−1. A machine that implements the optional Sleeper
+// interface can say so. Sleep() = s > 0 promises s idle rounds — no sends,
+// no halt, and a state after Sleep equal to the state after s rounds of
+// empty input, which Sleep applies itself — and peers promise to send it
+// nothing meanwhile. The engine calls Sleep after Init and after every
+// Receive that leaves the node running; a sleeping node leaves the
+// frontier, and its (wake round, node) pair goes onto its worker's list.
+// The end-of-round hook merges the lists into a min-heap under the barrier
+// lock, zeroes any frontier words the widened scan window takes in but the
+// round did not rewrite (they can hold bits from an older round), and sets
+// the bits of the nodes due next round. When no node is live it
+// fast-forwards to the heap's earliest wakeup.
+//
+// The determinism argument extends unchanged. Whether a node sleeps, and
+// for how long, is decided by the worker that owns its frontier word —
+// the same exclusive ownership that decides halting — and the wake set of
+// a round is a set of nodes fixed by those decisions, merged under the
+// barrier lock, so no claim schedule can change it. Fast-forwarded rounds
+// are real rounds in which nothing is sent: they count towards Rounds and
+// maxRounds and get empty PerRound rows, exactly as in RunReference, which
+// never calls Sleep and so simulates every idle round. A message sent to a
+// sleeping node is a broken promise that RunReference would have delivered
+// and counted, so the engine fails the run when that node wakes rather
+// than drop it. Runs in which no live node implements Sleeper never call
+// Sleep, so their heap stays empty and the hook only advances the round.
+//
 // # Statistics
 //
 // Stats reports rounds, delivered messages, per-node halt times and

@@ -21,17 +21,25 @@ func targetEcho(target func(v int) int) Factory {
 	}
 }
 
-// checkFrontierRun pins RunWorkersN at several worker counts against the
-// reference simulator: outputs, rounds, messages, halt times, per-round
-// histogram.
+// checkFrontierRun pins RunWorkersN against the reference simulator on
+// echo machines that halt after target(v) rounds.
 func checkFrontierRun(t *testing.T, name string, g *graph.Graph, target func(v int) int, maxRounds int) *Stats {
 	t.Helper()
-	refOuts, refStats, err := RunReference(g, nil, targetEcho(target), maxRounds)
+	return checkAgainstReference(t, name, g, func() Source { return targetEcho(target) }, maxRounds)
+}
+
+// checkAgainstReference pins RunWorkersN at several worker counts against
+// the reference simulator: outputs, rounds, messages, halt times, per-round
+// histogram. newSource is called once per run, so sources that number their
+// machines in factory-call order see every run from node 0.
+func checkAgainstReference(t *testing.T, name string, g *graph.Graph, newSource func() Source, maxRounds int) *Stats {
+	t.Helper()
+	refOuts, refStats, err := RunReference(g, nil, newSource(), maxRounds)
 	if err != nil {
 		t.Fatalf("%s/reference: %v", name, err)
 	}
 	for _, workers := range []int{1, 2, 3, 7} {
-		outs, stats, err := RunWorkersN(g, nil, targetEcho(target), maxRounds, workers)
+		outs, stats, err := RunWorkersN(g, nil, newSource(), maxRounds, workers)
 		if err != nil {
 			t.Fatalf("%s/workers=%d: %v", name, workers, err)
 		}

@@ -14,8 +14,10 @@ import (
 // on every incident colour, whatever its peer sent this round. There is no
 // slab, frontier, pooling or worker: it shares nothing with RunWorkersN but
 // the Machine interface, so agreement between the two is evidence, not
-// tautology. It allocates n·(k+1) messages per round; use it to cross-check
-// small instances, never to run large ones.
+// tautology. It never calls Sleeper.Sleep: every live node runs every
+// round, idle or not, so the engine's skipping of sleeping nodes is checked
+// against a simulator that skips nothing. It allocates n·(k+1) messages per
+// round; use it to cross-check small instances, never to run large ones.
 func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
 	if err := checkLabels(g, labels); err != nil {
 		return nil, nil, err

@@ -74,6 +74,24 @@ type Machine interface {
 	Output() mm.Output
 }
 
+// Sleeper is an optional Machine extension for nodes that idle through
+// stretches of rounds: greedy with k ≫ Δ waits silently for most of its
+// k−1 rounds. The engine calls Sleep after Init and after every Receive
+// that leaves the machine running. A result s > 0 promises that in each of
+// the next s rounds the node would send nothing, would not halt, and that
+// its state after Sleep equals its state after s such rounds with all-nil
+// input — Sleep itself advances the state past them. The engine then makes
+// no Send or Receive call for those rounds. 0 means the node runs next
+// round.
+//
+// The promise binds the node's peers too: they must send nothing to it
+// while it sleeps. A node that wakes to find a message waiting fails the
+// run with an error, since a simulator that never skips (RunReference)
+// would have delivered and counted that message.
+type Sleeper interface {
+	Sleep() int
+}
+
 // Source produces the machines of one engine run. Engines know their node
 // count up front, so the primitive is a single batch request rather than n
 // individual factory calls; pooling-aware sources (NewPool) return the same

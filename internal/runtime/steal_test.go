@@ -74,6 +74,12 @@ func TestWorkersStealInterleavings(t *testing.T) {
 	mu := graph.RandomMatchingUnion(300, 6, 0.7, rng)
 	pinAgainstReference(t, "greedy", mu, dist.NewGreedyMachinePool(300), 64, reps)
 
+	// k ≫ Δ: greedy nodes sleep between their few incident classes, so
+	// wakeups, widened scan windows and fast-forwards are all in play.
+	sparse := graph.RandomBoundedDegree(300, 256, 3, 400, rng)
+	pinAgainstReference(t, "sleeping-greedy", sparse, dist.NewGreedyMachinePool(300),
+		runtime.DefaultMaxRounds(sparse), reps)
+
 	// The reduced machine exercises the arena path: colour-list payloads are
 	// packed by whichever worker claims the sender, so the pin also proves
 	// payload contents are schedule-independent.

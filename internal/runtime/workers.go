@@ -24,6 +24,9 @@ func RunWorkers(g *graph.Graph, src Source, maxRounds int) ([]mm.Output, *Stats,
 // supplies per-node input (§1.1's "2-coloured graphs" provide the
 // bipartition this way); it may be nil, otherwise it must have one entry per
 // node. A single worker runs the round loop on the calling goroutine.
+// Machines that implement Sleeper leave the frontier for the idle rounds
+// they announce, and rounds in which every live node sleeps are skipped
+// (see sleep.go); a message sent to a sleeping node fails the run.
 //
 // The result is independent of the worker count and of the chunk-claim
 // schedule: the two phase barriers per round make every interleaving
@@ -80,20 +83,30 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	scanLo, scanHi := words, 0
 	// cur is round 1's frontier; fit zeroed the pooled words, so setting
 	// only the live bits here cannot inherit liveness from a previous run.
+	// sleepy records whether any live node implements Sleeper; runs without
+	// one never ask a machine to sleep, so their wakeup heap stays empty.
 	cur, next := st.cur, st.next
+	sleepy := false
 	for v := 0; v < n; v++ {
 		m := machines[v]
 		m.Init(NodeInfo{K: k, Colors: g.IncidentColors(v), Label: labelOf(labels, v)})
-		if !m.Halted() {
-			frontierSet(cur, v)
-			if v>>6 < scanLo {
-				scanLo = v >> 6
-			}
-			scanHi = v>>6 + 1
-			alive++
+		if m.Halted() {
+			continue
 		}
+		alive++
+		if sl, ok := m.(Sleeper); ok {
+			sleepy = true
+			if s := sl.Sleep(); s > 0 {
+				st.sleeps[0] = append(st.sleeps[0], wakeup{min(s, maxRounds) + 1, v})
+				continue
+			}
+		}
+		frontierSet(cur, v)
+		if v>>6 < scanLo {
+			scanLo = v >> 6
+		}
+		scanHi = v>>6 + 1
 	}
-	st.scanLo, st.scanHi = scanLo, scanHi
 	chunkWords := chunkWordsFor(words, workers)
 
 	// slab[i] is the message in flight on directed edge i (= Halves()[i]).
@@ -113,6 +126,16 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			_, offsets[v+1] = g.HalfRange(v)
 		}
 	}
+	// st.round is the round the workers run next. Initialisation ends
+	// "round 0" like any other, in which every word of cur is fresh: the
+	// nodes that slept at Init may be all the live ones, and then round 1
+	// is fast-forwarded past. With nobody asleep, wake just moves on to
+	// round 1 over the window [scanLo, scanHi).
+	st.round, st.scanLo, st.scanHi = 0, 0, words
+	st.front, st.spare = cur, next
+	if err := st.wake(mates, scanLo, scanHi, maxRounds); err != nil {
+		return nil, nil, err
+	}
 
 	// Phase cursors start at zero and are both reset by the last worker
 	// arriving at the end-of-round barrier, while it holds the barrier lock:
@@ -121,9 +144,10 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	sendCursor, recvCursor := &st.sendCursor, &st.recvCursor
 	// endRound runs in the last worker to reach the end-of-round barrier,
 	// under the barrier lock: it merges the per-worker live-word bounds
-	// published just before the barrier and rewinds the phase cursors.
-	// Everything it writes is read only after the barrier releases, so the
-	// barrier's mutex orders the round handoff.
+	// published just before the barrier, rewinds the phase cursors and
+	// wakes the nodes due next round, if any. Everything it writes is
+	// read only after the barrier releases, so the barrier's mutex orders
+	// the round handoff.
 	endRound := func() {
 		lo, hi := words, 0
 		for w := 0; w < workers; w++ {
@@ -134,9 +158,9 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 				hi = st.wmax[w] + 1
 			}
 		}
-		st.scanLo, st.scanHi = lo, hi
 		sendCursor.Store(0)
 		recvCursor.Store(0)
+		st.wakeErr = st.wake(mates, lo, hi, maxRounds)
 	}
 
 	bar := newBarrier(workers)
@@ -153,16 +177,22 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		// slice is pooled in the workers state, so steady-state runs
 		// record the histogram without allocating.
 		traffic := st.traffic[w][:0]
-		for round := 1; ; round++ {
-			// alive is stable between the receive barrier and the next
-			// send barrier, so every worker takes the same branch here.
-			if atomic.LoadInt64(&alive) == 0 {
+		for {
+			// alive, wakeErr and the round state are stable between the
+			// receive barrier and the next send barrier, so every worker
+			// takes the same branch here.
+			if atomic.LoadInt64(&alive) == 0 || st.wakeErr != nil {
 				break
 			}
-			base, limit := st.scanLo, st.scanHi
+			round, base, limit := st.round, st.scanLo, st.scanHi
 			if round > maxRounds {
 				errs[w] = fmt.Errorf("runtime: no termination within %d rounds", maxRounds)
 				break
+			}
+			// Rounds fast-forwarded past, in which every live node slept,
+			// deliver nothing.
+			for len(traffic) < round-1 {
+				traffic = append(traffic, RoundTraffic{})
 			}
 			// The previous round's receive phase ended behind the last
 			// barrier, so its arena payloads are no longer referenced by
@@ -197,8 +227,10 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			// next frontier (halted bits dropped by one AND-NOT each).
 			var rt RoundTraffic
 			// wmin/wmax track the nonzero next-frontier words this worker
-			// wrote; published to the per-worker slots before the barrier.
+			// wrote and sleeps the nodes it put to sleep; all three are
+			// published to the per-worker slots before the barrier.
 			wmin, wmax := words, -1
+			sleeps := st.sleeps[w]
 			for {
 				wlo, whi, ok := claimChunk(recvCursor, base, limit, chunkWords)
 				if !ok {
@@ -232,6 +264,13 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 							lw &^= 1 << uint(t)
 							haltTimes[v] = round
 							atomic.AddInt64(&alive, -1)
+						} else if sleepy {
+							if sl, ok := m.(Sleeper); ok {
+								if s := sl.Sleep(); s > 0 {
+									lw &^= 1 << uint(t)
+									sleeps = append(sleeps, wakeup{round + min(s, maxRounds) + 1, v})
+								}
+							}
 						}
 					}
 					next[wi] = lw
@@ -243,7 +282,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 					}
 				}
 			}
-			st.wmin[w], st.wmax[w] = wmin, wmax
+			st.wmin[w], st.wmax[w], st.sleeps[w] = wmin, wmax, sleeps
 			traffic = append(traffic, rt)
 			bar.wait(endRound)
 			// Every worker swaps its local view in lockstep behind the
@@ -266,6 +305,9 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		wg.Wait()
 	}
 
+	if st.wakeErr != nil {
+		return nil, nil, st.wakeErr
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
@@ -328,9 +370,25 @@ type workersState struct {
 	traffic [][]RoundTraffic
 	// wmin/wmax are the per-worker nonzero next-frontier word bounds of the
 	// current round; scanLo/scanHi the merged live window the next round
-	// scans. All four are handed across rounds under the barrier lock.
+	// scans and round its number. All are handed across rounds under the
+	// barrier lock.
 	wmin, wmax     []int
 	scanLo, scanHi int
+	round          int
+	// sleeps[w] is the wakeups worker w recorded this round; wake merges
+	// them into heap, the run's sleeping nodes by wake round, and pops the
+	// nodes due next round into woken. All three keep their capacity
+	// across runs, so a run whose machines never sleep leaves them empty
+	// and a sleepy one reaches a steady state without allocating.
+	sleeps [][]wakeup
+	heap   wakeHeap
+	woken  []int
+	// front is the frontier buffer the round being ended wrote (round 1's
+	// before the loop starts), spare the other; wake swaps them in step
+	// with the workers' double buffer. wakeErr is the error wake reported,
+	// which stops the workers at the next round top.
+	front, spare []uint64
+	wakeErr      error
 	// Phase-claim cursors, reset by fit (a run that broke out of its round
 	// loop on an error leaves them mid-range).
 	sendCursor, recvCursor atomicCursor
@@ -374,6 +432,18 @@ func (st *workersState) fit(n, workers, k int) {
 		st.wmin = make([]int, workers)
 		st.wmax = make([]int, workers)
 	}
+	// An errored run can leave wakeups behind; a stale one would wake a
+	// node of the next run.
+	if len(st.sleeps) < workers {
+		sleeps := make([][]wakeup, workers)
+		copy(sleeps, st.sleeps)
+		st.sleeps = sleeps
+	}
+	for w := range st.sleeps {
+		st.sleeps[w] = st.sleeps[w][:0]
+	}
+	st.heap = st.heap[:0]
+	st.wakeErr = nil
 	if len(st.outBufs) < workers {
 		outBufs := make([][]Message, workers)
 		copy(outBufs, st.outBufs)

@@ -32,8 +32,11 @@ type Algo struct {
 func Algos() []Algo {
 	return []Algo{
 		{
-			Name:      "greedy",
-			Source:    func(*graph.Graph) runtime.Source { return dist.NewGreedyMachine },
+			Name: "greedy",
+			// One arena of machines per cell instead of one allocation per
+			// node; each cell gets its own pool, so concurrent cells share
+			// nothing.
+			Source:    func(g *graph.Graph) runtime.Source { return dist.NewGreedyMachinePool(g.N()) },
 			MaxRounds: runtime.DefaultMaxRounds,
 			Contract:  func(g *graph.Graph) dist.Contract { return dist.GreedyContract(g.K()) },
 		},
