@@ -42,8 +42,30 @@ import (
 	"repro/internal/sweep"
 )
 
+// Connection bounds of the API listener. A client gets readHeaderTimeout
+// to send its request headers and a keep-alive connection is closed after
+// idleTimeout without a request, so slow-header and idle connections cannot
+// hold server resources indefinitely. There is deliberately no read or
+// write timeout: a sweep body streams rows for as long as the sweep runs,
+// and the slot pool already bounds how many sweeps run at once.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(run())
+}
+
+// newHTTPServer wraps the API handler in an http.Server with the
+// connection bounds above.
+func newHTTPServer(h http.Handler, logger *log.Logger) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ErrorLog:          logger,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func run() int {
@@ -105,7 +127,7 @@ func run() int {
 	// port); the smoke tests wait for it before sending requests.
 	logger.Printf("listening on http://%s", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler(), ErrorLog: logger}
+	hs := newHTTPServer(srv.Handler(), logger)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -241,9 +241,11 @@ func (g *Graph) Halves() []Half {
 }
 
 // Mates returns, for every half index i in Halves(), the index of the
-// reciprocal half (the same undirected edge seen from the peer). The slab
-// slot Mates()[i] is where messages travelling towards Halves()[i]'s owner
-// are found. Must not be modified.
+// reciprocal half (the same undirected edge seen from the peer). The
+// engine's message slab is indexed like Halves(), and a node sending along
+// half i writes into slot Mates()[i], the receiving half's own, so each
+// node finds its incoming messages in its own half range. Must not be
+// modified.
 func (g *Graph) Mates() []int {
 	g.Flatten()
 	return g.flat.mates

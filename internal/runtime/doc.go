@@ -31,15 +31,28 @@
 // # The slab message protocol
 //
 // The engine stores messages in a dense slab with one slot per directed
-// edge, indexed exactly like graph.Halves(): slab[i] is the message in
-// flight on directed edge i, written by the sender during the send phase
-// and consumed (re-nilled) by the unique reader during the receive phase.
-// The two phases are separated by a round barrier, and each slot has
-// exactly one writer and one reader, so no slot is ever touched
-// concurrently and the round loop allocates nothing. Slots whose reader has
-// halted may keep a stale message; a halted reader never reads again, so
-// they are harmless (and such messages are never counted in the
-// statistics: delivered means read by a live node).
+// edge, indexed exactly like graph.Halves(): slab[i] is the message
+// travelling towards half i's owner. The peer writes it during the send
+// phase, into slot graph.Mates()[j] of its own half j, and the owner
+// consumes (re-nils) it during the receive phase. A node's incoming
+// messages therefore sit contiguously in its own half range, and the
+// receive phase reads them in order without following an index into the
+// senders' slots. The two phases are separated by a round barrier, and
+// each slot has exactly one writer and one reader, so no slot is ever
+// touched concurrently and the round loop allocates nothing. Slots whose
+// owner has halted may keep a stale message; a halted node never reads
+// again, so they are harmless.
+//
+// Traffic is counted at send time, while the payload the sender just
+// packed is still in cache: a message counts as delivered when its
+// receiver runs that round, meaning its bit is set in the round's
+// frontier and its word lies inside the round's scan window. The window
+// test is needed because words outside the window are not rewritten
+// every round and can keep bits from an older round (see Sleeping
+// nodes); a bit test alone would count a message to a halted or sleeping
+// node whose stale bit survived. With both tests the count is exactly the
+// set of messages the receive phase hands to a machine, the same set
+// RunReference delivers.
 //
 // # One engine
 //
@@ -74,14 +87,17 @@
 // end. The claim schedule is nondeterministic; the results are not, by
 // this argument: a chunk claim decides only WHICH worker processes a
 // node's sends or receives, never what happens to them. Send-phase writes
-// land in the per-directed-edge slab slot of the sending half, a location
-// fixed by the graph, not the schedule. Receive-phase chunks are disjoint
-// word ranges, so a claimant exclusively owns its nodes' frontier words —
-// and with them the next-frontier writes, halt-time entries and live-count
-// decrements; the per-round traffic rows are integer sums merged across
-// workers at the barrier. Every claim interleaving therefore produces
-// byte-identical outputs and Stats, which the steal-interleaving tests pin
-// by shrinking chunks to one word and yielding between claims.
+// land in the per-directed-edge slab slot of the receiving half, a
+// location fixed by the graph, not the schedule, and whether a message
+// counts depends only on the round's frontier, which no worker writes
+// during the send phase. Receive-phase chunks are disjoint word ranges,
+// so a claimant exclusively owns its nodes' frontier words — and with
+// them the incoming slots it empties, the next-frontier writes, halt-time
+// entries and live-count decrements; the per-round traffic rows are
+// integer sums merged across workers at the barrier. Every claim
+// interleaving therefore produces byte-identical outputs and Stats, which
+// the steal-interleaving tests pin by shrinking chunks to one word and
+// yielding between claims.
 //
 // # Sleeping nodes
 //

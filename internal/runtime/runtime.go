@@ -116,7 +116,9 @@ func (f Factory) NewPool(n int) []Machine {
 	return ms
 }
 
-// RoundTraffic is one round's delivered traffic.
+// RoundTraffic is one round's delivered traffic. A message is delivered
+// when it is sent to a node that is live in that round, so it reaches a
+// Receive call; a message sent to a halted node is not counted.
 type RoundTraffic struct {
 	// Messages counts edge-messages delivered in the round.
 	Messages int
@@ -130,7 +132,8 @@ type Stats struct {
 	// Rounds is the running time: communication rounds until every node
 	// halted (halting at time 0 gives 0 rounds).
 	Rounds int
-	// Messages counts edge-messages delivered over the whole run.
+	// Messages counts edge-messages delivered over the whole run: sent in
+	// a round to a node that is live in that round (see RoundTraffic).
 	Messages int
 	// HaltTimes records, per node, the round after which it halted.
 	HaltTimes []int

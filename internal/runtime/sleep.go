@@ -70,7 +70,7 @@ func (h *wakeHeap) pop() wakeup {
 // sent to while it slept; that is reported as an error. With no wakeups
 // pending — always, in a run whose machines never sleep — wake only moves
 // on to the next round over the live window [lo, hi).
-func (st *workersState) wake(mates []int, lo, hi, maxRounds int) error {
+func (st *workersState) wake(lo, hi, maxRounds int) error {
 	front := st.front
 	st.front, st.spare = st.spare, front
 	for w, list := range st.sleeps {
@@ -93,7 +93,7 @@ func (st *workersState) wake(mates []int, lo, hi, maxRounds int) error {
 	for len(st.heap) > 0 && st.heap[0].round == next {
 		v := st.heap.pop().node
 		for i := st.offsets[v]; i < st.offsets[v+1]; i++ {
-			if st.slab[mates[i]] != nil {
+			if st.slab[i] != nil {
 				return fmt.Errorf("runtime: node %d was sent a message while asleep (woke for round %d)", v, next)
 			}
 		}

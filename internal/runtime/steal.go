@@ -15,12 +15,13 @@ type atomicCursor = atomic.Int64
 //
 // Determinism (see also runtime/doc.go): the schedule decides only *which
 // worker* processes a node, never *what happens* to it. Sends land in the
-// per-directed-edge slab slot of the sending half regardless of the
+// per-directed-edge slab slot of the receiving half regardless of the
 // claiming worker, receive-phase chunks are disjoint word ranges so each
-// claimant exclusively owns the frontier words (and hence the next-frontier
-// writes, halt times and alive decrements) of its nodes, and the per-round
-// traffic rows are integer sums merged across workers — every interleaving
-// of chunk claims therefore produces byte-identical outputs and Stats.
+// claimant exclusively owns the frontier words (and hence the incoming
+// slots, next-frontier writes, halt times and alive decrements) of its
+// nodes, and the per-round traffic rows are integer sums merged across
+// workers — every interleaving of chunk claims therefore produces
+// byte-identical outputs and Stats.
 
 // stealChunkWords is the minimum claim granularity in frontier words (64
 // nodes per word); tests shrink it to 1 to force adversarial

@@ -109,11 +109,13 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	}
 	chunkWords := chunkWordsFor(words, workers)
 
-	// slab[i] is the message in flight on directed edge i (= Halves()[i]).
-	// Written by the owner during the send phase, read and re-nilled by the
-	// peer during the receive phase; the two phases are barrier-separated,
-	// and each slot has exactly one writer and one reader, so no slot is
-	// ever touched concurrently. A run whose nodes all halt at time 0
+	// slab[i] is the message in flight towards Halves()[i]'s owner: the
+	// peer writes it into slot Mates()[j] of its own half j during the
+	// send phase, and the owner reads and re-nils it during the receive
+	// phase, so each node's incoming messages sit contiguously in its own
+	// half range. The two phases are barrier-separated, and each slot has
+	// exactly one writer and one reader, so no slot is ever touched
+	// concurrently. A run whose nodes all halt at time 0
 	// (greedy on a k-regular instance) executes no round, so it skips
 	// sizing and clearing the slab and offsets: a pooled state that only
 	// serves such runs never holds them.
@@ -133,7 +135,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	// round 1 over the window [scanLo, scanHi).
 	st.round, st.scanLo, st.scanHi = 0, 0, words
 	st.front, st.spare = cur, next
-	if err := st.wake(mates, scanLo, scanHi, maxRounds); err != nil {
+	if err := st.wake(scanLo, scanHi, maxRounds); err != nil {
 		return nil, nil, err
 	}
 
@@ -160,7 +162,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		}
 		sendCursor.Store(0)
 		recvCursor.Store(0)
-		st.wakeErr = st.wake(mates, lo, hi, maxRounds)
+		st.wakeErr = st.wake(lo, hi, maxRounds)
 	}
 
 	bar := newBarrier(workers)
@@ -199,8 +201,14 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			// any live reader and the slabs can be recycled.
 			arena.Reset()
 			// Send phase: claim frontier chunks; each live node's
-			// outgoing halves land in its own slab slots, so the claim
-			// schedule cannot change what any slot holds.
+			// outgoing message on half i lands in slot mates[i], the
+			// receiving half's own, so the claim schedule cannot change
+			// what any slot holds. Traffic is counted here, while the
+			// payload Pack just wrote is still in cache: a message counts
+			// as delivered when its receiver runs this round, that is
+			// when its frontier bit is set inside the scanned window
+			// (words outside it can keep stale bits; see wake).
+			var rt RoundTraffic
 			for {
 				wlo, whi, ok := claimChunk(sendCursor, base, limit, chunkWords)
 				if !ok {
@@ -211,9 +219,14 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 						v := wi<<6 + bits.TrailingZeros64(word)
 						machines[v].Send(outBuf, arena)
 						for i := offsets[v]; i < offsets[v+1]; i++ {
-							if msg := outBuf[halves[i].Color]; msg != nil {
-								slab[i] = msg
-								outBuf[halves[i].Color] = nil
+							h := halves[i]
+							if msg := outBuf[h.Color]; msg != nil {
+								slab[mates[i]] = msg
+								outBuf[h.Color] = nil
+								if uw := h.Peer >> 6; uw >= base && uw < limit && cur[uw]&(1<<uint(h.Peer&63)) != 0 {
+									rt.Messages++
+									rt.Bytes += messageBytes(msg)
+								}
 							}
 						}
 					}
@@ -222,10 +235,10 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			bar.wait(nil)
 			// Receive phase: claim frontier chunks again. Chunks are
 			// disjoint word ranges, so the claimant exclusively owns its
-			// words' nodes: it gathers their incoming slots, delivers,
-			// clears the consumed slots, and writes the words of the
-			// next frontier (halted bits dropped by one AND-NOT each).
-			var rt RoundTraffic
+			// words' nodes: it delivers their incoming slots, clears
+			// them, and writes the words of the next frontier (halted
+			// bits dropped by one AND-NOT each).
+			//
 			// wmin/wmax track the nonzero next-frontier words this worker
 			// wrote and sleeps the nodes it put to sleep; all three are
 			// published to the per-worker slots before the barrier.
@@ -243,19 +256,17 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 						t := bits.TrailingZeros64(bw)
 						v := wi<<6 + t
 						vlo, vhi := offsets[v], offsets[v+1]
-						got := 0
+						got := false
 						for i := vlo; i < vhi; i++ {
-							if msg := slab[mates[i]]; msg != nil {
+							if msg := slab[i]; msg != nil {
 								inBuf[halves[i].Color] = msg
-								slab[mates[i]] = nil
-								got++
-								rt.Bytes += messageBytes(msg)
+								slab[i] = nil
+								got = true
 							}
 						}
-						rt.Messages += got
 						m := machines[v]
 						m.Receive(inBuf)
-						if got > 0 {
+						if got {
 							for i := vlo; i < vhi; i++ {
 								inBuf[halves[i].Color] = nil
 							}
