@@ -281,6 +281,30 @@ func BenchmarkReducedKggDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkReducedCellSetup is the reduced cell as the sweep runs it, on
+// the same rounds-heavy instance: every run takes a fresh Source from the
+// sweep registry, so it pays the per-cell set-up — the machine arena and
+// the reduction schedule — that BenchmarkReducedKggDelta's one pooled arena
+// skips after its first run.
+func BenchmarkReducedCellSetup(b *testing.B) {
+	g := roundsHeavyGraph(b)
+	reduced, ok := sweep.AlgoByName("reduced")
+	if !ok {
+		b.Fatal("reduced is not registered")
+	}
+	maxR := reduced.MaxRounds(g)
+	for _, workers := range []int{1, 2} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := runtime.RunWorkersN(g, nil, reduced.Source(g), maxR, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE11SweepParallel measures the parallel palette sweep behind E11
 // at several GOMAXPROCS settings; the speedup at procs=N over procs=1 is
 // the sweep's multi-core yield (palette sizes are embarrassingly parallel).

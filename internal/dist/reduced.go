@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/group"
 	"repro/internal/mm"
@@ -35,8 +36,8 @@ type ReducedGreedyMachine struct {
 	delta   int
 	colors  []group.Color // original incident colours (ascending); the output vocabulary
 	cur     []group.Color // current reduced colour per position
-	sched   []Step
-	schedK  int           // palette the cached schedule was computed for (0 = none)
+	shared  *sharedSchedule
+	sched   []Step        // this run's schedule, read-only and shared by the source's machines
 	next    []group.Color // phase-1 scratch: colours after the current step
 	peer    []group.Color // receive scratch: the last decoded peer list
 	blocked []int         // scratch for blockedFor, reused across rounds
@@ -50,24 +51,63 @@ type ReducedGreedyMachine struct {
 	out     mm.Output
 }
 
+// sharedSchedule is the reduction schedule every machine of one source
+// reads. The schedule is a pure function of (k, d) that each anonymous node
+// would derive locally and identically, so computing it once and handing
+// every node the same read-only result changes nothing any node sees — it
+// only stops the simulator from repeating identical local work n times per
+// run. Entries are immutable: a run whose (k, d) differs from the cached
+// entry builds and stores a fresh one, and every caller uses the entry it
+// loaded or built, so a racing recompute by concurrent runs on one source
+// costs time, never correctness.
+type sharedSchedule struct {
+	entry atomic.Pointer[scheduleEntry]
+}
+
+type scheduleEntry struct {
+	k, d  int
+	steps []Step
+}
+
+// get returns the schedule for palette k and conflict degree d.
+func (s *sharedSchedule) get(k, d int) []Step {
+	if e := s.entry.Load(); e != nil && e.k == k && e.d == d {
+		return e.steps
+	}
+	e := &scheduleEntry{k: k, d: d, steps: ReductionSchedule(k, d)}
+	s.entry.Store(e)
+	return e.steps
+}
+
 // NewReducedGreedyMachine returns a runtime.Factory for machines that
-// reduce the palette for instances of maximum degree ≤ delta.
+// reduce the palette for instances of maximum degree ≤ delta. Every machine
+// the factory builds points at one shared schedule holder, so a run
+// computes the reduction schedule once, not once per node.
 func NewReducedGreedyMachine(delta int) runtime.Factory {
-	return func() runtime.Machine { return &ReducedGreedyMachine{delta: delta} }
+	shared := &sharedSchedule{}
+	return func() runtime.Machine { return &ReducedGreedyMachine{delta: delta, shared: shared} }
 }
 
 // NewReducedGreedyMachinePool returns a pooling-aware runtime.Source backed
 // by a fixed arena of n machines reused across runs, like
 // NewGreedyMachinePool: Init fully resets a machine while keeping its
-// scratch capacity and its cached reduction schedule, so repeated runs on
-// same-shaped instances allocate nothing per node.
+// scratch capacity, so repeated runs on same-shaped instances allocate
+// nothing per node. As with NewReducedGreedyMachine, the arena's machines
+// share one schedule holder, computed once per run and recomputed only when
+// the palette changes.
 func NewReducedGreedyMachinePool(delta, n int) runtime.Source {
-	return runtime.NewPool[ReducedGreedyMachine](n, func(m *ReducedGreedyMachine) { m.delta = delta })
+	shared := &sharedSchedule{}
+	return runtime.NewPool[ReducedGreedyMachine](n, func(m *ReducedGreedyMachine) {
+		m.delta = delta
+		m.shared = shared
+	})
 }
 
-// Init implements runtime.Machine. Every node computes the shared reduction
-// schedule from (k, Δ); when no reduction is possible (small k) the machine
-// degenerates to plain greedy and class-1 edges match at time 0.
+// Init implements runtime.Machine. The reduction schedule depends only on
+// (k, Δ), so every node would derive the same one; the machine takes it
+// from its source's shared holder, which computes it once per palette.
+// When no reduction is possible (small k) the machine degenerates to plain
+// greedy and class-1 edges match at time 0.
 func (m *ReducedGreedyMachine) Init(info runtime.NodeInfo) {
 	m.colors = info.Colors
 	m.round = 0
@@ -81,12 +121,7 @@ func (m *ReducedGreedyMachine) Init(info runtime.NodeInfo) {
 	if d < 1 {
 		d = 1
 	}
-	// The schedule depends only on (k, Δ); pooled machines re-initialised
-	// for the same palette reuse the cached one instead of recomputing.
-	if m.schedK != info.K {
-		m.sched = ReductionSchedule(info.K, 2*(d-1))
-		m.schedK = info.K
-	}
+	m.sched = m.shared.get(info.K, 2*(d-1))
 	m.sRounds = len(m.sched)
 	m.qstar = info.K
 	if m.sRounds > 0 {

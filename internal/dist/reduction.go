@@ -24,7 +24,10 @@ type Step struct {
 // d (an edge of a graph with maximum degree Δ has at most d = 2(Δ−1)
 // adjacent edges). Every node derives the same schedule locally from
 // (q, d); the length is O(log* q) and the fixed-point palette is O(d²).
-// The result must not be modified.
+// The result must not be modified: ReducedGreedyMachine hands one computed
+// schedule to every machine of a source instead of recomputing it per
+// node, which is faithful to the model exactly because every node's local
+// derivation would yield the same read-only value.
 func ReductionSchedule(q, d int) []Step {
 	var sched []Step
 	for {

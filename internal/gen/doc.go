@@ -18,7 +18,9 @@
 //
 // Parse resolves the name against the registry and merges the overrides
 // onto the scenario's defaults (unknown parameters are errors, listing the
-// valid ones). Build then instantiates the scenario from a seed:
+// valid ones; so are non-finite values, integral parameters past the int
+// range, and values outside the family's range such as density ∉ [0, 1]).
+// Build then instantiates the scenario from a seed:
 //
 //	inst, sc, err := gen.BuildSpec("regular:n=1024,k=6", 42)
 //

@@ -8,11 +8,21 @@ import (
 	"repro/internal/group"
 )
 
+// checkDensity refuses an edge density outside [0, 1]: a negative density
+// silently builds an empty graph and one above 1 builds the same graph as 1.
+func checkDensity(p Params) error {
+	if d := p.Float("density"); d < 0 || d > 1 {
+		return fmt.Errorf("parameter %q must lie in [0, 1], got %v", "density", d)
+	}
+	return nil
+}
+
 func matchingUnion() Scenario {
 	return Scenario{
 		Name:   "matching-union",
 		Doc:    "union of k partial random matchings (§1.2 random instances)",
 		Params: Params{"n": 1024, "k": 6, "density": 0.7},
+		check:  checkDensity,
 		gen: func(p Params, rng *rand.Rand) (*Instance, error) {
 			n, k := p.Int("n"), p.Int("k")
 			if n < 2 || k < 1 {
@@ -38,6 +48,12 @@ func boundedDegree() Scenario {
 		Doc:  "uniform random edges under a degree cap Δ, colours from the full palette (§1.3, k ≫ Δ)",
 		// attempts = 0 means the conventional 5n edge draws.
 		Params: Params{"n": 1024, "k": 256, "delta": 3, "attempts": 0},
+		check: func(p Params) error {
+			if a := p.Float("attempts"); a < 0 {
+				return fmt.Errorf("parameter %q must be ≥ 0, got %v", "attempts", a)
+			}
+			return nil
+		},
 		gen: func(p Params, rng *rand.Rand) (*Instance, error) {
 			n, k, delta := p.Int("n"), p.Int("k"), p.Int("delta")
 			if n < 2 || k < 1 || delta < 1 {
@@ -272,6 +288,7 @@ func doubleCover() Scenario {
 		Name:   "double-cover",
 		Doc:    "bipartite double cover of a matching-union base; labels carry the sides",
 		Params: Params{"n": 512, "k": 6, "density": 0.7},
+		check:  checkDensity,
 		gen: func(p Params, rng *rand.Rand) (*Instance, error) {
 			n, k := p.Int("n"), p.Int("k")
 			if n < 2 || k < 1 {

@@ -62,7 +62,7 @@ func ParseGrid(spec string) (Scenario, []Params, error) {
 	sort.Strings(names)
 
 	// Cross product, first sorted parameter slowest. Every cell is merged
-	// onto the defaults immediately so unknown names and integrality
+	// onto the defaults immediately so unknown names, integrality and range
 	// violations surface here, pointing at the spec.
 	cells := []Params{{}}
 	for _, key := range names {
@@ -85,7 +85,7 @@ func ParseGrid(spec string) (Scenario, []Params, error) {
 	}
 	full := make([]Params, len(cells))
 	for i, cell := range cells {
-		p, err := s.Params.merged(cell)
+		p, err := s.resolve(cell)
 		if err != nil {
 			return Scenario{}, nil, fmt.Errorf("gen: %s: %w (spec %q)", s.Name, err, spec)
 		}
@@ -124,6 +124,12 @@ func parseValues(val string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A NaN endpoint would expand to no values at all, and an infinite one
+	// to a run of infinities; Params.merged refuses single non-finite
+	// values, but an empty range never reaches it.
+	if !finite(loF) || !finite(hiF) {
+		return nil, fmt.Errorf("range %s..%s needs finite endpoints", lo, hi)
+	}
 	if hiF < loF {
 		return nil, fmt.Errorf("range %s..%s is empty", lo, hi)
 	}
@@ -135,8 +141,8 @@ func parseValues(val string) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			if mult <= 1 {
-				return nil, fmt.Errorf("multiplier %q must exceed 1", step)
+			if mult <= 1 || !finite(mult) {
+				return nil, fmt.Errorf("multiplier %q must exceed 1 and be finite", step)
 			}
 		case strings.HasPrefix(step, "+"):
 			mult = 0
@@ -144,8 +150,8 @@ func parseValues(val string) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			if add <= 0 {
-				return nil, fmt.Errorf("step %q must be positive", step)
+			if add <= 0 || !finite(add) {
+				return nil, fmt.Errorf("step %q must be positive and finite", step)
 			}
 		default:
 			return nil, fmt.Errorf("malformed step %q (want x<mult> or +<step>)", step)
@@ -176,6 +182,8 @@ func parseValues(val string) ([]float64, error) {
 	}
 	return out, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // snapDecimal rounds float artefacts (0.1 + 2×0.1 = 0.30000000000000004)
 // to nine decimal places, so range cells carry exactly the values the spec

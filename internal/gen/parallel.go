@@ -63,7 +63,7 @@ func (s Scenario) BuildParallel(seed int64, overrides Params, workers int) (*Ins
 	if s.genSharded == nil {
 		return s.Build(seed, overrides)
 	}
-	p, err := s.Params.merged(overrides)
+	p, err := s.resolve(overrides)
 	if err != nil {
 		return nil, fmt.Errorf("gen: %s: %w", s.Name, err)
 	}

@@ -35,24 +35,42 @@ func (p Params) Int(name string) int { return int(p[name]) }
 // Float returns the parameter as a float64 (0 when absent).
 func (p Params) Float(name string) float64 { return p[name] }
 
-// merged returns a copy of the defaults with overrides applied; overriding
-// a parameter the scenario does not declare is an error naming the valid
-// ones.
-func (p Params) merged(overrides Params) (Params, error) {
+// clone returns an independent copy of the parameters.
+func (p Params) clone() Params {
 	out := make(Params, len(p))
 	for k, v := range p {
 		out[k] = v
 	}
+	return out
+}
+
+// merged returns a copy of the defaults with overrides applied. It is the
+// one place every override passes (Parse, ParseGrid and Build), so it
+// refuses what no family can build: a parameter the scenario does not
+// declare (the error names the valid ones), a non-finite value, and, for a
+// parameter whose default is integral, a fractional value or one outside
+// the int range. Every error names the parameter.
+func (p Params) merged(overrides Params) (Params, error) {
+	out := p.clone()
 	for k, v := range overrides {
 		d, ok := p[k]
 		if !ok {
 			return nil, fmt.Errorf("gen: unknown parameter %q (valid: %s)", k, p.keys())
 		}
+		if !finite(v) {
+			return nil, fmt.Errorf("gen: parameter %q must be finite, got %v", k, v)
+		}
 		// A parameter whose default is integral is an integral parameter
 		// (n, k, delta, …); silently truncating 1000.9 to 1000 would build
-		// a different instance than the spec asked for.
-		if d == math.Trunc(d) && v != math.Trunc(v) {
-			return nil, fmt.Errorf("gen: parameter %q must be an integer, got %v", k, v)
+		// a different instance than the spec asked for, and converting a
+		// value past the int range wraps it.
+		if d == math.Trunc(d) {
+			if v != math.Trunc(v) {
+				return nil, fmt.Errorf("gen: parameter %q must be an integer, got %v", k, v)
+			}
+			if v < math.MinInt || v >= -float64(math.MinInt) {
+				return nil, fmt.Errorf("gen: parameter %q is outside the int range, got %v", k, v)
+			}
 		}
 		out[k] = v
 	}
@@ -98,11 +116,29 @@ type Instance struct {
 // colour-class families, BlockSeeds for bounded-degree), so each family
 // owns its stream naming.
 type Scenario struct {
-	Name       string
-	Doc        string
-	Params     Params
+	Name   string
+	Doc    string
+	Params Params
+	// check, if non-nil, refuses merged parameters outside the family's
+	// range (density in [0, 1], attempts ≥ 0, …) at parse time.
+	check      func(p Params) error
 	gen        func(p Params, rng *rand.Rand) (*Instance, error)
 	genSharded func(p Params, seed int64, workers int) (*Instance, error)
+}
+
+// resolve merges overrides onto the defaults and applies the family's
+// range check.
+func (s Scenario) resolve(overrides Params) (Params, error) {
+	p, err := s.Params.merged(overrides)
+	if err != nil {
+		return nil, err
+	}
+	if s.check != nil {
+		if err := s.check(p); err != nil {
+			return nil, fmt.Errorf("gen: %w", err)
+		}
+	}
+	return p, nil
 }
 
 // Build instantiates the scenario: overrides (may be nil) are merged onto
@@ -111,7 +147,7 @@ type Scenario struct {
 // same seed stay uncorrelated, and the same (name, params, seed) triple
 // names the same instance forever.
 func (s Scenario) Build(seed int64, overrides Params) (*Instance, error) {
-	p, err := s.Params.merged(overrides)
+	p, err := s.resolve(overrides)
 	if err != nil {
 		return nil, fmt.Errorf("gen: %s: %w", s.Name, err)
 	}
@@ -137,29 +173,55 @@ func streamSeed(name string, seed int64) int64 {
 	return int64(z)
 }
 
-// All returns every registered scenario in a stable order.
-func All() []Scenario {
-	return []Scenario{
-		matchingUnion(), boundedDegree(), regular(), pathScenario(),
-		cycleScenario(), tree(), caterpillar(), worstCase(), doubleCover(),
+// registry holds every scenario, built once at package initialisation:
+// Lookup runs once per sweep cell and per served request, so it reads this
+// table rather than rebuilding nine scenarios and their Params maps per
+// call. Its Params maps are shared and read-only; merged copies them, and
+// All hands out independent copies.
+var registry = []Scenario{
+	matchingUnion(), boundedDegree(), regular(), pathScenario(),
+	cycleScenario(), tree(), caterpillar(), worstCase(), doubleCover(),
+}
+
+func init() {
+	seen := map[string]bool{}
+	for _, s := range registry {
+		if seen[s.Name] {
+			panic(fmt.Sprintf("gen: scenario %q registered twice", s.Name))
+		}
+		seen[s.Name] = true
 	}
+}
+
+// All returns every registered scenario in a stable order. The result is
+// the caller's own: mutating a returned Scenario or its Params does not
+// change the registry.
+func All() []Scenario {
+	all := make([]Scenario, len(registry))
+	for i, s := range registry {
+		s.Params = s.Params.clone()
+		all[i] = s
+	}
+	return all
 }
 
 // Names lists the registered scenario names in registry order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, s := range all {
+	names := make([]string, len(registry))
+	for i, s := range registry {
 		names[i] = s.Name
 	}
 	return names
 }
 
-// Lookup returns the scenario with the given name.
+// Lookup returns the scenario with the given name. It allocates nothing:
+// the Scenario shares its Params with the registry, so they are read-only —
+// Build and Parse merge overrides into a copy, and a caller that wants to
+// edit defaults must copy them (or take them from All) first.
 func Lookup(name string) (Scenario, bool) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, true
+	for i := range registry {
+		if registry[i].Name == name {
+			return registry[i], true
 		}
 	}
 	return Scenario{}, false
@@ -188,8 +250,9 @@ func Parse(spec string) (Scenario, Params, error) {
 			overrides[key] = f
 		}
 	}
-	// Reject unknown keys at parse time so the error points at the spec.
-	if _, err := s.Params.merged(overrides); err != nil {
+	// Reject unknown keys and out-of-range values at parse time so the
+	// error points at the spec.
+	if _, err := s.resolve(overrides); err != nil {
 		return Scenario{}, nil, fmt.Errorf("%w (spec %q)", err, spec)
 	}
 	return s, overrides, nil

@@ -1,6 +1,7 @@
 package gen_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,4 +209,77 @@ func mustScenario(t *testing.T, name string) gen.Scenario {
 		t.Fatalf("scenario %s not registered", name)
 	}
 	return s
+}
+
+// TestParseRefusesBadValues pins the parse-time refusals: values no family
+// can build used to parse and then build a silently different instance
+// (NaN and Inf densities as 1, a negative density or attempts count as an
+// empty graph, n=1e30 wrapped to a negative int). Parse, ParseGrid and
+// Build must all refuse them with an error naming the parameter.
+func TestParseRefusesBadValues(t *testing.T) {
+	cases := []struct{ spec, param string }{
+		{"matching-union:density=NaN", "density"},
+		{"matching-union:density=Inf", "density"},
+		{"matching-union:density=-1", "density"},
+		{"matching-union:n=1e30", "n"},
+		{"bounded-degree:attempts=-5", "attempts"},
+		{"double-cover:density=1.5", "density"},
+		{"matching-union:n=9223372036854775808", "n"},
+		{"matching-union:density=NaN..NaN", "density"},
+		{"matching-union:density=0..Inf..+0.5", "density"},
+	}
+	for _, c := range cases {
+		if _, _, err := gen.ParseGrid(c.spec); err == nil || !strings.Contains(err.Error(), c.param) {
+			t.Errorf("ParseGrid(%q) = %v, want an error naming %q", c.spec, err, c.param)
+		}
+		if strings.Contains(c.spec, "..") {
+			continue // range syntax is ParseGrid's alone
+		}
+		if _, _, err := gen.Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.param) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", c.spec, err, c.param)
+		}
+	}
+	// Build is reachable without Parse (parsed instance IDs, code), so the
+	// refusal lives where every override passes.
+	mu := mustScenario(t, "matching-union")
+	if _, err := mu.Build(1, gen.Params{"density": math.NaN()}); err == nil || !strings.Contains(err.Error(), "density") {
+		t.Errorf("Build with density=NaN: %v", err)
+	}
+	// The edges of the valid ranges still parse.
+	for _, spec := range []string{
+		"matching-union:density=0", "matching-union:density=1",
+		"bounded-degree:attempts=0", "matching-union:n=9223372036854774784",
+	} {
+		if _, _, err := gen.Parse(spec); err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+	}
+}
+
+// TestLookupSharesOneRegistry pins the registry built once: Lookup
+// allocates nothing, and All hands out copies whose mutation does not
+// reach what Lookup returns.
+func TestLookupSharesOneRegistry(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := gen.Lookup("double-cover"); !ok {
+			t.Fatal("double-cover not registered")
+		}
+	}); n != 0 {
+		t.Errorf("Lookup allocates %v times per call, want 0", n)
+	}
+	before := mustScenario(t, "matching-union").Params.String()
+	for _, s := range gen.All() {
+		s.Params["n"] = -1
+		s.Params["injected"] = 1
+	}
+	all := gen.All()
+	all[0].Doc = "mutated"
+	all[0].Params["density"] = 0.01
+	s := mustScenario(t, "matching-union")
+	if got := s.Params.String(); got != before {
+		t.Errorf("Lookup defaults changed through All: %s, want %s", got, before)
+	}
+	if s.Doc == "mutated" {
+		t.Error("Lookup's Doc changed through All")
+	}
 }

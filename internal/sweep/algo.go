@@ -28,14 +28,16 @@ type Algo struct {
 	Contract func(g *graph.Graph) dist.Contract
 }
 
-// Algos returns the registered algorithms in a stable order.
+// Algos returns the registered algorithms in a stable order. Every
+// algorithm's Source is one arena of machines per cell — one allocation per
+// cell instead of one per node, with set-up shared by the arena (the
+// reduced machines' schedule) done once. Each cell gets its own arena, so
+// concurrent cells share nothing; arenas are never reused across cells,
+// since retained scratch would count as live heap between cells.
 func Algos() []Algo {
 	return []Algo{
 		{
-			Name: "greedy",
-			// One arena of machines per cell instead of one allocation per
-			// node; each cell gets its own pool, so concurrent cells share
-			// nothing.
+			Name:      "greedy",
 			Source:    func(g *graph.Graph) runtime.Source { return dist.NewGreedyMachinePool(g.N()) },
 			MaxRounds: runtime.DefaultMaxRounds,
 			Contract:  func(g *graph.Graph) dist.Contract { return dist.GreedyContract(g.K()) },
@@ -46,7 +48,7 @@ func Algos() []Algo {
 			// machine never sees a graph past its Δ and the documented
 			// panic cannot trigger from a sweep.
 			Source: func(g *graph.Graph) runtime.Source {
-				return dist.NewReducedGreedyMachine(g.MaxDegree())
+				return dist.NewReducedGreedyMachinePool(g.MaxDegree(), g.N())
 			},
 			MaxRounds: func(g *graph.Graph) int {
 				return max(runtime.DefaultMaxRounds(g), dist.TotalRounds(g.K(), g.MaxDegree())+8)
@@ -57,14 +59,14 @@ func Algos() []Algo {
 		},
 		{
 			Name:      "proposal",
-			Source:    func(*graph.Graph) runtime.Source { return dist.NewProposalMachine },
+			Source:    func(g *graph.Graph) runtime.Source { return dist.NewProposalMachinePool(g.N()) },
 			MaxRounds: runtime.DefaultMaxRounds,
 			Contract:  func(g *graph.Graph) dist.Contract { return dist.ProposalContract(g.N(), g.MaxDegree()) },
 		},
 		{
 			Name:        "bipartite",
 			NeedsLabels: true,
-			Source:      func(*graph.Graph) runtime.Source { return dist.NewBipartiteMachine },
+			Source:      func(g *graph.Graph) runtime.Source { return dist.NewBipartiteMachinePool(g.N()) },
 			MaxRounds:   func(g *graph.Graph) int { return 4*g.MaxDegree() + 16 },
 			Contract:    func(g *graph.Graph) dist.Contract { return dist.BipartiteContract(g.MaxDegree()) },
 		},
