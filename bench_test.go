@@ -97,7 +97,6 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		rng := rand.New(rand.NewSource(1))
 		g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-		g.Flatten() // build the CSR once so no engine pays for it in-loop
 		factory := dist.NewGreedyMachinePool(n)
 		prefix := "n=" + strconv.Itoa(n) + "/"
 		b.Run(prefix+"sequential", func(b *testing.B) {
@@ -133,7 +132,6 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(2))
 		g := graph.RandomBoundedDegree(p.n, p.k, delta, 5*p.n, rng)
-		g.Flatten()
 		maxR := dist.TotalRounds(p.k, delta) + 8
 		pool := dist.NewReducedGreedyMachinePool(delta, p.n)
 		prefix := "n=" + strconv.Itoa(p.n) + ",k=" + strconv.Itoa(p.k) + "/"
@@ -167,7 +165,6 @@ func BenchmarkWorkersScaling(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(1))
 		g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-		g.Flatten()
 		factory := dist.NewGreedyMachinePool(n)
 		for _, workers := range []int{1, 2, 4, 8, 16} {
 			b.Run("n="+strconv.Itoa(n)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
@@ -203,7 +200,6 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g.Flatten()
 		pool := dist.NewGreedyMachinePool(n)
 		prefix := "n=" + strconv.Itoa(n) + "/"
 		b.Run(prefix+"sequential", func(b *testing.B) {
@@ -225,15 +221,13 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 	}
 }
 
-// roundsHeavyGraph builds the instance of mmbench's rounds-heavy workload,
-// flattened so no engine run pays for the CSR.
+// roundsHeavyGraph builds the instance of mmbench's rounds-heavy workload.
 func roundsHeavyGraph(b *testing.B) *graph.Graph {
 	b.Helper()
 	inst, _, err := gen.BuildSpec("bounded-degree:n=16384,k=1024,delta=3", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst.G.Flatten()
 	return inst.G
 }
 
@@ -326,12 +320,10 @@ func BenchmarkE11SweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkGenMatchingUnion compares instance construction on the CSR
-// builder (the path every constructor and scenario now uses) against the
-// retained legacy per-node-map path at benchmark scale. The acceptance bar
-// for the generator subsystem is ≥5× fewer allocations on the builder; in
-// practice the gap is orders of magnitude, since the map path allocates
-// per node and the builder amortises everything into a handful of slabs.
+// BenchmarkGenMatchingUnion measures instance construction on the CSR
+// builder at benchmark scale. The builder amortises everything into a
+// handful of slabs; TestGeneratorAllocsBounded in internal/graph pins the
+// allocation count per build.
 func BenchmarkGenMatchingUnion(b *testing.B) {
 	const n, k = 65536, 6
 	b.Run("csr-builder", func(b *testing.B) {
@@ -341,16 +333,9 @@ func BenchmarkGenMatchingUnion(b *testing.B) {
 			graph.RandomMatchingUnion(n, k, 0.7, rng)
 		}
 	})
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rng := rand.New(rand.NewSource(1))
-			graph.LegacyRandomMatchingUnion(n, k, 0.7, rng)
-		}
-	})
 }
 
-// BenchmarkGenBoundedDegree is the same comparison for the §1.3 k ≫ Δ
+// BenchmarkGenBoundedDegree is the same measurement for the §1.3 k ≫ Δ
 // instances (the reduced-pipeline benchmark setup).
 func BenchmarkGenBoundedDegree(b *testing.B) {
 	const n, k, delta = 65536, 1024, 3
@@ -359,13 +344,6 @@ func BenchmarkGenBoundedDegree(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rng := rand.New(rand.NewSource(2))
 			graph.RandomBoundedDegree(n, k, delta, 5*n, rng)
-		}
-	})
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rng := rand.New(rand.NewSource(2))
-			graph.LegacyRandomBoundedDegree(n, k, delta, 5*n, rng)
 		}
 	})
 }

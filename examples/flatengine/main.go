@@ -88,7 +88,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -algo %q (want greedy or reduced)", *algo)
 	}
-	g.Flatten()
 	fmt.Printf("instance:  n = %d, |E| = %d, k = %d (built in %v)\n",
 		g.N(), g.NumEdges(), g.K(), time.Since(start).Round(time.Millisecond))
 

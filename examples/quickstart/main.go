@@ -21,7 +21,7 @@ func main() {
 	//	3               1
 	//	│               │
 	//	3 ──2── 4 ──3── 5
-	g := graph.New(6, 3)
+	b := graph.NewCSRBuilder(6, 3)
 	type edge struct {
 		u, v int
 		c    group.Color
@@ -29,9 +29,13 @@ func main() {
 	for _, e := range []edge{
 		{0, 1, 1}, {1, 2, 2}, {0, 3, 3}, {2, 5, 1}, {3, 4, 2}, {4, 5, 3},
 	} {
-		if err := g.AddEdge(e.u, e.v, e.c); err != nil {
+		if err := b.AddEdge(e.u, e.v, e.c); err != nil {
 			log.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Run the greedy machine: every node is an anonymous state machine that

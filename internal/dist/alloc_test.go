@@ -23,10 +23,7 @@ func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 		delta = 3
 	)
 	build := func(k int, seed int64) *graph.Graph {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomBoundedDegree(n, k, delta, 5*n, rng)
-		g.Flatten()
-		return g
+		return graph.RandomBoundedDegree(n, k, delta, 5*n, rand.New(rand.NewSource(seed)))
 	}
 	gSmall := build(64, 5)
 	gBig := build(2048, 6)

@@ -119,7 +119,7 @@ func TestBipartiteMachine(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		half := 8 + rng.Intn(40)
 		k := []int{4, 64, 4096}[trial%3]
-		g := graph.New(2*half, k)
+		b := graph.NewCSRBuilder(2*half, k)
 		labels := make([]int, 2*half)
 		for i := half; i < 2*half; i++ {
 			labels[i] = dist.SideBlack
@@ -127,7 +127,11 @@ func TestBipartiteMachine(t *testing.T) {
 		for i := 0; i < 4*half; i++ {
 			u := rng.Intn(half)
 			v := half + rng.Intn(half)
-			_ = g.AddEdge(u, v, group.Color(1+rng.Intn(k)))
+			b.TryAddEdge(u, v, group.Color(1+rng.Intn(k)))
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
 		outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine, 4*g.MaxDegree()+16, 1)
 		if err != nil {

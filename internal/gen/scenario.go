@@ -14,9 +14,8 @@ import (
 
 // CSRBuilder assembles graphs directly in CSR form; it is the low-level
 // mechanism behind every scenario. The implementation lives in the graph
-// package (so the legacy graph constructors could be ported onto it
-// without an import cycle); gen re-exports it as the generation subsystem's
-// canonical entry point.
+// package, where it is the only way to build a Graph; gen re-exports it as
+// the generation subsystem's canonical entry point.
 type CSRBuilder = graph.CSRBuilder
 
 // NewCSRBuilder returns an empty builder for an n-node graph with colour

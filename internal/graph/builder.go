@@ -7,30 +7,25 @@ import (
 	"repro/internal/group"
 )
 
-// FromCSR builds a graph directly from a flat CSR adjacency, bypassing the
-// per-node colour maps entirely: offsets has n+1 entries and
-// halves[offsets[v]:offsets[v+1]] lists node v's incident halves in any
-// order. FromCSR takes ownership of both slices, sorts each node's range by
-// colour in place, and validates the proper-colouring and symmetry
-// invariants in O(m log Δ). It does not check simplicity (no parallel
-// edges) — CSRBuilder enforces that at insertion time, and Validate checks
-// it on demand.
-//
-// The resulting graph is CSR-authoritative: the per-node colour→peer maps
-// that AddEdge needs are materialised lazily on first mutation, so purely
-// read-driven workloads (the execution engines) never pay for them.
-func FromCSR(k int, offsets []int, halves []Half) (*Graph, error) {
+// fromCSR wraps a flat CSR adjacency in a Graph: offsets has n+1 entries
+// and halves[offsets[v]:offsets[v+1]] lists node v's incident halves in
+// any order. fromCSR takes ownership of both slices, sorts each node's
+// range by colour in place, and validates the proper-colouring and
+// symmetry invariants in O(m log Δ). It does not check simplicity (no
+// parallel edges): CSRBuilder enforces that at insertion time, and
+// Validate checks it on demand.
+func fromCSR(k int, offsets []int, halves []Half) (*Graph, error) {
 	if len(offsets) == 0 {
-		return nil, fmt.Errorf("graph: FromCSR needs at least one offset")
+		return nil, fmt.Errorf("graph: CSR needs at least one offset")
 	}
 	n := len(offsets) - 1
 	if offsets[0] != 0 || offsets[n] != len(halves) {
-		return nil, fmt.Errorf("graph: FromCSR offsets [%d…%d] do not span %d halves",
+		return nil, fmt.Errorf("graph: CSR offsets [%d…%d] do not span %d halves",
 			offsets[0], offsets[n], len(halves))
 	}
 	for v := 0; v < n; v++ {
 		if offsets[v+1] < offsets[v] {
-			return nil, fmt.Errorf("graph: FromCSR offsets not monotone at node %d", v)
+			return nil, fmt.Errorf("graph: CSR offsets not monotone at node %d", v)
 		}
 	}
 	colors := make([]group.Color, len(halves))
@@ -70,7 +65,7 @@ func FromCSR(k int, offsets []int, halves []Half) (*Graph, error) {
 	}
 	return &Graph{
 		n: n, k: k,
-		flat: flatAdj{valid: true, offsets: offsets, halves: halves, colors: colors, mates: mates},
+		flat: flatAdj{offsets: offsets, halves: halves, colors: colors, mates: mates},
 	}, nil
 }
 
@@ -106,20 +101,19 @@ type builderEdge struct {
 // family fits the bitset comfortably.
 const colorBitsLimit = 1 << 27
 
-// CSRBuilder assembles a properly edge-coloured graph directly in CSR form.
-// Edges are accumulated into a flat edge list, and Build performs the
-// classic two-pass degree-count/fill into the final halves slab — no
-// per-node maps, no Flatten. The incremental constraint checks run on flat
+// CSRBuilder assembles a properly edge-coloured graph in CSR form; it is
+// the only way to build a Graph. Edges are accumulated into a flat edge
+// list, and Build performs the classic two-pass degree-count/fill into the
+// final halves slab. The incremental constraint checks run on flat
 // structures too: degrees in an array, colour occupation in a bitset (a
 // hash set beyond 16 MB of bits), and adjacency in an intrusive linked
 // list threaded through the accepted halves, walked from the lower-degree
 // endpoint — degrees are bounded by Δ or k in every family, so HasEdge is
 // effectively O(1) with array locality. Constructing an n-node instance
-// costs O(1) allocations amortised where the map-based New/AddEdge path
-// costs Ω(n), and runs faster in wall-clock as well (BenchmarkGen*).
+// costs O(1) allocations amortised (TestGeneratorAllocsBounded).
 //
-// The builder is the engine behind the package's random-instance
-// constructors and the scenario families in internal/gen. A builder is not
+// The builder is the engine behind every constructor in this package and
+// the scenario families in internal/gen. A builder is not
 // safe for concurrent use; Reset recycles all internal storage for the
 // next build.
 type CSRBuilder struct {
@@ -262,9 +256,10 @@ func (b *CSRBuilder) link(u, v int, c group.Color) {
 	b.edges = append(b.edges, builderEdge{u: int32(u), v: int32(v), c: c})
 }
 
-// AddEdge inserts the edge {u, v} with colour c, enforcing the same
-// invariants as Graph.AddEdge: simplicity and the proper-colouring
-// constraint.
+// AddEdge inserts the edge {u, v} with colour c. It enforces simplicity and
+// the proper-colouring constraint: the endpoints must be distinct nodes in
+// range, the colour must lie in 1…k and be unused at both endpoints, and
+// the edge must not already exist.
 func (b *CSRBuilder) AddEdge(u, v int, c group.Color) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
@@ -289,8 +284,8 @@ func (b *CSRBuilder) AddEdge(u, v int, c group.Color) error {
 }
 
 // TryAddEdge is AddEdge with skip-on-conflict semantics: it reports whether
-// the edge was accepted, mirroring the random generators' historical
-// `_ = g.AddEdge(…)` usage without the error allocation.
+// the edge was accepted, without the error allocation. It accepts exactly
+// the edges AddEdge accepts.
 func (b *CSRBuilder) TryAddEdge(u, v int, c group.Color) bool {
 	if u == v || u < 0 || u >= b.n || v < 0 || v >= b.n || !c.Valid(b.k) ||
 		!b.ColorFree(u, c) || !b.ColorFree(v, c) || b.HasEdge(u, v) {
@@ -302,7 +297,7 @@ func (b *CSRBuilder) TryAddEdge(u, v int, c group.Color) bool {
 
 // Build assembles the accumulated edges into a graph: degree counts become
 // offsets by prefix sum, a single fill pass scatters both halves of every
-// edge, and FromCSR sorts, validates and wraps the slab. The builder
+// edge, and fromCSR sorts, validates and wraps the slab. The builder
 // remains usable afterwards (Reset to start a new graph); the returned
 // graph owns the freshly built arrays.
 func (b *CSRBuilder) Build() (*Graph, error) {
@@ -321,5 +316,5 @@ func (b *CSRBuilder) Build() (*Graph, error) {
 		halves[cursor[e.v]] = Half{Peer: int(e.u), Color: e.c}
 		cursor[e.v]++
 	}
-	return FromCSR(b.k, offsets, halves)
+	return fromCSR(b.k, offsets, halves)
 }

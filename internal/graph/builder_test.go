@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,12 +8,10 @@ import (
 )
 
 // sameCSR asserts the two graphs have byte-identical flat CSR arrays:
-// offsets, halves, colors and mates. This is the strongest equivalence the
-// builder port can claim — not just isomorphic, the same arrays.
+// offsets, halves, colors and mates. This is the strongest equivalence two
+// constructions can share — not just isomorphic, the same arrays.
 func sameCSR(t *testing.T, name string, got, want *Graph) {
 	t.Helper()
-	got.Flatten()
-	want.Flatten()
 	if got.N() != want.N() || got.K() != want.K() {
 		t.Fatalf("%s: shape (n=%d, k=%d) vs (n=%d, k=%d)", name, got.N(), got.K(), want.N(), want.K())
 	}
@@ -32,59 +29,27 @@ func sameCSR(t *testing.T, name string, got, want *Graph) {
 	}
 }
 
-// TestBuilderMatchesLegacyConstructors pins every ported family against its
-// legacy map-based construction: the same seed must produce byte-identical
-// CSR arrays, which also proves the builder consumes the rng stream exactly
-// as the map path did.
-func TestBuilderMatchesLegacyConstructors(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		got := RandomMatchingUnion(200, 6, 0.7, rand.New(rand.NewSource(seed)))
-		want := LegacyRandomMatchingUnion(200, 6, 0.7, rand.New(rand.NewSource(seed)))
-		sameCSR(t, "matching-union", got, want)
-
-		got = RandomBoundedDegree(150, 64, 3, 800, rand.New(rand.NewSource(seed)))
-		want = LegacyRandomBoundedDegree(150, 64, 3, 800, rand.New(rand.NewSource(seed)))
-		sameCSR(t, "bounded-degree", got, want)
-
-		gotR, err := RandomRegular(64, 5, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantR, err := LegacyRandomRegular(64, 5, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCSR(t, "regular", gotR, wantR)
-	}
-
-	for k := 2; k <= 9; k++ {
-		got, err := NewWorstCase(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := LegacyNewWorstCase(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.U != want.U || got.V != want.V {
-			t.Fatalf("worst case k=%d: endpoints (%d, %d) vs (%d, %d)", k, got.U, got.V, want.U, want.V)
-		}
-		sameCSR(t, "worstcase", got.G, want.G)
-	}
-}
-
-// TestBuilderValidation checks the builder enforces the same invariants as
-// Graph.AddEdge and that TryAddEdge mirrors them as skips.
+// TestBuilderValidation checks the builder's invariants and that TryAddEdge
+// mirrors AddEdge's refusals as skips.
 func TestBuilderValidation(t *testing.T) {
 	b := NewCSRBuilder(4, 3)
-	if err := b.AddEdge(0, 0, 1); err == nil {
-		t.Error("self-loop accepted")
-	}
-	if err := b.AddEdge(0, 4, 1); err == nil {
-		t.Error("out-of-range peer accepted")
-	}
-	if err := b.AddEdge(0, 1, 5); err == nil {
-		t.Error("out-of-palette colour accepted")
+	for _, bad := range []struct {
+		name string
+		u, v int
+		c    group.Color
+	}{
+		{"self-loop", 0, 0, 1},
+		{"out-of-range peer", 0, 4, 1},
+		{"negative endpoint", -1, 0, 1},
+		{"colour zero", 0, 1, 0},
+		{"out-of-palette colour", 0, 1, 5},
+	} {
+		if err := b.AddEdge(bad.u, bad.v, bad.c); err == nil {
+			t.Errorf("%s accepted by AddEdge", bad.name)
+		}
+		if b.TryAddEdge(bad.u, bad.v, bad.c) {
+			t.Errorf("%s accepted by TryAddEdge", bad.name)
+		}
 	}
 	if err := b.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
@@ -139,63 +104,20 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
-// TestFromCSRRejectsBrokenInput feeds FromCSR malformed adjacencies and
+// TestFromCSRRejectsBrokenInput feeds fromCSR malformed adjacencies and
 // expects errors rather than silently broken graphs.
 func TestFromCSRRejectsBrokenInput(t *testing.T) {
 	// Asymmetric: node 0 claims a colour-1 edge to 1, node 1 is silent.
-	if _, err := FromCSR(2, []int{0, 1, 1}, []Half{{Peer: 1, Color: 1}}); err == nil {
+	if _, err := fromCSR(2, []int{0, 1, 1}, []Half{{Peer: 1, Color: 1}}); err == nil {
 		t.Error("asymmetric adjacency accepted")
 	}
 	// Improper: colour 1 twice at node 0.
-	if _, err := FromCSR(2, []int{0, 2, 3, 4},
+	if _, err := fromCSR(2, []int{0, 2, 3, 4},
 		[]Half{{Peer: 1, Color: 1}, {Peer: 2, Color: 1}, {Peer: 0, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
 		t.Error("improper colouring accepted")
 	}
 	// Offsets that do not span the halves.
-	if _, err := FromCSR(2, []int{0, 1}, []Half{{Peer: 1, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
+	if _, err := fromCSR(2, []int{0, 1}, []Half{{Peer: 1, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
 		t.Error("short offsets accepted")
-	}
-}
-
-// TestCSRGraphMutatesCorrectly checks the lazy-map path: a CSR-built graph
-// must answer every read without maps, then transparently materialise them
-// when AddEdge mutates it.
-func TestCSRGraphMutatesCorrectly(t *testing.T) {
-	b := NewCSRBuilder(4, 3)
-	for _, e := range []struct {
-		u, v int
-		c    group.Color
-	}{{0, 1, 1}, {1, 2, 2}, {2, 3, 1}} {
-		if err := b.AddEdge(e.u, e.v, e.c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.adj != nil {
-		t.Fatal("CSR-built graph materialised maps without a mutation")
-	}
-	if peer, ok := g.Neighbor(1, 2); !ok || peer != 2 {
-		t.Fatalf("Neighbor(1, 2) = %d, %v", peer, ok)
-	}
-	if g.Degree(1) != 2 || g.MaxDegree() != 2 || g.NumEdges() != 3 {
-		t.Fatal("CSR reads wrong before mutation")
-	}
-	if err := g.AddEdge(3, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.adj == nil {
-		t.Fatal("mutation did not materialise the maps")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if peer, ok := g.Neighbor(3, 2); !ok || peer != 0 {
-		t.Fatalf("Neighbor(3, 2) after mutation = %d, %v", peer, ok)
-	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("NumEdges = %d after mutation", g.NumEdges())
 	}
 }

@@ -7,49 +7,38 @@
 // this repository: nodes are anonymous, and a node refers to its incident
 // edges by their colours.
 //
-// # Representations and invariants
+// # Representation and invariants
 //
-// A Graph keeps up to two representations of its adjacency, and the
-// package invariant is that AT LEAST ONE is always current
-// (adj != nil || flat.valid):
+// A Graph has exactly one representation: an immutable CSR adjacency. One
+// contiguous []Half holds every directed edge, grouped by node through an
+// offsets array and sorted by colour within each node; a parallel colours
+// slice and a mates index (the position of each half's reciprocal, the
+// same undirected edge seen from the peer) complete it. The engines read
+// it through Incident, IncidentColors, HalfRange, Halves and Mates, all of
+// them index arithmetic on shared slices with zero allocation.
 //
-//   - the per-node colour→peer maps (adj), which back mutation via AddEdge
-//     and the convenience lookups;
-//   - the flat CSR adjacency (one contiguous []Half plus node offsets,
-//     sorted by colour within a node, with a mates index pairing the two
-//     directed halves of each undirected edge), which backs the
-//     zero-allocation read API the execution engines run on: Incident,
-//     IncidentColors, HalfRange, Halves, Mates.
+// CSRBuilder is the only way to obtain a Graph: it checks simplicity and
+// the proper colouring edge by edge, and Build (or the sharded
+// BuildParallel and Sharded* builders) lays out the arrays and re-checks
+// symmetry and the colouring. Each node's halves are sorted by colour and
+// a proper colouring makes those colours distinct, so the arrays depend
+// only on the edge set, never on the order edges were added.
 //
-// Which one exists depends on provenance, and each is materialised from
-// the other lazily:
-//
-//   - Map-built graphs (New + AddEdge) have maps only; the first Flatten
-//     builds the CSR arrays. Engines call Flatten up front — the flat
-//     read API requires it, and building lazily under the engines'
-//     concurrent readers would race.
-//   - CSR-built graphs (FromCSR, and therefore every gen.CSRBuilder
-//     instance) have NO maps at all: the generator fast path never pays
-//     for per-node map allocation. The first mutation — or a map-backed
-//     lookup — materialises the maps from the CSR arrays on demand.
-//
-// Mutation invalidates derived state: AddEdge updates the maps (after
-// materialising them if needed), marks the flat adjacency stale so the
-// next Flatten rebuilds it, and clears the cached Edges() slice. The edge
-// cache is an atomic pointer because Edges() stays safe for the concurrent
-// readers the Flatten contract allows — two racing fills build identical
-// slices and either may win. The steady state of every hot path is
-// therefore: build once (CSRBuilder), Flatten never copies again, and all
-// engine reads are index arithmetic on shared immutable slices.
+// Nothing mutates a Graph after Build, so every read is safe for
+// concurrent use with no set-up call, and every returned slice stays valid
+// for the graph's lifetime (callers must not modify it). The one derived
+// value, the sorted Edges() list, is filled lazily behind an atomic
+// pointer: two racing first calls build identical slices and either may
+// win.
 //
 // # Generators and validators
 //
 // The package provides generators for the paper's instances — the Figure 1
 // example, the §1.2 worst-case paths (NewWorstCase), unions of random
 // matchings, bounded-degree and k-regular families, windows of
-// Cayley-graph trees (FromSystem) — and the Legacy* map-path twins that
-// pin the CSR ports byte-identical in tests. Richer parameterised families
-// live in internal/gen on top of CSRBuilder.
+// Cayley-graph trees (FromSystem) — all on top of CSRBuilder, with their
+// CSR arrays pinned by a digest golden in the tests. Richer parameterised
+// families live in internal/gen.
 //
 // Validate checks the proper-colouring invariants; CheckMatching checks a
 // run's outputs against the matching conditions (M1–M3); SequentialGreedy

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestFlatAdjacency checks the CSR mirror against the map representation:
-// ranges, colour sorting and mate reciprocity.
+// TestFlatAdjacency checks the CSR adjacency's structure: ranges, colour
+// sorting, Neighbor agreement and mate reciprocity.
 func TestFlatAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := RandomMatchingUnion(50, 6, 0.8, rng)
@@ -28,7 +28,7 @@ func TestFlatAdjacency(t *testing.T) {
 				t.Fatalf("node %d: halves not strictly colour-sorted", v)
 			}
 			if peer, ok := g.Neighbor(v, h.Color); !ok || peer != h.Peer {
-				t.Fatalf("node %d colour %v: flat peer %d, map peer %d (ok=%v)", v, h.Color, h.Peer, peer, ok)
+				t.Fatalf("node %d colour %v: flat peer %d, Neighbor %d (ok=%v)", v, h.Color, h.Peer, peer, ok)
 			}
 			// The mate is the same edge seen from the peer…
 			m := halves[mates[i]]
@@ -47,15 +47,14 @@ func TestFlatAdjacency(t *testing.T) {
 	}
 }
 
-// TestIncidentZeroAlloc pins the tentpole property: once flattened,
-// Incident and IncidentColors allocate nothing.
+// TestIncidentZeroAlloc pins the engines' read path: Incident and
+// IncidentColors allocate nothing.
 func TestIncidentZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g, err := RandomRegular(64, 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Flatten()
 	if a := testing.AllocsPerRun(100, func() {
 		for v := 0; v < g.N(); v++ {
 			_ = g.Incident(v)
@@ -63,27 +62,5 @@ func TestIncidentZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("Incident+IncidentColors allocate %v per sweep, want 0", a)
-	}
-}
-
-// TestFlattenInvalidation: mutating the graph rebuilds the flat view.
-func TestFlattenInvalidation(t *testing.T) {
-	g := New(4, 3)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Incident(0); len(got) != 1 {
-		t.Fatalf("Incident(0) = %v", got)
-	}
-	if err := g.AddEdge(0, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	inc := g.Incident(0)
-	if len(inc) != 2 || inc[0].Color != 1 || inc[1].Color != 2 {
-		t.Fatalf("after mutation Incident(0) = %v", inc)
-	}
-	cols := g.IncidentColors(2)
-	if len(cols) != 1 || cols[0] != 2 {
-		t.Fatalf("IncidentColors(2) = %v", cols)
 	}
 }

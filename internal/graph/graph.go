@@ -26,112 +26,31 @@ type Edge struct {
 	Color group.Color
 }
 
-// Graph is a finite simple graph with a proper k-edge-colouring. The zero
-// value is not usable; construct with New, FromCSR or a CSRBuilder.
-//
-// Internally the graph keeps up to two representations: a per-node
-// colour→peer map that AddEdge maintains (and that backs mutation), and a
-// flat CSR-style adjacency — one contiguous []Half plus node offsets —
-// that backs the zero-allocation read API used by the execution engines
-// (Incident, IncidentColors, Halves, Mates). Map-built graphs (New) build
-// the CSR lazily via Flatten; CSR-built graphs (FromCSR, CSRBuilder) have
-// no maps at all until the first mutation materialises them, so the
-// generator fast path never allocates per-node maps. The invariant is that
-// at least one representation is always current: adj != nil || flat.valid.
+// Graph is a finite simple graph with a proper k-edge-colouring, stored as
+// one immutable CSR adjacency: a contiguous []Half plus node offsets, each
+// node's halves sorted by colour, and a mates index pairing the two
+// directed halves of every undirected edge. The only way to obtain a Graph
+// is CSRBuilder.Build (or its sharded variants); nothing mutates it
+// afterwards, so every method is safe for concurrent use and every slice
+// it returns stays valid for the graph's lifetime.
 type Graph struct {
 	n, k int
-	adj  []map[group.Color]int // adj[v][c] = peer behind colour c at v; nil when CSR-authoritative
 	flat flatAdj
-	// edges caches the Edges() result; nil after a mutation. It is an
-	// atomic pointer so that Edges() stays safe for the concurrent readers
-	// the Flatten contract allows (two racing fills build identical slices
-	// and either may win).
+	// edges caches the Edges() result. It is an atomic pointer so that
+	// concurrent first calls stay race-free: two racing fills build
+	// identical slices and either may win.
 	edges atomic.Pointer[[]Edge]
 }
 
-// flatAdj is the CSR mirror of adj: halves[offsets[v]:offsets[v+1]] are
-// node v's incident halves sorted by colour, colors is the parallel slice
-// of just the colours, and mates[i] is the index of the reciprocal half of
+// flatAdj is the CSR adjacency: halves[offsets[v]:offsets[v+1]] are node
+// v's incident halves sorted by colour, colors is the parallel slice of
+// just the colours, and mates[i] is the index of the reciprocal half of
 // halves[i] (the same undirected edge seen from the peer).
 type flatAdj struct {
-	valid   bool
 	offsets []int
 	halves  []Half
 	colors  []group.Color
 	mates   []int
-}
-
-// New returns an empty graph with n nodes (numbered 0…n−1) and colour
-// palette 1…k.
-func New(n, k int) *Graph {
-	adj := make([]map[group.Color]int, n)
-	for i := range adj {
-		adj[i] = make(map[group.Color]int)
-	}
-	return &Graph{n: n, k: k, adj: adj}
-}
-
-// materializeAdj builds the per-node colour→peer maps from the flat
-// adjacency. CSR-built graphs defer this until the first mutation: reads
-// never need the maps, and the whole point of the CSR generator path is to
-// skip allocating them.
-func (g *Graph) materializeAdj() {
-	if g.adj != nil {
-		return
-	}
-	adj := make([]map[group.Color]int, g.n)
-	for v := 0; v < g.n; v++ {
-		lo, hi := g.flat.offsets[v], g.flat.offsets[v+1]
-		adj[v] = make(map[group.Color]int, hi-lo)
-		for i := lo; i < hi; i++ {
-			adj[v][g.flat.halves[i].Color] = g.flat.halves[i].Peer
-		}
-	}
-	g.adj = adj
-}
-
-// Flatten (re)builds the flat CSR adjacency if the graph was mutated since
-// the last build. Reads of the flat API (Incident, IncidentColors, Halves,
-// Mates, HalfRange) flatten implicitly, but they are only safe for
-// concurrent use after an explicit Flatten: call it once before handing the
-// graph to concurrent readers. Mutating the graph invalidates all
-// previously returned flat subslices.
-func (g *Graph) Flatten() {
-	if g.flat.valid {
-		return
-	}
-	n := g.n
-	offsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + len(g.adj[v])
-	}
-	total := offsets[n]
-	halves := make([]Half, total)
-	colors := make([]group.Color, total)
-	for v := 0; v < n; v++ {
-		i := offsets[v]
-		for c, peer := range g.adj[v] {
-			halves[i] = Half{Peer: peer, Color: c}
-			i++
-		}
-		hv := halves[offsets[v]:offsets[v+1]]
-		sortHalvesByColor(hv)
-		for j, h := range hv {
-			colors[offsets[v]+j] = h.Color
-		}
-	}
-	// mates[i]: position of the same edge inside the peer's (sorted) range,
-	// found by binary search on the peer's colour subslice.
-	mates := make([]int, total)
-	for v := 0; v < n; v++ {
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			p := halves[i].Peer
-			pc := colors[offsets[p]:offsets[p+1]]
-			j := sort.Search(len(pc), func(x int) bool { return pc[x] >= halves[i].Color })
-			mates[i] = offsets[p] + j
-		}
-	}
-	g.flat = flatAdj{valid: true, offsets: offsets, halves: halves, colors: colors, mates: mates}
 }
 
 // N returns the number of nodes.
@@ -140,43 +59,8 @@ func (g *Graph) N() int { return g.n }
 // K returns the size of the colour palette.
 func (g *Graph) K() int { return g.k }
 
-// AddEdge inserts the edge {u, v} with colour c. It enforces simplicity and
-// the proper-colouring constraint: the colour must be unused at both
-// endpoints and the edge must not already exist.
-func (g *Graph) AddEdge(u, v int, c group.Color) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge {%d, %d} out of range [0, %d)", u, v, g.n)
-	}
-	g.materializeAdj()
-	if !c.Valid(g.k) {
-		return fmt.Errorf("graph: colour %v outside 1…%d", c, g.k)
-	}
-	if _, ok := g.adj[u][c]; ok {
-		return fmt.Errorf("graph: colour %v already used at node %d", c, u)
-	}
-	if _, ok := g.adj[v][c]; ok {
-		return fmt.Errorf("graph: colour %v already used at node %d", c, v)
-	}
-	for c2, peer := range g.adj[u] {
-		if peer == v {
-			return fmt.Errorf("graph: edge {%d, %d} already present with colour %v", u, v, c2)
-		}
-	}
-	g.adj[u][c] = v
-	g.adj[v][c] = u
-	g.flat.valid = false
-	g.edges.Store(nil)
-	return nil
-}
-
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int {
-	if g.adj != nil {
-		return len(g.adj[v])
-	}
 	return g.flat.offsets[v+1] - g.flat.offsets[v]
 }
 
@@ -191,14 +75,9 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Neighbor returns the node behind the edge of colour c at v, if any. It
-// answers from the maps when they exist and by binary search on the sorted
-// flat colours of a CSR-authoritative graph otherwise.
+// Neighbor returns the node behind the edge of colour c at v, if any, by
+// binary search on v's sorted colours.
 func (g *Graph) Neighbor(v int, c group.Color) (int, bool) {
-	if g.adj != nil {
-		peer, ok := g.adj[v][c]
-		return peer, ok
-	}
 	lo, hi := g.flat.offsets[v], g.flat.offsets[v+1]
 	pc := g.flat.colors[lo:hi]
 	j := sort.Search(len(pc), func(x int) bool { return pc[x] >= c })
@@ -209,10 +88,9 @@ func (g *Graph) Neighbor(v int, c group.Color) (int, bool) {
 }
 
 // Incident returns v's incident halves sorted by colour. The result is a
-// subslice of the shared flat adjacency: it costs zero allocations, must
-// not be modified, and is valid until the next mutation of the graph.
+// subslice of the shared flat adjacency: it costs zero allocations and
+// must not be modified.
 func (g *Graph) Incident(v int) []Half {
-	g.Flatten()
 	lo, hi := g.flat.offsets[v], g.flat.offsets[v+1]
 	return g.flat.halves[lo:hi:hi]
 }
@@ -220,7 +98,6 @@ func (g *Graph) Incident(v int) []Half {
 // IncidentColors returns the sorted colours incident to v. Like Incident it
 // returns a read-only subslice of the flat adjacency with zero allocation.
 func (g *Graph) IncidentColors(v int) []group.Color {
-	g.Flatten()
 	lo, hi := g.flat.offsets[v], g.flat.offsets[v+1]
 	return g.flat.colors[lo:hi:hi]
 }
@@ -228,7 +105,6 @@ func (g *Graph) IncidentColors(v int) []group.Color {
 // HalfRange returns the index range [lo, hi) of node v's halves inside
 // Halves(); the engines use it to address per-directed-edge message slots.
 func (g *Graph) HalfRange(v int) (lo, hi int) {
-	g.Flatten()
 	return g.flat.offsets[v], g.flat.offsets[v+1]
 }
 
@@ -236,7 +112,6 @@ func (g *Graph) HalfRange(v int) (lo, hi int) {
 // exactly once, grouped by v and sorted by colour within each group. Must
 // not be modified.
 func (g *Graph) Halves() []Half {
-	g.Flatten()
 	return g.flat.halves
 }
 
@@ -247,21 +122,17 @@ func (g *Graph) Halves() []Half {
 // node finds its incoming messages in its own half range. Must not be
 // modified.
 func (g *Graph) Mates() []int {
-	g.Flatten()
 	return g.flat.mates
 }
 
 // Edges returns all edges sorted by (U, V). The slice is derived from the
-// flat CSR adjacency and cached until the next mutation, so repeated
-// callers (recolouring, harness tables) pay the O(m log m) build only once.
-// The result is shared: callers must not modify it. Like the other flat
-// reads, Edges is safe for concurrent use once the graph has been
-// explicitly flattened.
+// flat CSR adjacency on first use and cached, so repeated callers
+// (recolouring, harness tables) pay the build only once. The result is
+// shared: callers must not modify it.
 func (g *Graph) Edges() []Edge {
 	if p := g.edges.Load(); p != nil {
 		return *p
 	}
-	g.Flatten()
 	out := make([]Edge, 0, len(g.flat.halves)/2)
 	for u := 0; u < g.n; u++ {
 		lo, hi := g.flat.offsets[u], g.flat.offsets[u+1]
@@ -290,26 +161,14 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// NumEdges returns |E|: O(1) from the CSR arrays when the flat state is
-// current, a map walk otherwise (so graphs under construction do not
-// re-flatten on every query).
-func (g *Graph) NumEdges() int {
-	if g.flat.valid {
-		return len(g.flat.halves) / 2
-	}
-	total := 0
-	for v := range g.adj {
-		total += len(g.adj[v])
-	}
-	return total / 2
-}
+// NumEdges returns |E|.
+func (g *Graph) NumEdges() int { return len(g.flat.halves) / 2 }
 
 // Validate re-checks the structural invariants (symmetry, simplicity and
-// proper colouring). AddEdge and FromCSR maintain them; Validate guards
-// against direct manipulation in tests. It works off the flat adjacency so
-// CSR-authoritative graphs validate without materialising maps.
+// proper colouring). CSRBuilder enforces them at insertion and Build
+// re-checks all but simplicity; Validate guards against direct
+// manipulation in tests.
 func (g *Graph) Validate() error {
-	g.Flatten()
 	for u := 0; u < g.n; u++ {
 		lo, hi := g.flat.offsets[u], g.flat.offsets[u+1]
 		seen := make(map[int]bool, hi-lo)
@@ -470,7 +329,6 @@ func SequentialGreedy(g *Graph, order []group.Color) []mm.Output {
 			order[i] = group.Color(i + 1)
 		}
 	}
-	g.Flatten()
 	halves := g.Halves()
 	mates := g.Mates()
 	outs := make([]mm.Output, g.N())
@@ -521,13 +379,13 @@ func SequentialGreedy(g *Graph, order []group.Color) []mm.Output {
 // PathGraph builds the path v0 − v1 − … − v_len with the given edge
 // colours (len(colors) edges, len(colors)+1 nodes).
 func PathGraph(k int, colors []group.Color) (*Graph, error) {
-	g := New(len(colors)+1, k)
+	b := NewCSRBuilder(len(colors)+1, k)
 	for i, c := range colors {
-		if err := g.AddEdge(i, i+1, c); err != nil {
+		if err := b.AddEdge(i, i+1, c); err != nil {
 			return nil, err
 		}
 	}
-	return g, nil
+	return b.Build()
 }
 
 // CycleGraph builds a cycle with the given edge colours; colors[i] joins
@@ -537,13 +395,13 @@ func CycleGraph(k int, colors []group.Color) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: cycle needs ≥ 3 edges, got %d", n)
 	}
-	g := New(n, k)
+	b := NewCSRBuilder(n, k)
 	for i, c := range colors {
-		if err := g.AddEdge(i, (i+1)%n, c); err != nil {
+		if err := b.AddEdge(i, (i+1)%n, c); err != nil {
 			return nil, err
 		}
 	}
-	return g, nil
+	return b.Build()
 }
 
 // WorstCase is the §1.2 lower-bound example for the greedy algorithm: two
@@ -555,8 +413,7 @@ type WorstCase struct {
 	V int // endpoint of the (k−1)-edge path (colours k, k−1, …, 2)
 }
 
-// NewWorstCase builds the §1.2 instance for a given k ≥ 2, directly in CSR
-// form via the builder.
+// NewWorstCase builds the §1.2 instance for a given k ≥ 2.
 func NewWorstCase(k int) (*WorstCase, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("graph: worst case needs k ≥ 2, got %d", k)
@@ -582,35 +439,11 @@ func NewWorstCase(k int) (*WorstCase, error) {
 	return &WorstCase{G: g, U: 0, V: base}, nil
 }
 
-// LegacyNewWorstCase is the original map-based construction of the §1.2
-// instance, retained as the pinning oracle for the CSR builder port.
-func LegacyNewWorstCase(k int) (*WorstCase, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("graph: worst case needs k ≥ 2, got %d", k)
-	}
-	g := New(2*k+1, k)
-	for i := 0; i < k; i++ {
-		if err := g.AddEdge(i, i+1, group.Color(k-i)); err != nil {
-			return nil, err
-		}
-	}
-	base := k + 1
-	for i := 0; i < k-1; i++ {
-		if err := g.AddEdge(base+i, base+i+1, group.Color(k-i)); err != nil {
-			return nil, err
-		}
-	}
-	return &WorstCase{G: g, U: 0, V: base}, nil
-}
-
 // RandomMatchingUnion builds a random properly k-edge-coloured graph on n
 // nodes as a union of k partial random matchings: for each colour, nodes
 // are shuffled and paired with probability density. The result has maximum
-// degree ≤ k and is always properly coloured. The construction runs on the
-// CSR builder — no per-node maps — and consumes the rng stream exactly as
-// the legacy path did, so a given (n, k, density, seed) names the same
-// graph it always has (tests pin the CSR arrays byte-identical against
-// LegacyRandomMatchingUnion).
+// degree ≤ k and is always properly coloured. A given (n, k, density, seed)
+// always names the same graph (TestConstructorGolden pins its CSR arrays).
 func RandomMatchingUnion(n, k int, density float64, rng *rand.Rand) *Graph {
 	b := NewCSRBuilder(n, k)
 	randomMatchingUnionInto(b, n, k, density, rng)
@@ -644,33 +477,11 @@ func randomMatchingUnionInto(b *CSRBuilder, n, k int, density float64, rng *rand
 	}
 }
 
-// LegacyRandomMatchingUnion is the original per-node-map construction,
-// retained as the pinning oracle and the allocation baseline BenchmarkGen*
-// compares the builder against.
-func LegacyRandomMatchingUnion(n, k int, density float64, rng *rand.Rand) *Graph {
-	g := New(n, k)
-	perm := make([]int, n)
-	for c := group.Color(1); int(c) <= k; c++ {
-		for i := range perm {
-			perm[i] = i
-		}
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for i := 0; i+1 < n; i += 2 {
-			if rng.Float64() > density {
-				continue
-			}
-			_ = g.AddEdge(perm[i], perm[i+1], c)
-		}
-	}
-	return g
-}
-
 // RandomRegular builds a random k-regular properly k-edge-coloured graph on
 // n nodes (n even): every colour class is a perfect matching, drawn as a
 // random permutation paired off two by two (the permutation-union
 // construction). Colour classes are resampled on conflicts, so the graph
-// is simple; for very small n the attempt may fail. The construction runs
-// on the CSR builder with the legacy rng stream (see RandomMatchingUnion).
+// is simple; for very small n the attempt may fail.
 func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs even n, got %d", n)
@@ -709,49 +520,6 @@ func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 	return b.Build()
 }
 
-// LegacyRandomRegular is the original map-based construction, retained as
-// the pinning oracle for the CSR builder port.
-func LegacyRandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
-	if n%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular needs even n, got %d", n)
-	}
-	g := New(n, k)
-	perm := make([]int, n)
-	for c := group.Color(1); int(c) <= k; c++ {
-		placed := false
-		for attempt := 0; attempt < 50 && !placed; attempt++ {
-			for i := range perm {
-				perm[i] = i
-			}
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			ok := true
-			for i := 0; i+1 < n; i += 2 {
-				for _, v := range g.adj[perm[i]] {
-					if v == perm[i+1] {
-						ok = false
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for i := 0; i+1 < n; i += 2 {
-				if err := g.AddEdge(perm[i], perm[i+1], c); err != nil {
-					return nil, err
-				}
-			}
-			placed = true
-		}
-		if !placed {
-			return nil, fmt.Errorf("graph: could not place colour class %v without parallel edges", c)
-		}
-	}
-	return g, nil
-}
-
 // FromSystem materialises the window Γ_k(V)[radius] of a colour system as a
 // finite graph. It returns the graph together with the node index of each
 // word (keyed by group.Word.Key). Boundary nodes have truncated degrees.
@@ -761,14 +529,18 @@ func FromSystem(v colsys.System, radius int) (*Graph, map[string]int, error) {
 	for i, w := range words {
 		index[w.Key()] = i
 	}
-	g := New(len(words), v.K())
+	b := NewCSRBuilder(len(words), v.K())
 	for _, w := range words {
 		if w.IsIdentity() {
 			continue
 		}
-		if err := g.AddEdge(index[w.Pred().Key()], index[w.Key()], w.Tail()); err != nil {
+		if err := b.AddEdge(index[w.Pred().Key()], index[w.Key()], w.Tail()); err != nil {
 			return nil, nil, err
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, nil, err
 	}
 	return g, index, nil
 }
@@ -779,27 +551,25 @@ func FromSystem(v colsys.System, radius int) (*Graph, map[string]int, error) {
 // colour c joining i and i XOR 2^(c−1): every colour class is a perfect
 // matching, so greedy matches everything in the first round of its colour.
 func Figure1() (*Graph, error) {
-	g := New(16, 4)
+	b := NewCSRBuilder(16, 4)
 	for c := group.Color(1); c <= 4; c++ {
 		bit := 1 << (int(c) - 1)
 		for i := 0; i < 16; i++ {
 			j := i ^ bit
 			if i < j {
-				if err := g.AddEdge(i, j, c); err != nil {
+				if err := b.AddEdge(i, j, c); err != nil {
 					return nil, fmt.Errorf("graph: figure 1: %w", err)
 				}
 			}
 		}
 	}
-	return g, nil
+	return b.Build()
 }
 
 // RandomBoundedDegree builds a random properly coloured graph with maximum
 // degree ≤ delta and colours drawn uniformly from the full palette 1…k:
 // the k ≫ Δ regime of §1.3. It attempts `attempts` random edges, skipping
-// any that would violate the degree bound or the proper colouring. Like
-// RandomMatchingUnion it runs on the CSR builder with the legacy rng
-// stream, so seeds keep naming the same instances.
+// any that would violate the degree bound or the proper colouring.
 func RandomBoundedDegree(n, k, delta, attempts int, rng *rand.Rand) *Graph {
 	b := NewCSRBuilder(n, k)
 	if hint := n * delta / 2; hint < attempts {
@@ -820,23 +590,6 @@ func RandomBoundedDegree(n, k, delta, attempts int, rng *rand.Rand) *Graph {
 	g, err := b.Build()
 	if err != nil {
 		panic(err)
-	}
-	return g
-}
-
-// LegacyRandomBoundedDegree is the original per-node-map construction,
-// retained as the pinning oracle and the allocation baseline for
-// BenchmarkGen*.
-func LegacyRandomBoundedDegree(n, k, delta, attempts int, rng *rand.Rand) *Graph {
-	g := New(n, k)
-	for i := 0; i < attempts; i++ {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v || g.Degree(u) >= delta || g.Degree(v) >= delta {
-			continue
-		}
-		c := group.Color(1 + rng.Intn(k))
-		_ = g.AddEdge(u, v, c)
 	}
 	return g
 }

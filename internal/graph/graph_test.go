@@ -11,37 +11,43 @@ import (
 	"repro/internal/mm"
 )
 
+// TestAddEdgeValidation drives CSRBuilder.AddEdge through each refusal
+// and checks the built graph stays valid either way.
 func TestAddEdgeValidation(t *testing.T) {
 	tests := []struct {
 		name    string
-		setup   func(g *Graph) error
+		setup   func(b *CSRBuilder) error
 		wantErr bool
 	}{
-		{"valid", func(g *Graph) error { return g.AddEdge(0, 1, 1) }, false},
-		{"self-loop", func(g *Graph) error { return g.AddEdge(2, 2, 1) }, true},
-		{"out of range", func(g *Graph) error { return g.AddEdge(0, 99, 1) }, true},
-		{"negative", func(g *Graph) error { return g.AddEdge(-1, 0, 1) }, true},
-		{"colour zero", func(g *Graph) error { return g.AddEdge(0, 1, 0) }, true},
-		{"colour too big", func(g *Graph) error { return g.AddEdge(0, 1, 5) }, true},
-		{"colour reuse at endpoint", func(g *Graph) error {
-			if err := g.AddEdge(0, 1, 1); err != nil {
+		{"valid", func(b *CSRBuilder) error { return b.AddEdge(0, 1, 1) }, false},
+		{"self-loop", func(b *CSRBuilder) error { return b.AddEdge(2, 2, 1) }, true},
+		{"out of range", func(b *CSRBuilder) error { return b.AddEdge(0, 99, 1) }, true},
+		{"negative", func(b *CSRBuilder) error { return b.AddEdge(-1, 0, 1) }, true},
+		{"colour zero", func(b *CSRBuilder) error { return b.AddEdge(0, 1, 0) }, true},
+		{"colour too big", func(b *CSRBuilder) error { return b.AddEdge(0, 1, 5) }, true},
+		{"colour reuse at endpoint", func(b *CSRBuilder) error {
+			if err := b.AddEdge(0, 1, 1); err != nil {
 				return err
 			}
-			return g.AddEdge(0, 2, 1)
+			return b.AddEdge(0, 2, 1)
 		}, true},
-		{"duplicate edge", func(g *Graph) error {
-			if err := g.AddEdge(0, 1, 1); err != nil {
+		{"duplicate edge", func(b *CSRBuilder) error {
+			if err := b.AddEdge(0, 1, 1); err != nil {
 				return err
 			}
-			return g.AddEdge(1, 0, 2)
+			return b.AddEdge(1, 0, 2)
 		}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := New(4, 4)
-			err := tt.setup(g)
+			b := NewCSRBuilder(4, 4)
+			err := tt.setup(b)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
+			}
+			g, err := b.Build()
+			if err != nil {
+				t.Fatalf("Build after refusal: %v", err)
 			}
 			if err := g.Validate(); err != nil {
 				t.Errorf("graph left invalid: %v", err)

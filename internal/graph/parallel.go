@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the parallel construction path: BuildParallel shards the
-// CSRBuilder's degree-count/fill pass and FromCSR's sort/validate/mate
+// CSRBuilder's degree-count/fill pass and fromCSR's sort/validate/mate
 // passes over node ranges, and ShardedMatchingUnion/ShardedRegular shard
 // the per-colour-class edge generation of the two random families across
 // workers. Every function here is deterministic in the worker count: the
@@ -47,7 +47,7 @@ func splitByHalves(offsets []int, workers int) []int {
 }
 
 // BuildParallel is Build with the fill pass and the sort/validate/mate
-// passes of FromCSR sharded over node ranges across `workers` goroutines
+// passes of fromCSR sharded over node ranges across `workers` goroutines
 // (≤ 1 falls back to the sequential Build). Each worker owns a contiguous
 // node range balanced by degree sum: it scans the full edge list and
 // scatters only the halves that land in its range, so no two workers write
@@ -95,16 +95,16 @@ func (b *CSRBuilder) BuildParallel(workers int) (*Graph, error) {
 	return fromCSRParallel(b.k, offsets, halves, bounds)
 }
 
-// fromCSRParallel is FromCSR with the per-node sort/validate pass and the
+// fromCSRParallel is fromCSR with the per-node sort/validate pass and the
 // mate-resolution pass each sharded over the given node-range bounds (two
 // passes because mates need every peer's range already sorted). The checks,
-// orderings and error messages match FromCSR's; when ranges fail
+// orderings and error messages match fromCSR's; when ranges fail
 // concurrently the lowest range's error wins, so failures are deterministic
 // too.
 func fromCSRParallel(k int, offsets []int, halves []Half, bounds []int) (*Graph, error) {
 	n := len(offsets) - 1
 	if offsets[0] != 0 || offsets[n] != len(halves) {
-		return nil, fmt.Errorf("graph: FromCSR offsets [%d…%d] do not span %d halves",
+		return nil, fmt.Errorf("graph: CSR offsets [%d…%d] do not span %d halves",
 			offsets[0], offsets[n], len(halves))
 	}
 	colors := make([]group.Color, len(halves))
@@ -141,17 +141,17 @@ func fromCSRParallel(k int, offsets []int, halves []Half, bounds []int) (*Graph,
 	}
 	return &Graph{
 		n: n, k: k,
-		flat: flatAdj{valid: true, offsets: offsets, halves: halves, colors: colors, mates: mates},
+		flat: flatAdj{offsets: offsets, halves: halves, colors: colors, mates: mates},
 	}, nil
 }
 
-// sortValidateRange runs FromCSR's per-node sort and validation over the
+// sortValidateRange runs fromCSR's per-node sort and validation over the
 // node range [lo, hi), filling the colors slab for those nodes.
 func sortValidateRange(k int, offsets []int, halves []Half, colors []group.Color, lo, hi int) error {
 	n := len(offsets) - 1
 	for v := lo; v < hi; v++ {
 		if offsets[v+1] < offsets[v] {
-			return fmt.Errorf("graph: FromCSR offsets not monotone at node %d", v)
+			return fmt.Errorf("graph: CSR offsets not monotone at node %d", v)
 		}
 		rlo, rhi := offsets[v], offsets[v+1]
 		sortHalvesByColor(halves[rlo:rhi])

@@ -305,20 +305,20 @@ func TestSplitByHalves(t *testing.T) {
 
 // TestFromCSRParallelRejectsBrokenInput mirrors TestFromCSRRejectsBrokenInput
 // on the parallel validation path: the same malformed inputs fail with the
-// same error text as the sequential FromCSR.
+// same error text as the sequential fromCSR.
 func TestFromCSRParallelRejectsBrokenInput(t *testing.T) {
 	check := func(name string, k int, offsets []int, halves []Half) {
 		t.Helper()
 		seqOffsets := append([]int(nil), offsets...)
 		seqHalves := append([]Half(nil), halves...)
-		_, seqErr := FromCSR(k, seqOffsets, seqHalves)
+		_, seqErr := fromCSR(k, seqOffsets, seqHalves)
 		if seqErr == nil {
-			t.Fatalf("%s: sequential FromCSR accepted broken input", name)
+			t.Fatalf("%s: sequential fromCSR accepted broken input", name)
 		}
 		bounds := splitByHalves(offsets, 2)
 		_, parErr := fromCSRParallel(k, offsets, halves, bounds)
 		if parErr == nil {
-			t.Fatalf("%s: parallel FromCSR accepted broken input", name)
+			t.Fatalf("%s: parallel fromCSR accepted broken input", name)
 		}
 		if !strings.Contains(parErr.Error(), "graph:") {
 			t.Errorf("%s: unhelpful error %v", name, parErr)

@@ -43,7 +43,7 @@ func assertSameOutputs(t *testing.T, name string, g *Graph, order []group.Color)
 	}
 	for v := range want {
 		if got[v] != want[v] {
-			t.Errorf("%s: node %d: CSR path %v, map path %v", name, v, got[v], want[v])
+			t.Errorf("%s: node %d: CSR path %v, edge-walk path %v", name, v, got[v], want[v])
 		}
 	}
 	if order == nil {
@@ -88,14 +88,12 @@ func TestSequentialGreedyCSRMatchesMapPath(t *testing.T) {
 	}
 }
 
-// TestEdgesConcurrentAfterFlatten: Edges() participates in the Flatten
-// contract — after an explicit Flatten, concurrent callers (including the
-// racing first fill of the cache) are safe. The -race CI job gives this
+// TestEdgesConcurrentFirstFill: concurrent Edges() callers on a fresh
+// graph, racing to fill the cache, are safe. The -race CI job gives this
 // test its teeth.
-func TestEdgesConcurrentAfterFlatten(t *testing.T) {
+func TestEdgesConcurrentFirstFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := RandomMatchingUnion(128, 4, 0.8, rng)
-	g.Flatten()
 	want := g.NumEdges()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -111,7 +109,7 @@ func TestEdgesConcurrentAfterFlatten(t *testing.T) {
 }
 
 // TestEdgesCachedAndCSRDerived: the edge list is derived from the CSR
-// arrays, cached across calls, and correctly invalidated by mutation.
+// arrays and cached across calls.
 func TestEdgesCachedAndCSRDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := RandomMatchingUnion(64, 5, 0.8, rng)
@@ -138,38 +136,4 @@ func TestEdgesCachedAndCSRDerived(t *testing.T) {
 		t.Error("Edges() rebuilt the slice on an unmutated graph")
 	}
 
-	// Mutation invalidates the cache and the new edge shows up.
-	u, v := 0, 1
-	var free group.Color
-	for c := group.Color(1); int(c) <= g.K() && free == 0; c++ {
-		if _, ok := g.Neighbor(u, c); ok {
-			continue
-		}
-		if _, ok := g.Neighbor(v, c); ok {
-			continue
-		}
-		if peer, ok := g.Neighbor(u, 0); ok && peer == v {
-			continue
-		}
-		free = c
-	}
-	already := false
-	for _, e := range first {
-		if e.U == u && e.V == v {
-			already = true
-		}
-	}
-	if free == 0 || already {
-		t.Skip("no free colour for the mutation probe on this instance")
-	}
-	if err := g.AddEdge(u, v, free); err != nil {
-		t.Skipf("mutation probe rejected: %v", err)
-	}
-	third := g.Edges()
-	if len(third) != m+1 {
-		t.Fatalf("after AddEdge: %d edges, want %d", len(third), m+1)
-	}
-	if g.NumEdges() != m+1 {
-		t.Fatalf("NumEdges after AddEdge: %d, want %d", g.NumEdges(), m+1)
-	}
 }

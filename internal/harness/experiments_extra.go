@@ -78,7 +78,7 @@ func e14() Experiment {
 			for _, p := range []struct{ n, k int }{
 				{20, 4}, {40, 64}, {80, 1024}, {160, 1024},
 			} {
-				g := graph.New(2*p.n, p.k)
+				b := graph.NewCSRBuilder(2*p.n, p.k)
 				labels := make([]int, 2*p.n)
 				for i := p.n; i < 2*p.n; i++ {
 					labels[i] = dist.SideBlack
@@ -86,7 +86,11 @@ func e14() Experiment {
 				for i := 0; i < 4*p.n; i++ {
 					u := rng.Intn(p.n)
 					v := p.n + rng.Intn(p.n)
-					_ = g.AddEdge(u, v, group.Color(1+rng.Intn(p.k)))
+					b.TryAddEdge(u, v, group.Color(1+rng.Intn(p.k)))
+				}
+				g, err := b.Build()
+				if err != nil {
+					return err
 				}
 				outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine,
 					4*g.MaxDegree()+16, 1)

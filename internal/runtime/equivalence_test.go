@@ -124,13 +124,17 @@ func TestEnginesAgreeOnAllMachines(t *testing.T) {
 		dist.TotalRounds(256, 3)+8)
 
 	half := 30
-	bip := graph.New(2*half, 64)
+	bb := graph.NewCSRBuilder(2*half, 64)
 	labels := make([]int, 2*half)
 	for i := half; i < 2*half; i++ {
 		labels[i] = dist.SideBlack
 	}
 	for i := 0; i < 4*half; i++ {
-		_ = bip.AddEdge(rng.Intn(half), half+rng.Intn(half), group.Color(1+rng.Intn(64)))
+		bb.TryAddEdge(rng.Intn(half), half+rng.Intn(half), group.Color(1+rng.Intn(64)))
+	}
+	bip, err := bb.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	checkAgree(t, "bipartite", bip, labels, dist.NewBipartiteMachine, 4*bip.MaxDegree()+16)
 }

@@ -115,8 +115,8 @@ func TestFrontierAllHaltInRoundOne(t *testing.T) {
 // past init, parked in the last (partial) word — the engine must keep
 // scanning that word alone until it halts.
 func TestFrontierSingleLiveNodeInLastWord(t *testing.T) {
-	const n = 130        // words 0,1 full; node 129 is bit 1 of word 2
-	g := graph.New(n, 8) // no edges: everything rides on the frontier alone
+	const n = 130          // words 0,1 full; node 129 is bit 1 of word 2
+	g := edgeless(t, n, 8) // everything rides on the frontier alone
 	stats := checkFrontierRun(t, "last-word", g, func(v int) int {
 		if v == n-1 {
 			return 3
@@ -163,8 +163,8 @@ func TestWorkersStateFitZeroesFrontier(t *testing.T) {
 // sit exactly where the first run's live bits were. A leaked bit would make
 // a halted machine execute rounds and corrupt halt times.
 func TestWorkersPoolNoLivenessLeak(t *testing.T) {
-	big := graph.New(256, 8)
-	small := graph.New(100, 8)
+	big := edgeless(t, 256, 8)
+	small := edgeless(t, 100, 8)
 	for rep := 0; rep < 3; rep++ {
 		if _, _, err := RunWorkersN(big, nil, targetEcho(func(int) int { return 3 }), 10, 3); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/group"
 	"repro/internal/mm"
 )
 
@@ -75,11 +76,8 @@ func TestFactoryNewPool(t *testing.T) {
 // TestEnginesUsePoolBatch drives the engine at one and two workers from
 // one Pool and checks each run re-initialises the same machines.
 func TestEnginesUsePoolBatch(t *testing.T) {
-	g := graph.New(3, 2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 2, 2); err != nil {
+	g, err := graph.PathGraph(2, []group.Color{1, 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool[poolProbe](3, nil)

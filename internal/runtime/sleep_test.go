@@ -245,7 +245,7 @@ func (m *sleepEcho) Sleep() int {
 // halted node 128 runs again.
 func TestSleepStaleFrontierWord(t *testing.T) {
 	const n = 130
-	g := graph.New(n, 4)
+	g := edgeless(t, n, 4)
 	newSource := func() Source {
 		v := 0
 		return Factory(func() Machine {
@@ -272,7 +272,7 @@ func TestSleepStaleFrontierWord(t *testing.T) {
 // wakeup and must still emit one empty row per skipped round.
 func TestSleepFastForward(t *testing.T) {
 	const n = 70
-	g := graph.New(n, 4)
+	g := edgeless(t, n, 4)
 	newSource := func() Source {
 		v := 0
 		return Factory(func() Machine {

@@ -46,7 +46,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	if workers > n {
 		workers = n
 	}
-	g.Flatten()
 	k := g.K()
 	halves := g.Halves()
 	mates := g.Mates()

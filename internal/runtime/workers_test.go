@@ -87,9 +87,19 @@ func TestWorkersMaxRoundsExceeded(t *testing.T) {
 	}
 }
 
+// edgeless builds an n-node graph with palette 1…k and no edges.
+func edgeless(t *testing.T, n, k int) *graph.Graph {
+	t.Helper()
+	g, err := graph.NewCSRBuilder(n, k).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestWorkersEmptyGraph: a zero-node instance runs to completion.
 func TestWorkersEmptyGraph(t *testing.T) {
-	g := graph.New(0, 3)
+	g := edgeless(t, 0, 3)
 	outs, stats, err := RunWorkers(g, Factory(func() Machine { return &echoMachine{} }), 10)
 	if err != nil {
 		t.Fatal(err)

@@ -61,9 +61,8 @@ var ErrUnknownInstance = errors.New("unknown instance")
 // Implementations must be deterministic (the same spec always names the
 // same instance, bit for bit) and safe for concurrent use; the returned
 // instance may be shared between concurrent cells and callers, so it must
-// be treated as read-only. Instances built through graph.FromCSR /
-// graph.CSRBuilder are concurrency-safe for the engine's read paths
-// as-built.
+// be treated as read-only. A graph.Graph is immutable once built, so
+// every instance is safe for concurrent engine reads as-built.
 type InstanceProvider interface {
 	Instance(spec InstanceSpec) (*gen.Instance, error)
 }
