@@ -39,6 +39,19 @@ func TestReducedContractMatchesTotalRounds(t *testing.T) {
 	}
 }
 
+// TestTotalRoundsMeetsLowerBound pins the reduction's round budget against
+// Theorem 5: with Δ = k−1 no algorithm finds a maximal matching in fewer
+// than k−1 rounds, so a budget below k−1 would claim the impossible. At
+// Δ = k−1 the reduction degenerates to greedy and the budget is exactly
+// k−1.
+func TestTotalRoundsMeetsLowerBound(t *testing.T) {
+	for k := 3; k <= 12; k++ {
+		if got := TotalRounds(k, k-1); got < k-1 {
+			t.Errorf("TotalRounds(%d, %d) = %d, below the Theorem 5 bound k−1 = %d", k, k-1, got, k-1)
+		}
+	}
+}
+
 func TestProposalAndBipartiteContracts(t *testing.T) {
 	// The proven proposal round bound is exactly n (see ProposalContract's
 	// derivation): a + b + e ≤ 2a + b ≤ n. Pin the constant so a future

@@ -113,9 +113,8 @@ const colorBitsLimit = 1 << 27
 // costs O(1) allocations amortised (TestGeneratorAllocsBounded).
 //
 // The builder is the engine behind every constructor in this package and
-// the scenario families in internal/gen. A builder is not
-// safe for concurrent use; Reset recycles all internal storage for the
-// next build.
+// the scenario families in internal/gen. A builder is not safe for
+// concurrent use; Reset recycles all internal storage for the next build.
 type CSRBuilder struct {
 	n, k  int
 	degs  []int32

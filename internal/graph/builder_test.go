@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -119,5 +120,33 @@ func TestFromCSRRejectsBrokenInput(t *testing.T) {
 	// Offsets that do not span the halves.
 	if _, err := fromCSR(2, []int{0, 1}, []Half{{Peer: 1, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
 		t.Error("short offsets accepted")
+	}
+}
+
+// TestGeneratorAllocsBounded pins the builder's allocation profile: each
+// random family allocates a fixed handful of slabs per build, independent
+// of n. A per-node allocation anywhere in the path would cost thousands.
+func TestGeneratorAllocsBounded(t *testing.T) {
+	const maxAllocs = 32
+	for _, n := range []int{4096, 65536} {
+		rng := rand.New(rand.NewSource(1))
+		for _, fam := range []struct {
+			name  string
+			build func()
+		}{
+			{"matching-union", func() { RandomMatchingUnion(n, 6, 0.7, rng) }},
+			{"bounded-degree", func() { RandomBoundedDegree(n, 1024, 3, 5*n, rng) }},
+			{"regular", func() {
+				if _, err := RandomRegular(n, 3, rng); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			if a := testing.AllocsPerRun(2, fam.build); a > maxAllocs {
+				t.Errorf("%s n=%d: %.0f allocations per build, want ≤ %d", fam.name, n, a, maxAllocs)
+			} else {
+				t.Logf("%s n=%d: %.0f allocations per build", fam.name, n, a)
+			}
+		}
 	}
 }

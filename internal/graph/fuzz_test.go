@@ -1,0 +1,74 @@
+package graph
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/group"
+)
+
+// FuzzCSRBuilder decodes arbitrary bytes into a builder shape and a stream
+// of edge triples: byte 0 gives n ∈ [0, 64], byte 1 gives k ∈ [1, 16], and
+// each following 3-byte group is one (u, v, c) with u, v ∈ [−1, n] and
+// c ∈ [0, k+1], so out-of-range endpoints and colours occur alongside
+// valid ones. The triples go to AddEdge on one builder and TryAddEdge on
+// another. Neither may panic, both must accept exactly the same edges,
+// Build must not fail, and the graph must pass Validate and report exactly
+// the accepted edges and degrees. The seed corpus lives in
+// testdata/fuzz/FuzzCSRBuilder.
+func FuzzCSRBuilder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, k := int(data[0])%65, 1+int(data[1])%16
+		strict, lenient := NewCSRBuilder(n, k), NewCSRBuilder(n, k)
+		var accepted []Edge
+		degs := make([]int, n)
+		for i := 2; i+2 < len(data); i += 3 {
+			u, v := int(data[i])%(n+2)-1, int(data[i+1])%(n+2)-1
+			c := group.Color(int(data[i+2]) % (k + 2))
+			err := strict.AddEdge(u, v, c)
+			if ok := lenient.TryAddEdge(u, v, c); ok != (err == nil) {
+				t.Fatalf("edge {%d, %d} colour %v: AddEdge err=%v, TryAddEdge=%v", u, v, c, err, ok)
+			}
+			if err != nil {
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			accepted = append(accepted, Edge{U: u, V: v, Color: c})
+			degs[u]++
+			degs[v]++
+		}
+		sort.Slice(accepted, func(a, b int) bool {
+			if accepted[a].U != accepted[b].U {
+				return accepted[a].U < accepted[b].U
+			}
+			return accepted[a].V < accepted[b].V
+		})
+
+		g, err := strict.Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		twin, err := lenient.Build()
+		if err != nil {
+			t.Fatalf("Build (TryAddEdge builder): %v", err)
+		}
+		sameCSR(t, "AddEdge vs TryAddEdge", g, twin)
+		if got := g.Edges(); len(got) != len(accepted) || (len(got) > 0 && !reflect.DeepEqual(got, accepted)) {
+			t.Fatalf("Edges() = %v, accepted %v", got, accepted)
+		}
+		for v, d := range degs {
+			if g.Degree(v) != d {
+				t.Fatalf("Degree(%d) = %d, accepted %d incidences", v, g.Degree(v), d)
+			}
+		}
+	})
+}

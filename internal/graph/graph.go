@@ -361,7 +361,7 @@ func SequentialGreedy(g *Graph, order []group.Color) []mm.Output {
 
 	for _, c := range order {
 		if c < 1 || int(c) > g.k {
-			continue // no such class; the old map path matched nothing too
+			continue // no such colour class: nothing to match
 		}
 		for p := starts[c]; p < starts[c+1]; p++ {
 			e := edges[p]

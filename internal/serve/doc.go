@@ -5,7 +5,8 @@
 // content-addressed instance cache, a bounded sweep-slot pool, and a
 // logger — and wires them into handlers:
 //
-//	POST /v1/graphs        submit a raw edge list; validated through
+//	POST /v1/graphs        submit a raw edge list; n and k capped before
+//	                       any allocation, edges validated through
 //	                       graph.CSRBuilder, stored under its
 //	                       gen.EdgeListID content address
 //	GET  /v1/graphs/{id}   shape of a stored graph

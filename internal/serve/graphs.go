@@ -43,10 +43,6 @@ func (s *Server) handleGraphSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad graph body: %v", err))
 		return
 	}
-	if req.N <= 0 || req.K <= 0 {
-		writeError(w, http.StatusUnprocessableEntity, "graph needs n ≥ 1 and k ≥ 1")
-		return
-	}
 	sg, created, err := s.store.Put(req.N, req.K, req.Edges)
 	if err != nil {
 		code := http.StatusUnprocessableEntity

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,6 +154,41 @@ func TestSubmitGraphRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: status = %d, want 422", name, resp.StatusCode)
 		}
 		readAll(t, resp)
+	}
+}
+
+// TestSubmitGraphRefusesOversizedShape sends shapes whose n or k would make
+// the store allocate (or overflow) before reading an edge: each gets 422
+// naming the field, and the daemon keeps serving.
+func TestSubmitGraphRefusesOversizedShape(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		name, body, field string
+	}{
+		{"huge n", `{"n":1125899906842624,"k":1,"edges":[]}`, "n"},
+		{"huge k", `{"n":1,"k":9223372036854775807,"edges":[]}`, "k"},
+		{"n just over the cap", fmt.Sprintf(`{"n":%d,"k":1}`, maxGraphNodes+1), "n"},
+		{"k just over the cap", fmt.Sprintf(`{"n":2,"k":%d}`, maxGraphColors+1), "k"},
+		{"negative k", `{"n":2,"k":-1}`, "k"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body := string(readAll(t, resp))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d, want 422 (%s)", tc.name, resp.StatusCode, body)
+		}
+		if !strings.Contains(body, "field "+tc.field+" ") {
+			t.Errorf("%s: error %s does not name field %s", tc.name, body, tc.field)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after refusals: status %d", resp.StatusCode)
 	}
 }
 
@@ -419,6 +455,20 @@ func TestRegistryEndpoints(t *testing.T) {
 	}
 	if fmt.Sprint(algos) != fmt.Sprint(sweep.AlgoNames()) {
 		t.Fatalf("/v1/algos = %v, want %v", algos, sweep.AlgoNames())
+	}
+}
+
+// TestGraphStorePutBoundsShape calls Put directly with shapes that used to
+// panic inside the builder's first allocation.
+func TestGraphStorePutBoundsShape(t *testing.T) {
+	st := NewGraphStore(0)
+	for _, shape := range [][2]int{{1 << 50, 1}, {1, math.MaxInt}, {-1, 1}, {1, 0}} {
+		if _, _, err := st.Put(shape[0], shape[1], nil); err == nil {
+			t.Errorf("Put(n=%d, k=%d) accepted", shape[0], shape[1])
+		}
+	}
+	if _, created, err := st.Put(2, maxGraphColors, [][3]int{{0, 1, maxGraphColors}}); err != nil || !created {
+		t.Fatalf("Put at the k cap: created=%v err=%v", created, err)
 	}
 }
 

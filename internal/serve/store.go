@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/gen"
@@ -13,6 +14,18 @@ import (
 // DefaultMaxGraphs bounds the submitted-graph store when Options.MaxGraphs
 // is non-positive.
 const DefaultMaxGraphs = 256
+
+// maxGraphNodes caps a submitted graph's n. Put allocates O(n) before it
+// reads an edge, so n must be bounded by what a body can carry: an edge
+// takes at least 8 bytes of JSON ("[u,v,c],"), so a body within
+// maxGraphBody touches at most maxGraphBody/4 nodes, and any n beyond that
+// could only add isolated nodes.
+const maxGraphNodes = maxGraphBody / 4
+
+// maxGraphColors caps a submitted graph's k. With n ≤ maxGraphNodes (2^24)
+// the builder's colour-occupation index n·(k+1) stays below 2^56, far from
+// overflow, and every colour fits the builder's 32-bit colour key.
+const maxGraphColors = math.MaxInt32
 
 // StoredGraph is one client-submitted instance: its content address, its
 // observable shape (what sweep rows record), and the built CSR instance.
@@ -58,9 +71,17 @@ func NewGraphStore(limit int) *GraphStore {
 
 // Put validates and stores an edge list, returning its record and whether
 // this call created it (false = the same graph was already stored; content
-// addressing makes resubmission idempotent). Validation is CSRBuilder's:
-// simple graph, endpoints in range, colours 1…k properly colouring.
+// addressing makes resubmission idempotent). The shape is checked first,
+// before anything is allocated: n in 1…maxGraphNodes, k in
+// 1…maxGraphColors. The edges are validated by CSRBuilder: simple graph,
+// endpoints in range, colours 1…k properly colouring.
 func (st *GraphStore) Put(n, k int, edges [][3]int) (*StoredGraph, bool, error) {
+	if n < 1 || n > maxGraphNodes {
+		return nil, false, fmt.Errorf("graph field n = %d outside 1…%d", n, maxGraphNodes)
+	}
+	if k < 1 || k > maxGraphColors {
+		return nil, false, fmt.Errorf("graph field k = %d outside 1…%d", k, maxGraphColors)
+	}
 	id := gen.EdgeListID(n, k, edges)
 	st.mu.RLock()
 	sg, ok := st.graphs[id]
