@@ -485,3 +485,21 @@ func TestGraphStoreCap(t *testing.T) {
 		t.Fatalf("idempotent put at cap: created=%v err=%v", created, err)
 	}
 }
+
+// TestRequestSeedGolden pins the value-addressed seed of Seed: 0 requests.
+// Every cell, instance and row of such a sweep derives from it, so a
+// change to the derivation silently renames every unseeded sweep.
+func TestRequestSeedGolden(t *testing.T) {
+	for name, tc := range map[string]struct {
+		req  SweepRequest
+		want int64
+	}{
+		"grids":         {SweepRequest{Grids: []string{"path:n=16", "cycle:n=8..16"}}, 4951658315278930636},
+		"graphs+algos":  {SweepRequest{Graphs: []string{"g1", "g2"}, Algos: []string{"greedy", "proposal"}}, -8821366689921055794},
+		"grids, reps 3": {SweepRequest{Grids: []string{"matching-union:n=64,k=4"}, Reps: 3}, -3514512435696179403},
+	} {
+		if got := requestSeed(tc.req); got != tc.want {
+			t.Errorf("%s: requestSeed = %d, want %d", name, got, tc.want)
+		}
+	}
+}
