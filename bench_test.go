@@ -348,45 +348,6 @@ func BenchmarkGenBoundedDegree(b *testing.B) {
 	})
 }
 
-// BenchmarkGenSharded measures the sharded parallel constructors across
-// worker counts against their own 1-worker baseline (the output is
-// byte-identical across the row, so this is pure construction wall-clock:
-// per-colour-class generation fans out, the merge is sequential, and the
-// CSR fill/sort/mate passes shard over node ranges). On a single-core host
-// the row shows the coordination overhead instead of speedup.
-func BenchmarkGenSharded(b *testing.B) {
-	const n = 65536
-	seedsFor := func(name string, k int) []int64 { return gen.ClassSeeds(name, 1, k) }
-	b.Run("matching-union", func(b *testing.B) {
-		const k = 6
-		seeds := seedsFor("matching-union", k)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := graph.ShardedMatchingUnion(n, k, 0.7, seeds, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
-	b.Run("regular", func(b *testing.B) {
-		const k = 8
-		seeds := seedsFor("regular", k)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := graph.ShardedRegular(n, k, seeds, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
-}
-
 // BenchmarkSweepStream compares the buffered Run against the streaming
 // pipeline on a grid big enough for the reorder window to matter. The
 // interesting number is allocs/op: the stream holds a bounded window and

@@ -7,8 +7,8 @@
 //
 //	mmsweep -grid 'matching-union:n=4096..65536,k=16..1024' -algo reduced -check-bounds -out sweep.jsonl
 //	mmsweep -grid all -algo greedy,reduced -seeds 3 -check-bounds
-//	mmsweep -grid 'regular:n=65536..1048576' -build-workers 8 -out big.jsonl
-//	mmsweep -grid 'regular:n=65536..1048576' -build-workers 8 -out big.jsonl -resume
+//	mmsweep -grid 'regular:n=65536..1048576' -out big.jsonl
+//	mmsweep -grid 'regular:n=65536..1048576' -out big.jsonl -resume
 //	mmsweep -grid list
 //
 // Each cell — one (family, parameters, algorithm, repetition) — derives a
@@ -25,11 +25,6 @@
 // -out file is scanned, complete rows are kept (a torn final line is
 // truncated away), the finished cells are skipped, and the missing rows
 // are appended — the final file is byte-identical to an uninterrupted run.
-//
-// -build-workers ≥ 1 constructs instances through the sharded parallel
-// builder (per-colour-class rng streams; byte-identical for any worker
-// count, but a different instance naming than the sequential builder —
-// rows carry a "builder" tag and -resume refuses to mix the two).
 //
 // Sharded multi-process sweeps split the grid's canonical cell order into
 // N contiguous ranges:
@@ -52,9 +47,9 @@
 // the JSONL itself goes to stdout). Exit codes are a contract: 0 success,
 // 1 sweep failure or (with -check-bounds) contract violations — the
 // partial output stays intact and -resume continues from it — and 2 for
-// configuration mismatches (wrong -seed or -build-workers against an
-// existing file; the message names the field and file offset), which
-// retrying cannot fix.
+// configuration mismatches (a wrong -seed against an existing file, or a
+// file written by a retired instance builder; the message names the field
+// and file offset), which retrying cannot fix.
 package main
 
 import (
@@ -85,7 +80,6 @@ func run() int {
 	resume := flag.Bool("resume", false, "continue an interrupted sweep: keep -out's complete rows, skip their cells, append the rest (requires -out file)")
 	cellWorkers := flag.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
 	engineWorkers := flag.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
-	buildWorkers := flag.Int("build-workers", 0, "workers per instance construction (≥1 = sharded parallel builder; 0 = sequential)")
 	window := flag.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
 	shardSpec := flag.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")
 	attempt := flag.Int("attempt", 0, "restart count of this shard attempt (set by -supervise; feeds fault-injection derivation)")
@@ -105,7 +99,6 @@ func run() int {
 		Seed:          *seed,
 		CellWorkers:   *cellWorkers,
 		EngineWorkers: *engineWorkers,
-		BuildWorkers:  *buildWorkers,
 		ReorderWindow: *window,
 		CheckBounds:   *checkBounds,
 	}
@@ -327,12 +320,8 @@ func openOut(path string, resume bool, cfg *sweep.Config) (*os.File, error) {
 	}
 	state, err := sweep.ReadCompleted(f)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := state.CheckBuilder(*cfg); err != nil {
-		// A *sweep.MismatchError naming the field and file offset; main
-		// maps it to exit code 2.
+		// A *sweep.MismatchError (a retired builder's rows) maps to exit
+		// code 2.
 		f.Close()
 		return nil, err
 	}

@@ -47,40 +47,6 @@
 // value-addressed rng stream. internal/sweep and cmd/mmsweep build on
 // both.
 //
-// # Parallel construction
-//
-// BuildParallel shards instance construction across workers for the
-// families whose structure allows it (Sharded reports which):
-// matching-union and regular generate each colour class concurrently from
-// its own ClassSeeds stream (SubSeed(seed, name, "class", c)), merge the
-// classes in colour order, and run the CSR degree-count/fill in parallel
-// over node ranges (graph.ShardedMatchingUnion / graph.ShardedRegular /
-// CSRBuilder.BuildParallel). bounded-degree has no colour classes to shard
-// by, so it shards by draw block instead: the attempt budget splits into
-// fixed blocks of 4096 draws, each block generates its (u, v, colour)
-// triples unconditionally from its own BlockSeeds stream (SubSeed(seed,
-// name, "block", i)), and a sequential in-order merge applies the degree
-// and colouring checks (graph.ShardedBoundedDegree). The result is
-// byte-identical for ANY worker count — one worker and sixteen build the
-// same instance, pinned against a plain sequential reference loop — but is
-// a different instance than the sequential Build names for the same seed,
-// whose single rng stream interleaves draws with acceptance decisions and
-// therefore cannot be sharded. (Because rows only record builder:"sharded"
-// without a version, bounded-degree sweeps taken with -build-workers
-// before this family gained its sharded path must not be resumed across
-// the upgrade: they carried the tag while falling back to the sequential
-// instance.)
-//
-// The remaining families fall back to Build. tree is the instructive case
-// of why: its construction is inherently sequential. Each edge takes the
-// smallest colour free at BOTH endpoints at insertion time, so every
-// colour choice depends on the accumulated effect of all prior insertions
-// through one rng stream — there is no per-class or per-block slice of the
-// work whose draws are independent of the merge order, which is exactly
-// the property the sharded constructions above are built on. The
-// deterministic families (path, cycle, caterpillar, worstcase) are O(n)
-// loops with no rng at all; sharding them would buy nothing.
-//
 // # Families
 //
 //   - matching-union — union of k partial random matchings (§1.2 random

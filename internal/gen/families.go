@@ -30,15 +30,6 @@ func matchingUnion() Scenario {
 			}
 			return &Instance{G: graph.RandomMatchingUnion(n, k, p.Float("density"), rng)}, nil
 		},
-		genSharded: func(p Params, seed int64, workers int) (*Instance, error) {
-			k := p.Int("k")
-			g, err := graph.ShardedMatchingUnion(p.Int("n"), k, p.Float("density"),
-				ClassSeeds("matching-union", seed, k), workers)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
-		},
 	}
 }
 
@@ -65,22 +56,6 @@ func boundedDegree() Scenario {
 			}
 			return &Instance{G: graph.RandomBoundedDegree(n, k, delta, attempts, rng)}, nil
 		},
-		genSharded: func(p Params, seed int64, workers int) (*Instance, error) {
-			n, k, delta := p.Int("n"), p.Int("k"), p.Int("delta")
-			if n < 2 || k < 1 || delta < 1 {
-				return nil, fmt.Errorf("need n ≥ 2, k ≥ 1, delta ≥ 1, got n=%d k=%d delta=%d", n, k, delta)
-			}
-			attempts := p.Int("attempts")
-			if attempts == 0 {
-				attempts = 5 * n
-			}
-			g, err := graph.ShardedBoundedDegree(n, k, delta, attempts,
-				BlockSeeds("bounded-degree", seed, graph.BoundedDegreeBlocks(attempts)), workers)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
-		},
 	}
 }
 
@@ -95,17 +70,6 @@ func regular() Scenario {
 				return nil, fmt.Errorf("need even n ≥ 2 and k ≥ 1, got n=%d k=%d", n, k)
 			}
 			g, err := graph.RandomRegular(n, k, rng)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
-		},
-		genSharded: func(p Params, seed int64, workers int) (*Instance, error) {
-			n, k := p.Int("n"), p.Int("k")
-			if n%2 != 0 {
-				return nil, fmt.Errorf("need even n ≥ 2 and k ≥ 1, got n=%d k=%d", n, k)
-			}
-			g, err := graph.ShardedRegular(n, k, ClassSeeds("regular", seed, k), workers)
 			if err != nil {
 				return nil, err
 			}

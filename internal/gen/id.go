@@ -33,9 +33,7 @@ const GraphIDPrefix = "graph-"
 // "scenario:params@seed" with params in the sorted spec rendering. It
 // agrees field-by-field with the sweep's JSONL rows (scenario, params,
 // seed), so a cache key derived from a row and one derived from a request
-// name the same blob. The sharded parallel builder names DIFFERENT
-// instances for the same seed; callers distinguish the two universes by
-// appending a builder tag (see sweep.InstanceSpec).
+// name the same blob.
 func InstanceID(scenario string, p Params, seed int64) string {
 	return fmt.Sprintf("%s:%s@%d", scenario, p.String(), seed)
 }

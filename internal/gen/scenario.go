@@ -109,20 +109,14 @@ type Instance struct {
 
 // Scenario is one registered graph family. Params holds the defaults;
 // Build instantiates the family from a seed after merging overrides.
-// Families with a parallelisable construction additionally carry
-// genSharded, the path BuildParallel drives: it receives the raw instance
-// seed and derives its own per-shard streams (ClassSeeds for the
-// colour-class families, BlockSeeds for bounded-degree), so each family
-// owns its stream naming.
 type Scenario struct {
 	Name   string
 	Doc    string
 	Params Params
 	// check, if non-nil, refuses merged parameters outside the family's
 	// range (density in [0, 1], attempts ≥ 0, …) at parse time.
-	check      func(p Params) error
-	gen        func(p Params, rng *rand.Rand) (*Instance, error)
-	genSharded func(p Params, seed int64, workers int) (*Instance, error)
+	check func(p Params) error
+	gen   func(p Params, rng *rand.Rand) (*Instance, error)
 }
 
 // resolve merges overrides onto the defaults and applies the family's

@@ -283,3 +283,23 @@ func TestLookupSharesOneRegistry(t *testing.T) {
 		t.Error("Lookup's Doc changed through All")
 	}
 }
+
+// TestRegularHighDegreeBuilds: the regular family builds at k = 16, where
+// each whole-class reshuffle almost never avoids the earlier classes and
+// the pairwise repair has to place the class.
+func TestRegularHighDegreeBuilds(t *testing.T) {
+	const n, k = 4096, 16
+	for seed := int64(1); seed <= 5; seed++ {
+		inst, _, err := gen.BuildSpec("regular:n=4096,k=16", seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		g := inst.G
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if g.NumEdges() != n*k/2 || g.MaxDegree() != k {
+			t.Errorf("seed %d: %d edges, Δ = %d; want %d edges, Δ = %d", seed, g.NumEdges(), g.MaxDegree(), n*k/2, k)
+		}
+	}
+}

@@ -18,9 +18,8 @@
 // them index arithmetic on shared slices with zero allocation.
 //
 // CSRBuilder is the only way to obtain a Graph: it checks simplicity and
-// the proper colouring edge by edge, and Build (or the sharded
-// BuildParallel and Sharded* builders) lays out the arrays and re-checks
-// symmetry and the colouring. Each node's halves are sorted by colour and
+// the proper colouring edge by edge, and Build lays out the arrays and
+// re-checks symmetry and the colouring. Each node's halves are sorted by colour and
 // a proper colouring makes those colours distinct, so the arrays depend
 // only on the edge set, never on the order edges were added.
 //

@@ -30,9 +30,9 @@ type Edge struct {
 // one immutable CSR adjacency: a contiguous []Half plus node offsets, each
 // node's halves sorted by colour, and a mates index pairing the two
 // directed halves of every undirected edge. The only way to obtain a Graph
-// is CSRBuilder.Build (or its sharded variants); nothing mutates it
-// afterwards, so every method is safe for concurrent use and every slice
-// it returns stays valid for the graph's lifetime.
+// is CSRBuilder.Build; nothing mutates it afterwards, so every method is
+// safe for concurrent use and every slice it returns stays valid for the
+// graph's lifetime.
 type Graph struct {
 	n, k int
 	flat flatAdj
@@ -480,8 +480,15 @@ func randomMatchingUnionInto(b *CSRBuilder, n, k int, density float64, rng *rand
 // RandomRegular builds a random k-regular properly k-edge-coloured graph on
 // n nodes (n even): every colour class is a perfect matching, drawn as a
 // random permutation paired off two by two (the permutation-union
-// construction). Colour classes are resampled on conflicts, so the graph
-// is simple; for very small n the attempt may fail.
+// construction), so the graph is simple.
+//
+// Class c collides with the c−1 classes before it about (c−1)/2 times per
+// shuffle whatever n is, so a whole reshuffle succeeds with probability
+// only about e^{−(c−1)/2}. After 50 reshuffles fail, the last permutation
+// is repaired pair by pair instead (repairPairs). A shape with no simple
+// k-regular graph (k ≥ n), or earlier classes that leave a later one no
+// perfect matching (possible only at small n), still fails once the
+// repair's tries run out.
 func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs even n, got %d", n)
@@ -496,28 +503,51 @@ func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 				perm[i] = i
 			}
 			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			ok := true
+			placed = true
 			for i := 0; i+1 < n; i += 2 {
 				if b.HasEdge(perm[i], perm[i+1]) {
-					ok = false
+					placed = false
 					break
 				}
 			}
-			if !ok {
-				continue
-			}
-			for i := 0; i+1 < n; i += 2 {
-				if err := b.AddEdge(perm[i], perm[i+1], c); err != nil {
-					return nil, err
-				}
-			}
-			placed = true
 		}
-		if !placed {
+		if !placed && !repairPairs(b, perm, rng) {
 			return nil, fmt.Errorf("graph: could not place colour class %v without parallel edges", c)
+		}
+		for i := 0; i+1 < n; i += 2 {
+			if err := b.AddEdge(perm[i], perm[i+1], c); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return b.Build()
+}
+
+// repairPairs makes every pair (perm[2i], perm[2i+1]) a non-edge of b by
+// swapping second partners with a pair drawn from rng, and reports
+// whether it succeeded within its bounded number of tries. A swap is taken
+// only if both new pairs are non-edges, so every pair already visited
+// stays repaired.
+func repairPairs(b *CSRBuilder, perm []int, rng *rand.Rand) bool {
+	pairs := len(perm) / 2
+	tries := 16 * len(perm)
+	for i := 0; i < pairs; i++ {
+		u, v := perm[2*i], perm[2*i+1]
+		for b.HasEdge(u, v) {
+			if tries == 0 {
+				return false
+			}
+			tries--
+			j := rng.Intn(pairs)
+			x, y := perm[2*j], perm[2*j+1]
+			if j == i || b.HasEdge(u, y) || b.HasEdge(x, v) {
+				continue
+			}
+			perm[2*i+1], perm[2*j+1] = y, v
+			v = y
+		}
+	}
+	return true
 }
 
 // FromSystem materialises the window Γ_k(V)[radius] of a colour system as a

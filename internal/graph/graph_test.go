@@ -360,6 +360,13 @@ func TestRandomRegular(t *testing.T) {
 	if _, err := RandomRegular(7, 3, rng); err == nil {
 		t.Error("odd n accepted")
 	}
+	// No simple k-regular graph exists for k ≥ n: the repair must run out
+	// of tries and report it, not loop or build a multigraph.
+	for _, shape := range [][2]int{{2, 2}, {4, 4}} {
+		if _, err := RandomRegular(shape[0], shape[1], rng); err == nil {
+			t.Errorf("n=%d k=%d accepted", shape[0], shape[1])
+		}
+	}
 }
 
 func TestSequentialGreedyIsMaximalOnRandomGraphs(t *testing.T) {

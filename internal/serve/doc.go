@@ -17,6 +17,8 @@
 //	GET  /healthz          liveness, drain state, cache counters
 //	GET  /metrics          the obs registry, Prometheus text format
 //
+// Both POST bodies decode strictly: an unknown field is a 400 naming it.
+//
 // # Concurrency
 //
 // Graph submission and lookups are lock-cheap and unbounded. Sweeps are
@@ -37,10 +39,10 @@
 //
 // Every response is reproducible. A request that names a seed uses it; a
 // request that leaves the seed zero gets one derived by gen.SubSeed from
-// the request's instance-determining content (grids, graphs, algos, reps,
-// builder), so identical requests derive identical seeds, run identical
-// cells, and return byte-identical NDJSON bodies — which is also what
-// makes the instance cache effective across clients. The chosen seed is
+// the request's instance-determining content (grids, graphs, algos, reps),
+// so identical requests derive identical seeds, run identical cells, and
+// return byte-identical NDJSON bodies — which is also what makes the
+// instance cache effective across clients. The chosen seed is
 // echoed in the Sweep-Seed response header.
 //
 // # Shutdown drain

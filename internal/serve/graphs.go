@@ -35,6 +35,7 @@ type GraphResponse struct {
 func (s *Server) handleGraphSubmit(w http.ResponseWriter, r *http.Request) {
 	var req GraphRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGraphBody))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if isBodyTooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge, "graph body exceeds the size limit")

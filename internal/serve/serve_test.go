@@ -503,3 +503,38 @@ func TestRequestSeedGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestStrictRequestBodies: both POST endpoints refuse a body with an
+// unknown field — a misspelling or a removed option — with a 400 naming
+// it, instead of silently running a different request.
+func TestStrictRequestBodies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for name, tc := range map[string]struct {
+		path, body string
+		want       int
+		field      string
+	}{
+		"sweep ok":            {"/v1/sweep", `{"grids":["path:n=8,k=2"],"algos":["proposal"]}`, http.StatusOK, ""},
+		"sweep misspelt algo": {"/v1/sweep", `{"grids":["path"],"algo":["proposal"]}`, http.StatusBadRequest, `"algo"`},
+		"sweep build_workers": {"/v1/sweep", `{"grids":["path:n=8,k=2"],"build_workers":2}`, http.StatusBadRequest, `"build_workers"`},
+		"sweep seeds":         {"/v1/sweep", `{"grids":["path:n=8,k=2"],"seeds":2}`, http.StatusBadRequest, `"seeds"`},
+		"graph ok":            {"/v1/graphs", `{"n":2,"k":1,"edges":[[0,1,1]]}`, http.StatusCreated, ""},
+		"graph extra field":   {"/v1/graphs", `{"n":2,"k":1,"edges":[[0,1,1]],"colours":1}`, http.StatusBadRequest, `"colours"`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d (%s)", name, resp.StatusCode, tc.want, body)
+			continue
+		}
+		if tc.field != "" {
+			var e struct{ Error string }
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, tc.field) {
+				t.Errorf("%s: error %q does not name %s", name, body, tc.field)
+			}
+		}
+	}
+}

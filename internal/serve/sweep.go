@@ -37,11 +37,9 @@ type SweepRequest struct {
 	CheckBounds bool `json:"check_bounds,omitempty"`
 	// EngineWorkers > 1 runs cells on the worker-pool engine (results are
 	// engine-independent); CellWorkers bounds concurrent cells within this
-	// request's slot; BuildWorkers ≥ 1 uses the sharded instance builder
-	// (a different instance universe — rows carry the builder tag).
+	// request's slot.
 	EngineWorkers int `json:"engine_workers,omitempty"`
 	CellWorkers   int `json:"cell_workers,omitempty"`
-	BuildWorkers  int `json:"build_workers,omitempty"`
 }
 
 // SweepTrailer is the final NDJSON line of a sweep response. Its presence
@@ -63,7 +61,9 @@ func requestSeed(req SweepRequest) int64 {
 	if req.Seed != 0 {
 		return req.Seed
 	}
-	tags := []string{"mmserve-sweep", strconv.Itoa(req.Reps), strconv.Itoa(req.BuildWorkers)}
+	// The literal "0" held the place of a since-removed field; it stays so
+	// every derived seed keeps its value.
+	tags := []string{"mmserve-sweep", strconv.Itoa(req.Reps), "0"}
 	tags = append(tags, req.Grids...)
 	tags = append(tags, req.Graphs...)
 	tags = append(tags, req.Algos...)
@@ -94,6 +94,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	var req SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
+	// Strict: a misspelt or removed field is a 400 naming it, never a
+	// silently different sweep.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if isBodyTooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge, "sweep body exceeds the size limit")
@@ -111,7 +114,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		CheckBounds:   req.CheckBounds,
 		EngineWorkers: req.EngineWorkers,
 		CellWorkers:   req.CellWorkers,
-		BuildWorkers:  req.BuildWorkers,
 		Provider:      s.provider,
 		Metrics:       s.sweepMetrics,
 		Tracer:        s.tracer,

@@ -25,7 +25,7 @@ type CacheStats struct {
 
 // CachingProvider memoises an InstanceProvider behind a content-addressed
 // LRU: instances are keyed by InstanceSpec.ID(), so any two callers naming
-// the same (scenario, params, seed, builder) share one built CSR blob —
+// the same (scenario, params, seed) share one built CSR blob —
 // repeated requests on hot graphs skip construction entirely. Lookups are
 // single-flight: concurrent requests for the same missing key build once
 // and share the result, so a thundering herd on a cold million-node

@@ -66,23 +66,6 @@ func TestCachingProviderSharesInstancesAcrossAlgos(t *testing.T) {
 	}
 }
 
-// TestCachingProviderKeysOnBuilderTag pins that the sequential and sharded
-// builders never share a cache entry: they name different instances for the
-// same seed.
-func TestCachingProviderKeysOnBuilderTag(t *testing.T) {
-	seq := InstanceSpec{Scenario: "regular", Params: gen.Params{"n": 16, "k": 3}, Seed: 1}
-	sharded := seq
-	sharded.BuildWorkers = 4
-	if seq.ID() == sharded.ID() {
-		t.Fatalf("sequential and sharded specs share the key %q", seq.ID())
-	}
-	also := seq
-	also.BuildWorkers = 8
-	if sharded.ID() != also.ID() {
-		t.Fatal("sharded key depends on the worker count; construction is worker-count independent")
-	}
-}
-
 // TestCachingProviderEviction pins the LRU bound: capacity 1 alternating
 // between two specs rebuilds every time, and the occupancy never exceeds
 // the cap.

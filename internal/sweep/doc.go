@@ -16,11 +16,8 @@
 // seed as gen.SubSeed(base, family, params, rep) — a value-dependent
 // derivation, so re-running the same Config rebuilds byte-identical
 // instances, all algorithms of a cell see the same instance, and result
-// rows are independent of execution order. Config.BuildWorkers ≥ 1 builds
-// instances through gen.BuildParallel instead: the sharded families
-// generate colour classes concurrently on per-class gen.ClassSeeds
-// streams, worker-count independent but a distinct instance naming, so
-// rows carry a "builder" tag and the two modes never mix in one file.
+// rows are independent of execution order. Each (family, params, seed)
+// names exactly one instance.
 //
 // # The streaming pipeline
 //
@@ -48,8 +45,8 @@
 // file is byte-identical to an uninterrupted run, pinned by test and
 // exercised as a real SIGKILL/resume/cmp cycle in CI. Resuming over rows
 // from a different configuration is refused with a *MismatchError naming
-// the mismatched field (seed or builder) and the offending row's byte
-// offset; cmd/mmsweep maps it to exit code 2, the permanent-failure
+// the mismatched field (seed, or builder for rows of the retired sharded
+// builder) and the offending row's byte offset; cmd/mmsweep maps it to exit code 2, the permanent-failure
 // convention supervisors use to stop retrying.
 //
 // # Durability and sharding
@@ -84,10 +81,10 @@
 //
 // A Result row records the instance shape, round count, matching size, the
 // full per-round histogram and any violations, and marshals to one JSON
-// line — byte-identical for identical Configs regardless of cell, engine,
-// build parallelism or process count (the golden test pins the bytes).
-// cmd/mmsweep is the CLI (streaming -out, -resume, -build-workers, and the
-// sharded -shard/-supervise/-merge modes); harness experiment E16 sweeps
+// line — byte-identical for identical Configs regardless of cell and
+// engine parallelism or process count (the golden test pins the bytes).
+// cmd/mmsweep is the CLI (streaming -out, -resume, and the sharded
+// -shard/-supervise/-merge modes); harness experiment E16 sweeps
 // all nine families with bounds checked and pins buffered, streamed, and
 // killed-then-resumed output byte-identical, and E17 pins the supervised
 // sharded sweep crash-identical under injected kills and hangs.

@@ -9,10 +9,10 @@ import (
 
 // InstanceSpec names one instance the sweep driver needs built: the
 // scenario (a registered family name, or a content-addressed submitted-
-// graph ID), the full merged parameter set, the derived instance seed, and
-// the builder mode. It is the value that crosses the InstanceProvider seam
-// — everything an implementation needs to construct, look up, or cache the
-// instance, and nothing about how the driver will run it.
+// graph ID), the full merged parameter set and the derived instance seed.
+// It is the value that crosses the InstanceProvider seam — everything an
+// implementation needs to construct, look up, or cache the instance, and
+// nothing about how the driver will run it.
 type InstanceSpec struct {
 	// Scenario is the family name ("regular", …) or a provider-scoped
 	// instance address (a gen.GraphIDPrefix ID for submitted graphs).
@@ -26,24 +26,14 @@ type InstanceSpec struct {
 	// instance exists independent of any seed — but it still participates
 	// in the spec's identity so rows and cache keys stay uniform.
 	Seed int64
-	// BuildWorkers ≥ 1 requests the sharded parallel builder. The sharded
-	// and sequential builders name DIFFERENT instances for the same seed
-	// on the shardable families, so the flag is part of the spec identity
-	// (ID carries a "+sharded" tag); the worker count itself is not —
-	// sharded construction is worker-count independent.
-	BuildWorkers int
 }
 
-// ID is the spec's canonical content address: gen.InstanceID plus the
-// builder tag. It is the instance-cache key, and it agrees with the JSONL
-// rows the sweep emits — a row's (scenario, params, seed, builder) fields
-// reassemble to exactly this string.
+// ID is the spec's canonical content address, gen.InstanceID. It is the
+// instance-cache key, and it agrees with the JSONL rows the sweep emits —
+// a row's (scenario, params, seed) fields reassemble to exactly this
+// string.
 func (s InstanceSpec) ID() string {
-	id := gen.InstanceID(s.Scenario, s.Params, s.Seed)
-	if s.BuildWorkers >= 1 {
-		id += "+sharded"
-	}
-	return id
+	return gen.InstanceID(s.Scenario, s.Params, s.Seed)
 }
 
 // ErrUnknownInstance reports that a provider does not know the spec's
@@ -77,9 +67,6 @@ func (RegistryProvider) Instance(spec InstanceSpec) (*gen.Instance, error) {
 	s, ok := gen.Lookup(spec.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q is not a registered scenario", ErrUnknownInstance, spec.Scenario)
-	}
-	if spec.BuildWorkers >= 1 {
-		return s.BuildParallel(spec.Seed, spec.Params, spec.BuildWorkers)
 	}
 	return s.Build(spec.Seed, spec.Params)
 }

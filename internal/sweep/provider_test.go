@@ -153,43 +153,39 @@ func TestFixedInstanceSweep(t *testing.T) {
 
 // TestCellIDsAgreeWithCacheKeys pins the satellite contract: the content
 // address the provider (and hence the cache) sees for a cell reassembles
-// exactly from that cell's JSONL row fields — scenario, params, seed,
-// builder — so a cache key derived from a row and one derived from a
+// exactly from that cell's JSONL row fields — scenario, params, seed — so a cache key derived from a row and one derived from a
 // request name the same blob.
 func TestCellIDsAgreeWithCacheKeys(t *testing.T) {
 	inst, id, _ := testGraphInstance(t)
-	for _, buildWorkers := range []int{0, 2} {
-		rec := &recordingProvider{inner: Providers(storeProvider{id: inst}, RegistryProvider{})}
-		cfg := Config{
-			Grids:        []string{"regular:n=32,k=3"},
-			Instances:    []InstanceRef{{ID: id, Params: gen.Params{"n": 4, "k": 2}}},
-			Algos:        []string{"greedy"},
-			Seed:         9,
-			BuildWorkers: buildWorkers,
-			Provider:     rec,
+	rec := &recordingProvider{inner: Providers(storeProvider{id: inst}, RegistryProvider{})}
+	cfg := Config{
+		Grids:     []string{"regular:n=32,k=3"},
+		Instances: []InstanceRef{{ID: id, Params: gen.Params{"n": 4, "k": 2}}},
+		Algos:     []string{"greedy"},
+		Seed:      9,
+		Provider:  rec,
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, sid := range rec.ids {
+		seen[sid] = true
+	}
+	for _, r := range rep.Results {
+		_, params, err := gen.Parse(r.Scenario + ":" + r.Params)
+		if r.Scenario == id {
+			// Submitted addresses are not registry names; parse the
+			// params half alone.
+			_, params, _, err = gen.ParseInstanceID(r.Scenario + ":" + r.Params + "@0")
 		}
-		rep, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("row %s: %v", r.ID(), err)
 		}
-		seen := map[string]bool{}
-		for _, sid := range rec.ids {
-			seen[sid] = true
-		}
-		for _, r := range rep.Results {
-			_, params, err := gen.Parse(r.Scenario + ":" + r.Params)
-			if r.Scenario == id {
-				// Submitted addresses are not registry names; parse the
-				// params half alone.
-				_, params, _, err = gen.ParseInstanceID(r.Scenario + ":" + r.Params + "@0")
-			}
-			if err != nil {
-				t.Fatalf("row %s: %v", r.ID(), err)
-			}
-			key := InstanceSpec{Scenario: r.Scenario, Params: params, Seed: r.Seed, BuildWorkers: buildWorkers}.ID()
-			if !seen[key] {
-				t.Fatalf("row %s reassembles to key %q, which the provider never saw (saw %v)", r.ID(), key, rec.ids)
-			}
+		key := InstanceSpec{Scenario: r.Scenario, Params: params, Seed: r.Seed}.ID()
+		if !seen[key] {
+			t.Fatalf("row %s reassembles to key %q, which the provider never saw (saw %v)", r.ID(), key, rec.ids)
 		}
 	}
 }

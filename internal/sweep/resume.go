@@ -25,14 +25,6 @@ type ResumeState struct {
 	// writer must truncate the file to ValidSize before appending so the
 	// resumed output stays byte-identical to an uninterrupted run.
 	ValidSize int64
-	// Builder is the builder tag shared by every row ("" sequential,
-	// "sharded" parallel). Mixing tags in one file is an error, and the
-	// resuming run must use the same builder mode — the two name
-	// different instances for the same seed.
-	Builder string
-	// BuilderAt is the byte offset of the row that established Builder —
-	// the offset a builder-mismatch refusal points at.
-	BuilderAt int64
 	// Seeds maps each completed cell ID to the instance seed its row
 	// recorded; assign it to Config.CompletedSeeds so the resuming run
 	// refuses a base-seed mismatch instead of appending rows from a
@@ -57,8 +49,7 @@ type ResumeState struct {
 type MismatchError struct {
 	// Field is the mismatched axis: "seed" or "builder".
 	Field string
-	// Cell is the canonical ID of the offending row ("" when the mismatch
-	// is file-level, as for the builder tag).
+	// Cell is the canonical ID of the offending row.
 	Cell string
 	// Offset is the byte offset of the row that recorded Want.
 	Offset int64
@@ -83,10 +74,8 @@ func (e *MismatchError) Error() string {
 type ScannedRow struct {
 	// ID is the canonical cell identity, identical to Result.ID().
 	ID string
-	// Seed and Builder are the row's recorded instance seed and builder
-	// tag.
-	Seed    int64
-	Builder string
+	// Seed is the row's recorded instance seed.
+	Seed int64
 	// Violations counts the row's recorded contract breaches.
 	Violations int
 	// Offset is the byte offset the row starts at; Line is the raw row.
@@ -97,12 +86,14 @@ type ScannedRow struct {
 // ScanRows walks the complete rows of a JSONL sweep output in file order,
 // calling fn for each, and returns the same ResumeState ReadCompleted
 // does. A torn final line — the usual debris of a killed run — ends the
-// scan cleanly without a callback; a complete row that is not valid JSON,
-// lacks the identity fields, or disagrees with the other rows' builder tag
-// is an error. fn may be nil (scan for the state only); a non-nil error
-// from fn aborts the scan and is returned verbatim, so callers can layer
-// their own verification (the shard merge checks canonical order this
-// way).
+// scan cleanly without a callback; a complete row that is not valid JSON
+// or lacks the identity fields is an error. A complete row carrying a
+// "builder" tag was written by the retired sharded instance builder, which
+// named a different instance for the same seed than any this tree builds;
+// it is refused with a *MismatchError{Field: "builder"}. fn may be nil
+// (scan for the state only); a non-nil error from fn aborts the scan and
+// is returned verbatim, so callers can layer their own verification (the
+// shard merge checks canonical order this way).
 func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 	state := ResumeState{
 		Completed: map[string]bool{},
@@ -141,20 +132,20 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 				// than risk a joined line.
 				return state, nil
 			}
-			if state.Rows > 0 && row.Builder != state.Builder {
-				return ResumeState{}, fmt.Errorf("sweep: resume: row at offset %d mixes builder %q with %q — one file, one builder",
-					state.ValidSize, row.Builder, state.Builder)
-			}
-			if state.Rows == 0 {
-				state.BuilderAt = state.ValidSize
-			}
-			state.Builder = row.Builder
 			id := fmt.Sprintf("%s:%s/%s/rep%d", row.Scenario, row.Params, row.Algo, row.Rep)
+			if row.Builder != "" {
+				return ResumeState{}, &MismatchError{
+					Field:  "builder",
+					Cell:   id,
+					Offset: state.ValidSize,
+					Want:   fmt.Sprintf("%q", row.Builder),
+					Got:    `""`,
+				}
+			}
 			if fn != nil {
 				err := fn(ScannedRow{
 					ID:         id,
 					Seed:       row.Seed,
-					Builder:    row.Builder,
 					Violations: len(row.Violations),
 					Offset:     state.ValidSize,
 					Line:       line,
@@ -168,13 +159,15 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 			state.Offsets[id] = state.ValidSize
 			state.Rows++
 		}
-		state.ValidSize += int64(len(line))
 		if err == io.EOF {
+			// A blank final line without its \n is torn debris too: stop
+			// before it, so ValidSize always ends on a row boundary.
 			return state, nil
 		}
 		if err != nil {
 			return ResumeState{}, fmt.Errorf("sweep: resume: %w", err)
 		}
+		state.ValidSize += int64(len(line))
 	}
 }
 
@@ -184,22 +177,6 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 // as corruption. It is ScanRows without a row callback.
 func ReadCompleted(r io.Reader) (ResumeState, error) {
 	return ScanRows(r, nil)
-}
-
-// CheckBuilder verifies the recovered rows were written by the same
-// builder mode cfg would use, returning a *MismatchError naming the
-// offending row otherwise. An empty file (no rows) matches any config.
-func (s *ResumeState) CheckBuilder(cfg Config) error {
-	want := BuilderTag(cfg)
-	if s.Rows > 0 && s.Builder != want {
-		return &MismatchError{
-			Field:  "builder",
-			Offset: s.BuilderAt,
-			Want:   fmt.Sprintf("%q", s.Builder),
-			Got:    fmt.Sprintf("%q (from BuildWorkers=%d)", want, cfg.BuildWorkers),
-		}
-	}
-	return nil
 }
 
 // Configure primes cfg to resume over the recovered rows: completed cells

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -112,21 +113,30 @@ func TestReadCompletedLongRow(t *testing.T) {
 	}
 }
 
-// TestReadCompletedBuilderMixing: rows from the sequential and the sharded
-// builder cannot share a file, and the recovered tag tells the caller
-// which mode to resume with.
+// TestReadCompletedBuilderMixing: a row tagged by the retired sharded
+// builder names an instance this tree cannot rebuild, so any file holding
+// one — alone or after untagged rows — is refused with a builder
+// MismatchError pointing at that row. A torn tagged tail is debris, not a
+// row, and stays a clean stop.
 func TestReadCompletedBuilderMixing(t *testing.T) {
 	seq := `{"scenario":"path","params":"k=2,n=8","algo":"greedy","rep":0}` + "\n"
 	shard := `{"scenario":"path","params":"k=2,n=16","algo":"greedy","rep":0,"builder":"sharded"}` + "\n"
-	if _, err := ReadCompleted(strings.NewReader(seq + shard)); err == nil {
-		t.Error("mixed builder tags accepted")
+	for name, tc := range map[string]struct {
+		data   string
+		offset int64
+	}{
+		"alone":     {shard, 0},
+		"after seq": {seq + shard, int64(len(seq))},
+		"first":     {shard + seq, 0},
+	} {
+		_, err := ReadCompleted(strings.NewReader(tc.data))
+		var mm *MismatchError
+		if !errors.As(err, &mm) || mm.Field != "builder" || mm.Offset != tc.offset || mm.Cell != "path:k=2,n=16/greedy/rep0" {
+			t.Errorf("%s: err = %v, want a builder MismatchError at offset %d", name, err, tc.offset)
+		}
 	}
-	state, err := ReadCompleted(strings.NewReader(shard))
-	if err != nil || state.Builder != "sharded" {
-		t.Errorf("builder tag not recovered: state=%+v err=%v", state, err)
-	}
-	state, err = ReadCompleted(strings.NewReader(seq))
-	if err != nil || state.Builder != "" {
-		t.Errorf("sequential tag not recovered: state=%+v err=%v", state, err)
+	state, err := ReadCompleted(strings.NewReader(seq + strings.TrimSuffix(shard, "\n")))
+	if err != nil || state.Rows != 1 || state.ValidSize != int64(len(seq)) {
+		t.Errorf("torn tagged tail: state=%+v err=%v", state, err)
 	}
 }

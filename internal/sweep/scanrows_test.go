@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,13 +92,14 @@ func TestScanRowsSingleTornRow(t *testing.T) {
 			t.Fatalf("%s: calls=%d state=%+v, want untouched zero state", name, calls, state)
 		}
 	}
-	// A whitespace-only tail is skippable content, not torn JSON: no row,
-	// no callback, but the bytes stay inside the valid region.
+	// A whitespace-only tail without its newline is torn debris as well:
+	// no row, no callback, and ValidSize stays on the row boundary before
+	// it, so a resumed writer never appends after stray bytes.
 	state, err := ScanRows(strings.NewReader("   "), func(ScannedRow) error {
 		t.Fatal("callback fired on whitespace")
 		return nil
 	})
-	if err != nil || state.Rows != 0 || state.ValidSize != 3 {
+	if err != nil || state.Rows != 0 || state.ValidSize != 0 {
 		t.Fatalf("whitespace tail: state=%+v err=%v", state, err)
 	}
 }
@@ -150,4 +153,43 @@ func TestScanRowsCallbackErrorAborts(t *testing.T) {
 	if state.Rows != 1 || state.ValidSize != int64(len(scanRow(0))) {
 		t.Fatalf("state after abort = %+v", state)
 	}
+}
+
+// FuzzScanRows drives arbitrary bytes through ScanRows, the scanner every
+// -resume, shard-worker restart and merge trusts. It must never panic. On
+// success ValidSize must lie within the input and land on a row boundary
+// (0, or just after a newline), every row the callback sees must be the
+// input's own bytes at its offset, and re-scanning just the valid prefix
+// must recover the same state. The seed corpus (testdata/fuzz/FuzzScanRows)
+// holds torn tails, blank lines, non-rows and a row of the retired sharded
+// builder.
+func FuzzScanRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		state, err := ScanRows(bytes.NewReader(data), func(r ScannedRow) error {
+			end := r.Offset + int64(len(r.Line))
+			if r.Offset < 0 || end > int64(len(data)) || !bytes.Equal(data[r.Offset:end], r.Line) {
+				t.Fatalf("row %s at offset %d is not the input's bytes there", r.ID, r.Offset)
+			}
+			if !bytes.HasSuffix(r.Line, []byte("\n")) {
+				t.Fatalf("row %s at offset %d lacks its newline", r.ID, r.Offset)
+			}
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		if state.ValidSize < 0 || state.ValidSize > int64(len(data)) {
+			t.Fatalf("ValidSize %d outside [0, %d]", state.ValidSize, len(data))
+		}
+		if state.ValidSize > 0 && data[state.ValidSize-1] != '\n' {
+			t.Fatalf("ValidSize %d is not a row boundary", state.ValidSize)
+		}
+		again, err := ScanRows(bytes.NewReader(data[:state.ValidSize]), nil)
+		if err != nil {
+			t.Fatalf("re-scanning the valid prefix failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, state) {
+			t.Fatalf("re-scan of the valid prefix differs:\n got %+v\nwant %+v", again, state)
+		}
+	})
 }

@@ -15,11 +15,11 @@ import (
 // Because gen.SplitCells hands every shard a contiguous slice of the
 // canonical order, the merge is a verified concatenation, not a sort: the
 // files are walked in shard order and every row must carry exactly the
-// cell ID, instance seed, and builder tag the canonical plan assigns to
-// its position. Any deviation — a missing cell, an out-of-order or
-// surplus row, a row from a different seed universe or builder mode — is
-// an error naming the shard file and byte offset, never a silently wrong
-// artefact. The output of a clean merge is byte-identical to an
+// cell ID and instance seed the canonical plan assigns to its position.
+// Any deviation — a missing cell, an out-of-order or surplus row, a row
+// from a different seed universe (or one ScanRows refuses, such as a
+// retired builder's row) — is an error naming the shard file and byte
+// offset, never a silently wrong artefact. The output of a clean merge is byte-identical to an
 // uninterrupted single-process run of the same Config (pinned by test and
 // by the CI chaos smoke).
 //
@@ -35,7 +35,6 @@ func Merge(w io.Writer, cfg sweep.Config, paths []string) (int, error) {
 		return 0, err
 	}
 	ranges := gen.SplitCells(len(plan), len(paths))
-	builder := sweep.BuilderTag(cfg)
 	total := 0
 	for i, path := range paths {
 		r := ranges[i]
@@ -60,15 +59,6 @@ func Merge(w io.Writer, cfg sweep.Config, paths []string) (int, error) {
 					Offset: row.Offset,
 					Want:   strconv.FormatInt(row.Seed, 10),
 					Got:    strconv.FormatInt(plan[next].Seed, 10),
-				}
-			}
-			if row.Builder != builder {
-				return &sweep.MismatchError{
-					Field:  "builder",
-					Cell:   row.ID,
-					Offset: row.Offset,
-					Want:   fmt.Sprintf("%q", row.Builder),
-					Got:    fmt.Sprintf("%q", builder),
 				}
 			}
 			if _, err := w.Write(row.Line); err != nil {

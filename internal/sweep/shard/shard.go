@@ -18,10 +18,10 @@
 //
 // Merge stitches the shard files back together. The ranges are contiguous
 // in canonical order, so the merge is a verified concatenation: every row
-// must carry the exact cell ID, seed, and builder tag the canonical plan
-// assigns to its position, and the result is byte-identical to an
-// uninterrupted single-process sweep — the property the chaos tests and
-// the CI smoke pin under seeded worker kills and hangs.
+// must carry the exact cell ID and seed the canonical plan assigns to its
+// position, and the result is byte-identical to an uninterrupted
+// single-process sweep — the property the chaos tests and the CI smoke
+// pin under seeded worker kills and hangs.
 //
 // FaultInjector is the deterministic chaos harness: a pure function of
 // (seed, shard, attempt, cell) decides, per row about to be emitted,

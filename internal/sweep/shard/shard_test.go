@@ -177,8 +177,8 @@ func TestMergeByteIdentical(t *testing.T) {
 }
 
 // TestMergeRefusals: every way shard files can be wrong is a loud error —
-// incomplete shards, swapped files, a different seed universe, a different
-// builder mode — never a silently wrong artefact.
+// incomplete shards, swapped files, a different seed universe, a row of the
+// retired sharded builder — never a silently wrong artefact.
 func TestMergeRefusals(t *testing.T) {
 	cfg := shardConfig()
 	dir := t.TempDir()
@@ -217,14 +217,33 @@ func TestMergeRefusals(t *testing.T) {
 		}
 	})
 	t.Run("builder mismatch", func(t *testing.T) {
-		other := cfg
-		other.BuildWorkers = 2
+		bad := append([]string(nil), paths...)
+		bad[2] = filepath.Join(t.TempDir(), "tagged.jsonl")
+		if err := os.WriteFile(bad[2], tagBuilderRow(t, paths[2], 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		var mm *sweep.MismatchError
-		_, err := Merge(&bytes.Buffer{}, other, paths)
+		_, err := Merge(&bytes.Buffer{}, cfg, bad)
 		if !errors.As(err, &mm) || mm.Field != "builder" {
-			t.Fatalf("builder-mode mismatch not refused: %v", err)
+			t.Fatalf("retired-builder row not refused: %v", err)
 		}
 	})
+}
+
+// tagBuilderRow returns the file at path with its i-th row tagged
+// "builder":"sharded", as the retired sharded instance builder wrote it.
+func tagBuilderRow(t *testing.T, path string, i int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if i >= len(lines) || !bytes.HasSuffix(lines[i], []byte("}\n")) {
+		t.Fatalf("%s has no complete row %d", path, i)
+	}
+	lines[i] = append(bytes.TrimSuffix(lines[i], []byte("}\n")), `,"builder":"sharded"}`+"\n"...)
+	return bytes.Join(lines, nil)
 }
 
 // TestWorkerResumesTornTail: a worker restarted over a shard file with a
@@ -267,8 +286,8 @@ func TestWorkerResumesTornTail(t *testing.T) {
 }
 
 // TestWorkerRefusesForeignShardFile: restarting a worker over a shard file
-// from a different builder mode is a permanent failure (MismatchError),
-// not a retry.
+// holding a row of the retired sharded builder is a permanent failure
+// (MismatchError), not a retry, and leaves the file as it found it.
 func TestWorkerRefusesForeignShardFile(t *testing.T) {
 	cfg := shardConfig()
 	cfg.Shard = &sweep.ShardSpec{Index: 0, Count: 2}
@@ -277,14 +296,19 @@ func TestWorkerRefusesForeignShardFile(t *testing.T) {
 	if _, err := RunWorker(context.Background(), cfg, path, WorkerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	foreign := cfg
-	foreign.BuildWorkers = 2
+	foreign := tagBuilderRow(t, path, 1)
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var mm *sweep.MismatchError
-	_, err := RunWorker(context.Background(), foreign, path, WorkerOptions{Attempt: 1})
+	_, err := RunWorker(context.Background(), cfg, path, WorkerOptions{Attempt: 1})
 	if !errors.As(err, &mm) || mm.Field != "builder" {
 		t.Fatalf("foreign shard file not refused as permanent: %v", err)
 	}
 	if !IsPermanent(err) {
 		t.Error("MismatchError not classified permanent")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, foreign) {
+		t.Errorf("refused worker modified the shard file (err %v)", err)
 	}
 }

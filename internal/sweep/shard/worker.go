@@ -32,8 +32,8 @@ type WorkerOptions struct {
 // attempt of every shard runs this same function, which is why a restart
 // costs exactly the torn row the previous attempt died writing.
 //
-// A configuration mismatch against the existing rows (seed or builder)
-// surfaces as a *sweep.MismatchError — the permanent-failure class a
+// A configuration mismatch against the existing rows (a different seed,
+// or rows of the retired sharded builder) surfaces as a *sweep.MismatchError — the permanent-failure class a
 // supervisor must not retry.
 func RunWorker(ctx context.Context, cfg sweep.Config, path string, opt WorkerOptions) (sweep.StreamStats, error) {
 	if cfg.Shard == nil {
@@ -45,10 +45,6 @@ func RunWorker(ctx context.Context, cfg sweep.Config, path string, opt WorkerOpt
 	}
 	state, err := sweep.ReadCompleted(f)
 	if err != nil {
-		f.Close()
-		return sweep.StreamStats{}, err
-	}
-	if err := state.CheckBuilder(cfg); err != nil {
 		f.Close()
 		return sweep.StreamStats{}, err
 	}

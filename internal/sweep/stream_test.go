@@ -63,38 +63,6 @@ func TestStreamWindowBoundsBuffering(t *testing.T) {
 	}
 }
 
-// TestStreamBuildWorkersDeterministic: sharded instance construction gives
-// byte-identical sweep output for any worker count — only BuildWorkers 0
-// vs ≥ 1 may differ (different stream derivations), never 1 vs 16.
-func TestStreamBuildWorkersDeterministic(t *testing.T) {
-	cfg := Config{
-		Grids:       []string{"matching-union:n=256..512,k=4", "regular:n=256,k=3"},
-		Algos:       []string{"greedy", "proposal"},
-		Reps:        2,
-		Seed:        11,
-		CheckBounds: true,
-	}
-	cfg.BuildWorkers = 1
-	base := runJSONL(t, cfg)
-	if !strings.Contains(string(base), `"builder":"sharded"`) {
-		t.Fatal("sharded rows missing the builder tag")
-	}
-	for _, workers := range []int{2, 8} {
-		cfg.BuildWorkers = workers
-		if got := runJSONL(t, cfg); !bytes.Equal(got, base) {
-			t.Fatalf("BuildWorkers=%d changed the sweep output", workers)
-		}
-	}
-	// The sequential builder names different matching-union instances —
-	// and its rows carry no builder tag, so the two modes cannot be
-	// confused in one file.
-	cfg.BuildWorkers = 0
-	seq := runJSONL(t, cfg)
-	if strings.Contains(string(seq), `"builder"`) {
-		t.Error("sequential rows must not carry a builder tag")
-	}
-}
-
 // TestStreamFailFastKeepsPrefix: a mid-sweep cell failure aborts the run
 // with the error, after emitting every row before the failing cell — the
 // partial output is a clean resumable prefix.
@@ -292,7 +260,7 @@ func TestStreamSinksCompose(t *testing.T) {
 
 // TestStreamMillionNodeCell is the scale acceptance test: a
 // regular:n=1048576 cell — a million-node, 4-regular, two-million-edge
-// instance — builds through the parallel builder, runs greedy, and streams
+// instance — builds, runs greedy, and streams
 // its row with the driver buffering bounded by the reorder window even
 // with dozens of other cells in the same sweep. Driver-side memory is
 // PeakBuffered × row size — independent of both the cell count and the
@@ -306,7 +274,6 @@ func TestStreamMillionNodeCell(t *testing.T) {
 		Reps:          1,
 		Seed:          1,
 		CheckBounds:   true,
-		BuildWorkers:  4,
 		CellWorkers:   2,
 		ReorderWindow: 2,
 	}

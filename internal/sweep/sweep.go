@@ -38,15 +38,6 @@ type Config struct {
 	// CheckBounds holds every execution's traffic against its algorithm's
 	// dist.Contract and records violations in the results.
 	CheckBounds bool
-	// BuildWorkers ≥ 1 builds instances through gen.BuildParallel: the
-	// sharded families (matching-union, regular) generate their colour
-	// classes concurrently on per-class gen.ClassSeeds streams and run the
-	// CSR fill in parallel over node ranges. The instance a cell names is
-	// independent of the worker count (1 and 16 are byte-identical, pinned
-	// by test) but differs from the sequential builder's single-stream
-	// instances, so sweeps must not mix BuildWorkers 0 and ≥ 1 in one
-	// output file. 0 keeps the sequential builder.
-	BuildWorkers int
 	// ReorderWindow bounds how many completed cells Stream may buffer
 	// ahead of the emission frontier (0 = DefaultReorderWindow). It is the
 	// streaming driver's entire per-cell memory ceiling.
@@ -123,16 +114,6 @@ func (s ShardSpec) validate() error {
 	return nil
 }
 
-// BuilderTag returns the builder tag cfg's rows will carry: "sharded" for
-// the parallel instance builder, "" for the sequential one. It is the
-// value resume and merge verification hold recovered rows against.
-func BuilderTag(cfg Config) string {
-	if cfg.BuildWorkers >= 1 {
-		return "sharded"
-	}
-	return ""
-}
-
 // CellInfo names one cell of the canonical order: its ID and the instance
 // seed this Config derives for it.
 type CellInfo struct {
@@ -171,11 +152,6 @@ type Result struct {
 	// Skip is the reason the cell did not run (e.g. an algorithm needing
 	// labels on an unlabelled family); all other fields are zero.
 	Skip string `json:"skip,omitempty"`
-	// Builder is "sharded" when the instance came from the parallel
-	// builder (Config.BuildWorkers ≥ 1), empty for the sequential builder.
-	// The two name different instances for the same seed on the sharded
-	// families, so resume refuses to append across a mismatch.
-	Builder string `json:"builder,omitempty"`
 
 	N         int `json:"n"`
 	Edges     int `json:"edges"`
@@ -328,10 +304,6 @@ func runCell(cfg Config, c cell) (Result, error) {
 		Seed:     cellSeed(cfg, c),
 	}
 	spec := InstanceSpec{Scenario: c.scenario, Params: c.params, Seed: res.Seed}
-	if cfg.BuildWorkers >= 1 {
-		res.Builder = "sharded"
-		spec.BuildWorkers = cfg.BuildWorkers
-	}
 	var sp obs.Span
 	if cfg.Tracer != nil {
 		sp = cfg.Tracer.Start("resolve", "cell", res.ID())
