@@ -335,6 +335,21 @@ func BenchmarkGenMatchingUnion(b *testing.B) {
 	})
 }
 
+// BenchmarkGenRegular is the same measurement on mmbench's build-heavy
+// instance, regular:n=131072,k=3: colour classes arrive in order, so Build
+// scatters the edges without sorting them.
+func BenchmarkGenRegular(b *testing.B) {
+	const n, k = 131072, 3
+	b.Run("csr-builder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.RandomRegular(n, k, rand.New(rand.NewSource(1))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkGenBoundedDegree is the same measurement for the §1.3 k ≫ Δ
 // instances (the reduced-pipeline benchmark setup).
 func BenchmarkGenBoundedDegree(b *testing.B) {

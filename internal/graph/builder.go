@@ -1,130 +1,51 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/group"
 )
-
-// fromCSR wraps a flat CSR adjacency in a Graph: offsets has n+1 entries
-// and halves[offsets[v]:offsets[v+1]] lists node v's incident halves in
-// any order. fromCSR takes ownership of both slices, sorts each node's
-// range by colour in place, and validates the proper-colouring and
-// symmetry invariants in O(m log Δ). It does not check simplicity (no
-// parallel edges): CSRBuilder enforces that at insertion time, and
-// Validate checks it on demand.
-func fromCSR(k int, offsets []int, halves []Half) (*Graph, error) {
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("graph: CSR needs at least one offset")
-	}
-	n := len(offsets) - 1
-	if offsets[0] != 0 || offsets[n] != len(halves) {
-		return nil, fmt.Errorf("graph: CSR offsets [%d…%d] do not span %d halves",
-			offsets[0], offsets[n], len(halves))
-	}
-	for v := 0; v < n; v++ {
-		if offsets[v+1] < offsets[v] {
-			return nil, fmt.Errorf("graph: CSR offsets not monotone at node %d", v)
-		}
-	}
-	colors := make([]group.Color, len(halves))
-	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		sortHalvesByColor(halves[lo:hi])
-		var prev group.Color
-		for i := lo; i < hi; i++ {
-			h := halves[i]
-			if !h.Color.Valid(k) {
-				return nil, fmt.Errorf("graph: node %d has colour %v outside 1…%d", v, h.Color, k)
-			}
-			if i > lo && h.Color == prev {
-				return nil, fmt.Errorf("graph: colour %v used twice at node %d", h.Color, v)
-			}
-			if h.Peer == v {
-				return nil, fmt.Errorf("graph: self-loop at %d", v)
-			}
-			if h.Peer < 0 || h.Peer >= n {
-				return nil, fmt.Errorf("graph: node %d has peer %d out of range [0, %d)", v, h.Peer, n)
-			}
-			prev = h.Color
-			colors[i] = h.Color
-		}
-	}
-	mates := make([]int, len(halves))
-	for v := 0; v < n; v++ {
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			h := halves[i]
-			pc := colors[offsets[h.Peer]:offsets[h.Peer+1]]
-			j := sort.Search(len(pc), func(x int) bool { return pc[x] >= h.Color })
-			if j == len(pc) || pc[j] != h.Color || halves[offsets[h.Peer]+j].Peer != v {
-				return nil, fmt.Errorf("graph: edge {%d, %d} colour %v not symmetric", v, h.Peer, h.Color)
-			}
-			mates[i] = offsets[h.Peer] + j
-		}
-	}
-	return &Graph{
-		n: n, k: k,
-		flat: flatAdj{offsets: offsets, halves: halves, colors: colors, mates: mates},
-	}, nil
-}
-
-// sortHalvesByColor sorts a node's halves by colour. Ranges are bounded by
-// the degree, and a proper colouring makes the keys distinct, so a plain
-// insertion sort beats sort.Slice (which allocates a closure and a reflect
-// swapper per call — one per node adds up on million-node builds); large
-// ranges fall back to the standard library.
-func sortHalvesByColor(hs []Half) {
-	if len(hs) > 64 {
-		sort.Slice(hs, func(a, b int) bool { return hs[a].Color < hs[b].Color })
-		return
-	}
-	for i := 1; i < len(hs); i++ {
-		h := hs[i]
-		j := i - 1
-		for j >= 0 && hs[j].Color > h.Color {
-			hs[j+1] = hs[j]
-			j--
-		}
-		hs[j+1] = h
-	}
-}
-
-// builderEdge is one accepted edge inside a CSRBuilder.
-type builderEdge struct {
-	u, v int32
-	c    group.Color
-}
 
 // colorBitsLimit caps the colour-occupation bitset at 16 MB; bigger
 // (n, k) shapes fall back to a shared hash set. Every benchmark-scale
 // family fits the bitset comfortably.
 const colorBitsLimit = 1 << 27
 
+// builderNode is one node's state inside a CSRBuilder: its degree so far
+// and the index in peers/next of its most recently added half (-1 when
+// none).
+type builderNode struct{ deg, head int32 }
+
 // CSRBuilder assembles a properly edge-coloured graph in CSR form; it is
-// the only way to build a Graph. Edges are accumulated into a flat edge
-// list, and Build performs the classic two-pass degree-count/fill into the
-// final halves slab. The incremental constraint checks run on flat
-// structures too: degrees in an array, colour occupation in a bitset (a
-// hash set beyond 16 MB of bits), and adjacency in an intrusive linked
-// list threaded through the accepted halves, walked from the lower-degree
-// endpoint — degrees are bounded by Δ or k in every family, so HasEdge is
-// effectively O(1) with array locality. Constructing an n-node instance
-// costs O(1) allocations amortised (TestGeneratorAllocsBounded).
+// the only way to build a Graph. AddEdge and TryAddEdge check every
+// invariant as the edge arrives, on flat structures: degrees in an array,
+// colour occupation in a bitset (a hash set beyond 16 MB of bits), and
+// adjacency in an intrusive linked list threaded through the accepted
+// halves, walked from the lower-degree endpoint — degrees are bounded by
+// Δ or k in every family, so HasEdge is effectively O(1) with array
+// locality. The builder keeps one {deg, head} record per node and, per
+// edge, its colour and its two halves; Build lays these out in one pass
+// and checks nothing again. Constructing an n-node instance costs O(1)
+// allocations amortised (TestGeneratorAllocsBounded).
 //
 // The builder is the engine behind every constructor in this package and
 // the scenario families in internal/gen. A builder is not safe for
 // concurrent use; Reset recycles all internal storage for the next build.
 type CSRBuilder struct {
 	n, k  int
-	degs  []int32
-	edges []builderEdge
-	// head[v] is the index in peers/next of v's most recently added half
-	// (-1 when none): an intrusive adjacency list with two entries per
-	// edge, giving HasEdge a short flat walk instead of a hash lookup.
-	head  []int32
+	nodes []builderNode
+	// Edge e {u, v} owns halves 2e (u's, so peers[2e] = v) and 2e+1 (v's,
+	// so peers[2e+1] = u); next[i] is the previous half at the same node,
+	// giving HasEdge a short flat walk instead of a hash lookup.
 	peers []int32
 	next  []int32
+	// colors[e] is edge e's colour; ascending records that the edges
+	// arrived in non-decreasing colour order, as every family adds them
+	// class by class, so Build can scatter them without sorting.
+	colors    []group.Color
+	ascending bool
 	// colorBits[(v*(k+1)+c)/64] bit (v*(k+1)+c)%64 marks colour c in use
 	// at node v; colorUsed is the fallback for shapes where the bitset
 	// would exceed colorBitsLimit.
@@ -144,20 +65,18 @@ func NewCSRBuilder(n, k int) *CSRBuilder {
 // the internal storage of previous builds.
 func (b *CSRBuilder) Reset(n, k int) {
 	b.n, b.k = n, k
-	if cap(b.degs) < n {
-		b.degs = make([]int32, n)
-		b.head = make([]int32, n)
+	if cap(b.nodes) < n {
+		b.nodes = make([]builderNode, n)
 	} else {
-		b.degs = b.degs[:n]
-		clear(b.degs)
-		b.head = b.head[:n]
+		b.nodes = b.nodes[:n]
 	}
-	for i := range b.head {
-		b.head[i] = -1
+	for i := range b.nodes {
+		b.nodes[i] = builderNode{deg: 0, head: -1}
 	}
-	b.edges = b.edges[:0]
 	b.peers = b.peers[:0]
 	b.next = b.next[:0]
+	b.colors = b.colors[:0]
+	b.ascending = true
 	if bits := n * (k + 1); bits <= colorBitsLimit {
 		words := (bits + 63) / 64
 		if cap(b.colorBits) < words {
@@ -180,19 +99,9 @@ func (b *CSRBuilder) Reset(n, k int) {
 // Grow pre-reserves capacity for m edges, saving the doubling reallocations
 // when the caller can estimate the final edge count.
 func (b *CSRBuilder) Grow(m int) {
-	if cap(b.edges)-len(b.edges) < m {
-		edges := make([]builderEdge, len(b.edges), len(b.edges)+m)
-		copy(edges, b.edges)
-		b.edges = edges
-	}
-	if cap(b.peers)-len(b.peers) < 2*m {
-		peers := make([]int32, len(b.peers), len(b.peers)+2*m)
-		copy(peers, b.peers)
-		b.peers = peers
-		next := make([]int32, len(b.next), len(b.next)+2*m)
-		copy(next, b.next)
-		b.next = next
-	}
+	b.colors = slices.Grow(b.colors, m)
+	b.peers = slices.Grow(b.peers, 2*m)
+	b.next = slices.Grow(b.next, 2*m)
 }
 
 // N returns the node count the builder was configured with.
@@ -202,18 +111,18 @@ func (b *CSRBuilder) N() int { return b.n }
 func (b *CSRBuilder) K() int { return b.k }
 
 // NumEdges returns the number of edges accepted so far.
-func (b *CSRBuilder) NumEdges() int { return len(b.edges) }
+func (b *CSRBuilder) NumEdges() int { return len(b.colors) }
 
 // Degree returns the current degree of node v.
-func (b *CSRBuilder) Degree(v int) int { return int(b.degs[v]) }
+func (b *CSRBuilder) Degree(v int) int { return int(b.nodes[v].deg) }
 
 // HasEdge reports whether the pair {u, v} is already joined (in any
 // colour). It walks the adjacency list of the lower-degree endpoint.
 func (b *CSRBuilder) HasEdge(u, v int) bool {
-	if b.degs[v] < b.degs[u] {
+	if b.nodes[v].deg < b.nodes[u].deg {
 		u, v = v, u
 	}
-	for i := b.head[u]; i >= 0; i = b.next[i] {
+	for i := b.nodes[u].head; i >= 0; i = b.next[i] {
 		if b.peers[i] == int32(v) {
 			return true
 		}
@@ -245,21 +154,21 @@ func (b *CSRBuilder) markColor(v int, c group.Color) {
 func (b *CSRBuilder) link(u, v int, c group.Color) {
 	i := int32(len(b.peers))
 	b.peers = append(b.peers, int32(v), int32(u))
-	b.next = append(b.next, b.head[u], b.head[v])
-	b.head[u] = i
-	b.head[v] = i + 1
+	b.next = append(b.next, b.nodes[u].head, b.nodes[v].head)
+	b.nodes[u] = builderNode{deg: b.nodes[u].deg + 1, head: i}
+	b.nodes[v] = builderNode{deg: b.nodes[v].deg + 1, head: i + 1}
 	b.markColor(u, c)
 	b.markColor(v, c)
-	b.degs[u]++
-	b.degs[v]++
-	b.edges = append(b.edges, builderEdge{u: int32(u), v: int32(v), c: c})
+	if m := len(b.colors); m > 0 && c < b.colors[m-1] {
+		b.ascending = false
+	}
+	b.colors = append(b.colors, c)
 }
 
-// AddEdge inserts the edge {u, v} with colour c. It enforces simplicity and
-// the proper-colouring constraint: the endpoints must be distinct nodes in
-// range, the colour must lie in 1…k and be unused at both endpoints, and
-// the edge must not already exist.
-func (b *CSRBuilder) AddEdge(u, v int, c group.Color) error {
+// checkSlot checks every AddEdge constraint but simplicity: the endpoints
+// are distinct nodes in range, and the colour lies in 1…k and is unused
+// at both of them.
+func (b *CSRBuilder) checkSlot(u, v int, c group.Color) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
 	}
@@ -274,6 +183,17 @@ func (b *CSRBuilder) AddEdge(u, v int, c group.Color) error {
 	}
 	if !b.ColorFree(v, c) {
 		return fmt.Errorf("graph: colour %v already used at node %d", c, v)
+	}
+	return nil
+}
+
+// AddEdge inserts the edge {u, v} with colour c. It enforces simplicity and
+// the proper-colouring constraint: the endpoints must be distinct nodes in
+// range, the colour must lie in 1…k and be unused at both endpoints, and
+// the edge must not already exist.
+func (b *CSRBuilder) AddEdge(u, v int, c group.Color) error {
+	if err := b.checkSlot(u, v, c); err != nil {
+		return err
 	}
 	if b.HasEdge(u, v) {
 		return fmt.Errorf("graph: edge {%d, %d} already present", u, v)
@@ -294,26 +214,77 @@ func (b *CSRBuilder) TryAddEdge(u, v int, c group.Color) bool {
 	return true
 }
 
-// Build assembles the accumulated edges into a graph: degree counts become
-// offsets by prefix sum, a single fill pass scatters both halves of every
-// edge, and fromCSR sorts, validates and wraps the slab. The builder
-// remains usable afterwards (Reset to start a new graph); the returned
-// graph owns the freshly built arrays.
+// Build lays the accepted edges out as a graph in one pass. Degrees become
+// offsets by prefix sum, which also records Δ. The edges are then visited
+// in colour order (insertion order when they arrived that way, else an
+// index sorted by colour), each writing both of its halves, their colours
+// and their mate indices straight into place. Colours are distinct at
+// every node, so each node's range comes out sorted by colour. Every
+// invariant was checked as the edges arrived, so Build checks none again
+// and its error is always nil. The builder remains usable afterwards
+// (Reset to start a new graph); the graph owns the freshly built arrays.
 func (b *CSRBuilder) Build() (*Graph, error) {
+	m := len(b.colors)
+	// offsets[v+1] starts at v's first slot and is advanced past every
+	// half placed there, so the scatter leaves it at v's end: the final
+	// offsets, with no cursor array.
 	offsets := make([]int, b.n+1)
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] = offsets[v] + int(b.degs[v])
+	start, maxDeg := 0, 0
+	for v, nd := range b.nodes {
+		offsets[v+1] = start
+		start += int(nd.deg)
+		maxDeg = max(maxDeg, int(nd.deg))
 	}
-	halves := make([]Half, offsets[b.n])
-	// cursor[v] is the next free slot in v's range; reusing the degree
-	// array would destroy the builder's reusability, so keep a local copy.
-	cursor := make([]int, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range b.edges {
-		halves[cursor[e.u]] = Half{Peer: int(e.v), Color: e.c}
-		cursor[e.u]++
-		halves[cursor[e.v]] = Half{Peer: int(e.u), Color: e.c}
-		cursor[e.v]++
+	halves := make([]Half, 2*m)
+	colors := make([]group.Color, 2*m)
+	mates := make([]int, 2*m)
+	var order []int32 // nil: insertion order is colour order
+	if !b.ascending {
+		order = b.colorOrder()
 	}
-	return fromCSR(b.k, offsets, halves)
+	for x := 0; x < m; x++ {
+		e := x
+		if order != nil {
+			e = int(order[x])
+		}
+		u, v, c := int(b.peers[2*e+1]), int(b.peers[2*e]), b.colors[e]
+		i, j := offsets[u+1], offsets[v+1]
+		offsets[u+1], offsets[v+1] = i+1, j+1
+		halves[i], halves[j] = Half{Peer: v, Color: c}, Half{Peer: u, Color: c}
+		colors[i], colors[j] = c, c
+		mates[i], mates[j] = j, i
+	}
+	return &Graph{
+		n: b.n, k: b.k, maxDeg: maxDeg,
+		flat: flatAdj{offsets: offsets, halves: halves, colors: colors, mates: mates},
+	}, nil
+}
+
+// colorOrder returns the edge indices sorted by colour. A counting sort
+// takes O(m + k) time and a (k+1)-entry count array; when the palette
+// dwarfs the edge count (a stored graph may have k = MaxInt32) a
+// comparison sort of the m indices replaces it, so Build never allocates
+// O(k).
+func (b *CSRBuilder) colorOrder() []int32 {
+	order := make([]int32, len(b.colors))
+	if b.k > 16*len(b.colors) {
+		for e := range order {
+			order[e] = int32(e)
+		}
+		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(b.colors[x], b.colors[y]) })
+		return order
+	}
+	pos := make([]int32, b.k+1)
+	for _, c := range b.colors {
+		pos[c]++
+	}
+	var sum int32
+	for c, count := range pos {
+		pos[c], sum = sum, sum+count
+	}
+	for e, c := range b.colors {
+		order[pos[c]] = int32(e)
+		pos[c]++
+	}
+	return order
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/group"
@@ -105,21 +106,101 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
-// TestFromCSRRejectsBrokenInput feeds fromCSR malformed adjacencies and
-// expects errors rather than silently broken graphs.
-func TestFromCSRRejectsBrokenInput(t *testing.T) {
-	// Asymmetric: node 0 claims a colour-1 edge to 1, node 1 is silent.
-	if _, err := fromCSR(2, []int{0, 1, 1}, []Half{{Peer: 1, Color: 1}}); err == nil {
-		t.Error("asymmetric adjacency accepted")
+// TestValidateRejectsBrokenCSR hands Validate in-package Graph literals
+// and corruptions of a well-formed graph's arrays, and expects each to be
+// refused: Build re-checks nothing, so Validate is the only oracle.
+func TestValidateRejectsBrokenCSR(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		// Node 0 claims a colour-1 edge to 1; node 1 is silent.
+		"asymmetric": {n: 2, k: 2, maxDeg: 1, flat: flatAdj{
+			offsets: []int{0, 1, 1}, halves: []Half{{Peer: 1, Color: 1}},
+			colors: []group.Color{1}, mates: []int{0}}},
+		// Colour 1 twice at node 0.
+		"improper": {n: 3, k: 2, maxDeg: 2, flat: flatAdj{
+			offsets: []int{0, 2, 3, 4},
+			halves:  []Half{{Peer: 1, Color: 1}, {Peer: 2, Color: 1}, {Peer: 0, Color: 1}, {Peer: 0, Color: 1}},
+			colors:  []group.Color{1, 1, 1, 1}, mates: []int{2, 3, 0, 1}}},
+		// Two edges, colours 1 and 2, both joining 0 and 1.
+		"parallel": {n: 2, k: 2, maxDeg: 2, flat: flatAdj{
+			offsets: []int{0, 2, 4},
+			halves:  []Half{{Peer: 1, Color: 1}, {Peer: 1, Color: 2}, {Peer: 0, Color: 1}, {Peer: 0, Color: 2}},
+			colors:  []group.Color{1, 2, 1, 2}, mates: []int{2, 3, 0, 1}}},
+		// Offsets that do not span the halves.
+		"short offsets": {n: 1, k: 2, maxDeg: 1, flat: flatAdj{
+			offsets: []int{0, 1}, halves: []Half{{Peer: 1, Color: 1}, {Peer: 0, Color: 1}},
+			colors: []group.Color{1, 1}, mates: []int{1, 0}}},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	// Improper: colour 1 twice at node 0.
-	if _, err := fromCSR(2, []int{0, 2, 3, 4},
-		[]Half{{Peer: 1, Color: 1}, {Peer: 2, Color: 1}, {Peer: 0, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
-		t.Error("improper colouring accepted")
+
+	// The path 0 −1− 1 −2− 2 −1− 3: halves 0 | 1 2 | 3 4 | 5, colours
+	// 1 | 1 2 | 1 2 | 1, mates [1 0 4 5 2 3].
+	for name, corrupt := range map[string]func(g *Graph){
+		"descending colours": func(g *Graph) {
+			g.flat.halves[1], g.flat.halves[2] = g.flat.halves[2], g.flat.halves[1]
+			g.flat.colors[1], g.flat.colors[2] = g.flat.colors[2], g.flat.colors[1]
+			g.flat.mates[1], g.flat.mates[2] = g.flat.mates[2], g.flat.mates[1]
+			g.flat.mates[0], g.flat.mates[4] = 2, 1
+		},
+		"self-loop":            func(g *Graph) { g.flat.halves[0].Peer = 0 },
+		"colors out of step":   func(g *Graph) { g.flat.colors[4] = 1 },
+		"mate at own node":     func(g *Graph) { g.flat.mates[1] = 2 },
+		"mate out of range":    func(g *Graph) { g.flat.mates[0] = 6 },
+		"mate is itself":       func(g *Graph) { g.flat.mates[5] = 5 },
+		"mates not involution": func(g *Graph) { g.flat.mates[5] = 4 },
+		"mate of another colour": func(g *Graph) {
+			g.flat.halves[5].Color, g.flat.colors[5] = 2, 2
+		},
+		"mate names another owner": func(g *Graph) { g.flat.halves[3].Peer = 0 },
+		"stale max degree":         func(g *Graph) { g.maxDeg = 3 },
+	} {
+		g, err := PathGraph(2, []group.Color{1, 2, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: well-formed path refused: %v", name, err)
+		}
+		corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	// Offsets that do not span the halves.
-	if _, err := fromCSR(2, []int{0, 1}, []Half{{Peer: 1, Color: 1}, {Peer: 0, Color: 1}}); err == nil {
-		t.Error("short offsets accepted")
+}
+
+// TestBuildLargePaletteAllocs builds a k = 2^30 graph whose edges arrive
+// in descending colour order, so Build must sort them, and pins that
+// nothing on the way allocates O(k): the colour set falls back to a hash
+// set and the sort to a comparison sort of the edge indices.
+func TestBuildLargePaletteAllocs(t *testing.T) {
+	const k = 1 << 30
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewCSRBuilder(3, k)
+	for _, e := range []Edge{{0, 1, k}, {1, 2, k - 1}, {0, 2, 7}} {
+		if err := b.AddEdge(e.U, e.V, e.Color); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("building 3 edges at k=2^30 allocated %d bytes", d)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wantHalves := []Half{{2, 7}, {1, k}, {2, k - 1}, {0, k}, {0, 7}, {1, k - 1}}
+	if !reflect.DeepEqual(g.flat.offsets, []int{0, 2, 4, 6}) ||
+		!reflect.DeepEqual(g.flat.halves, wantHalves) ||
+		!reflect.DeepEqual(g.flat.mates, []int{4, 3, 5, 1, 0, 2}) ||
+		g.MaxDegree() != 2 {
+		t.Errorf("offsets %v halves %v mates %v Δ %d", g.flat.offsets, g.flat.halves, g.flat.mates, g.MaxDegree())
 	}
 }
 

@@ -18,10 +18,12 @@
 // them index arithmetic on shared slices with zero allocation.
 //
 // CSRBuilder is the only way to obtain a Graph: it checks simplicity and
-// the proper colouring edge by edge, and Build lays out the arrays and
-// re-checks symmetry and the colouring. Each node's halves are sorted by colour and
-// a proper colouring makes those colours distinct, so the arrays depend
-// only on the edge set, never on the order edges were added.
+// the proper colouring edge by edge, and Build checks nothing again. Build
+// visits the edges in colour order (as they arrived, or sorted) and writes
+// both halves of each edge, their colours and mates straight into place.
+// Colours at a node are distinct, so each node's range comes out sorted
+// by colour and the arrays depend only on the edge set, never on the
+// order edges were added.
 //
 // Nothing mutates a Graph after Build, so every read is safe for
 // concurrent use with no set-up call, and every returned slice stays valid
@@ -39,7 +41,7 @@
 // CSR arrays pinned by a digest golden in the tests. Richer parameterised
 // families live in internal/gen.
 //
-// Validate checks the proper-colouring invariants; CheckMatching checks a
+// Validate checks the CSR invariants; CheckMatching checks a
 // run's outputs against the matching conditions (M1–M3); SequentialGreedy
 // is the centralized greedy oracle the distributed machines are pinned
 // against. The View function bridges to the view world: the radius-h

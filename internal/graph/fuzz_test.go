@@ -9,13 +9,19 @@ import (
 )
 
 // FuzzCSRBuilder decodes arbitrary bytes into a builder shape and a stream
-// of edge triples: byte 0 gives n ∈ [0, 64], byte 1 gives k ∈ [1, 16], and
+// of edge triples: byte 0 gives n ∈ [0, 64]; byte 1 gives k ∈ [1, 16],
+// or k = 2^30 when its high bit is set, so the palette dwarfs the edge
+// count and both the colour hash set and Build's comparison sort run; and
 // each following 3-byte group is one (u, v, c) with u, v ∈ [−1, n] and
-// c ∈ [0, k+1], so out-of-range endpoints and colours occur alongside
-// valid ones. The triples go to AddEdge on one builder and TryAddEdge on
-// another. Neither may panic, both must accept exactly the same edges,
-// Build must not fail, and the graph must pass Validate and report exactly
-// the accepted edges and degrees. The seed corpus lives in
+// c ∈ [0, k+1] (c ∈ [0, 255] at k = 2^30), so out-of-range endpoints and
+// colours occur alongside valid ones. The triples go to AddEdge on one
+// builder and TryAddEdge on another. Neither may panic, both must accept
+// exactly the same edges, Build must not fail, and the graph must pass
+// Validate and report exactly the accepted edges and degrees. The
+// accepted edges are then replayed, endpoints swapped, on a third builder
+// twice: in colour order, which Build scatters as they arrive, and in a
+// permutation drawn from the input bytes, which Build sorts first. Both
+// must give the same CSR arrays. The seed corpus lives in
 // testdata/fuzz/FuzzCSRBuilder.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -23,6 +29,9 @@ func FuzzCSRBuilder(f *testing.F) {
 			return
 		}
 		n, k := int(data[0])%65, 1+int(data[1])%16
+		if data[1] >= 0x80 {
+			k = 1 << 30
+		}
 		strict, lenient := NewCSRBuilder(n, k), NewCSRBuilder(n, k)
 		var accepted []Edge
 		degs := make([]int, n)
@@ -70,5 +79,27 @@ func FuzzCSRBuilder(f *testing.F) {
 				t.Fatalf("Degree(%d) = %d, accepted %d incidences", v, g.Degree(v), d)
 			}
 		}
+
+		replay := NewCSRBuilder(n, k)
+		rebuild := func(name string, edges []Edge) {
+			replay.Reset(n, k)
+			for _, e := range edges {
+				if err := replay.AddEdge(e.V, e.U, e.Color); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			h, err := replay.Build()
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			sameCSR(t, name, h, g)
+		}
+		sort.SliceStable(accepted, func(a, b int) bool { return accepted[a].Color < accepted[b].Color })
+		rebuild("replay in colour order", accepted)
+		for i := len(accepted) - 1; i > 0; i-- {
+			j := int(data[i%len(data)]) % (i + 1)
+			accepted[i], accepted[j] = accepted[j], accepted[i]
+		}
+		rebuild("replay permuted", accepted)
 	})
 }

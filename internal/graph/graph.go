@@ -34,8 +34,9 @@ type Edge struct {
 // safe for concurrent use and every slice it returns stays valid for the
 // graph's lifetime.
 type Graph struct {
-	n, k int
-	flat flatAdj
+	n, k   int
+	maxDeg int // Δ, recorded by Build's offsets pass
+	flat   flatAdj
 	// edges caches the Edges() result. It is an atomic pointer so that
 	// concurrent first calls stay race-free: two racing fills build
 	// identical slices and either may win.
@@ -64,16 +65,8 @@ func (g *Graph) Degree(v int) int {
 	return g.flat.offsets[v+1] - g.flat.offsets[v]
 }
 
-// MaxDegree returns Δ(G).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
+// MaxDegree returns Δ(G) in O(1): Build records it.
+func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // Neighbor returns the node behind the edge of colour c at v, if any, by
 // binary search on v's sorted colours.
@@ -164,31 +157,55 @@ func (g *Graph) Edges() []Edge {
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.flat.halves) / 2 }
 
-// Validate re-checks the structural invariants (symmetry, simplicity and
-// proper colouring). CSRBuilder enforces them at insertion and Build
-// re-checks all but simplicity; Validate guards against direct
-// manipulation in tests.
+// Validate checks the CSR arrays against each other alone: the offsets
+// span the halves monotonically and give MaxDegree; each node's colours
+// lie in 1…k and ascend strictly (a proper colouring) and colors mirrors
+// them; every peer is another node, named once per node (simplicity); and
+// mates is an involution pairing each half with the half at its peer that
+// has the same colour and names its owner (symmetry). Build checks none
+// of this, so Validate is the oracle the tests hold it to.
 func (g *Graph) Validate() error {
+	f := &g.flat
+	if m := len(f.halves); len(f.offsets) != g.n+1 || f.offsets[0] != 0 || f.offsets[g.n] != m ||
+		len(f.colors) != m || len(f.mates) != m {
+		return fmt.Errorf("graph: %d offsets, %d colours and %d mates do not span %d halves over %d nodes",
+			len(f.offsets), len(f.colors), len(f.mates), m, g.n)
+	}
+	maxDeg := 0
+	for v := 0; v < g.n; v++ {
+		if f.offsets[v+1] < f.offsets[v] {
+			return fmt.Errorf("graph: offsets not monotone at node %d", v)
+		}
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	if maxDeg != g.maxDeg {
+		return fmt.Errorf("graph: MaxDegree %d, offsets give %d", g.maxDeg, maxDeg)
+	}
+	named := make([]int, g.n) // named[p] == u+1 once u's range has named p
 	for u := 0; u < g.n; u++ {
-		lo, hi := g.flat.offsets[u], g.flat.offsets[u+1]
-		seen := make(map[int]bool, hi-lo)
-		var prev group.Color
+		lo, hi := f.offsets[u], f.offsets[u+1]
 		for i := lo; i < hi; i++ {
-			h := g.flat.halves[i]
+			h := f.halves[i]
 			if !h.Color.Valid(g.k) {
 				return fmt.Errorf("graph: node %d has colour %v outside palette", u, h.Color)
 			}
-			if i > lo && h.Color == prev {
-				return fmt.Errorf("graph: colour %v used twice at node %d", h.Color, u)
+			if i > lo && h.Color <= f.halves[i-1].Color {
+				return fmt.Errorf("graph: colours at node %d not strictly ascending at %v", u, h.Color)
 			}
-			prev = h.Color
-			if peer, ok := g.Neighbor(h.Peer, h.Color); !ok || peer != u {
-				return fmt.Errorf("graph: edge {%d, %d} colour %v not symmetric", u, h.Peer, h.Color)
+			if f.colors[i] != h.Color {
+				return fmt.Errorf("graph: colors[%d] = %v, half has %v", i, f.colors[i], h.Color)
 			}
-			if seen[h.Peer] {
+			if h.Peer < 0 || h.Peer >= g.n || h.Peer == u {
+				return fmt.Errorf("graph: node %d has peer %d (nodes 0…%d, no self-loops)", u, h.Peer, g.n-1)
+			}
+			if named[h.Peer] == u+1 {
 				return fmt.Errorf("graph: parallel edges between %d and %d", u, h.Peer)
 			}
-			seen[h.Peer] = true
+			named[h.Peer] = u + 1
+			if j := f.mates[i]; j < f.offsets[h.Peer] || j >= f.offsets[h.Peer+1] || f.mates[j] != i ||
+				f.halves[j] != (Half{Peer: u, Color: h.Color}) {
+				return fmt.Errorf("graph: edge {%d, %d} colour %v: half %d and mate %d do not pair up", u, h.Peer, h.Color, i, j)
+			}
 		}
 	}
 	return nil
@@ -488,7 +505,10 @@ func randomMatchingUnionInto(b *CSRBuilder, n, k int, density float64, rng *rand
 // is repaired pair by pair instead (repairPairs). A shape with no simple
 // k-regular graph (k ≥ n), or earlier classes that leave a later one no
 // perfect matching (possible only at small n), still fails once the
-// repair's tries run out.
+// repair's tries run out. Each pair is checked against HasEdge once, by
+// the shuffle loop or the repair, and then linked with only the range and
+// colour checks; the classes arrive in colour order, so Build lays them
+// out without a sort.
 func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs even n, got %d", n)
@@ -514,10 +534,13 @@ func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 		if !placed && !repairPairs(b, perm, rng) {
 			return nil, fmt.Errorf("graph: could not place colour class %v without parallel edges", c)
 		}
+		// Every pair was just checked against HasEdge; link it without
+		// walking the adjacency lists a second time.
 		for i := 0; i+1 < n; i += 2 {
-			if err := b.AddEdge(perm[i], perm[i+1], c); err != nil {
+			if err := b.checkSlot(perm[i], perm[i+1], c); err != nil {
 				return nil, err
 			}
+			b.link(perm[i], perm[i+1], c)
 		}
 	}
 	return b.Build()

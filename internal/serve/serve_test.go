@@ -470,6 +470,12 @@ func TestGraphStorePutBoundsShape(t *testing.T) {
 	if _, created, err := st.Put(2, maxGraphColors, [][3]int{{0, 1, maxGraphColors}}); err != nil || !created {
 		t.Fatalf("Put at the k cap: created=%v err=%v", created, err)
 	}
+	// Edges out of colour order at the k cap make Build sort them, which
+	// must not cost O(k).
+	sg, created, err := st.Put(3, maxGraphColors, [][3]int{{1, 2, maxGraphColors}, {0, 1, 1}})
+	if err != nil || !created || sg.Edges != 2 || sg.MaxDegree != 2 {
+		t.Fatalf("out-of-order Put at the k cap: %+v created=%v err=%v", sg, created, err)
+	}
 }
 
 func TestGraphStoreCap(t *testing.T) {
