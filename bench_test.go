@@ -196,10 +196,7 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		g, err := bld.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := bld.Build()
 		pool := dist.NewGreedyMachinePool(n)
 		prefix := "n=" + strconv.Itoa(n) + "/"
 		b.Run(prefix+"sequential", func(b *testing.B) {

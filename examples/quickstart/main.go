@@ -33,10 +33,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
+	g := b.Build()
 
 	// Run the greedy machine: every node is an anonymous state machine that
 	// knows only its incident edge colours.

@@ -101,9 +101,9 @@ func (m *BipartiteMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 			continue
 		}
 		if i == special {
-			out[m.colors[i]] = specialMsg
+			out[i] = specialMsg
 		} else {
-			out[m.colors[i]] = msgFree
+			out[i] = msgFree
 		}
 	}
 }
@@ -117,7 +117,7 @@ func (m *BipartiteMachine) Receive(in []runtime.Message) {
 		if !ok {
 			continue
 		}
-		msg := in[m.colors[i]]
+		msg := in[i]
 		if msg == nil {
 			m.live[i] = false
 			m.nlive--

@@ -103,10 +103,10 @@ func (m *GreedyMachine) decideColor() (group.Color, bool) {
 }
 
 // Send implements runtime.Machine: a free node sends "free" only on the
-// edge whose class is decided this round — one slot at most.
+// edge whose class is decided this round — one port at most.
 func (m *GreedyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
-	if c, ok := m.decideColor(); ok {
-		out[c] = msgFree
+	if _, ok := m.decideColor(); ok {
+		out[m.pos] = msgFree
 	}
 }
 
@@ -117,7 +117,7 @@ func (m *GreedyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 func (m *GreedyMachine) Receive(in []runtime.Message) {
 	c, has := m.decideColor()
 	m.round++
-	if has && in[c] != nil {
+	if has && in[m.pos] != nil {
 		m.out = mm.Matched(c)
 		m.halted = true
 		return

@@ -129,10 +129,7 @@ func TestBipartiteMachine(t *testing.T) {
 			v := half + rng.Intn(half)
 			b.TryAddEdge(u, v, group.Color(1+rng.Intn(k)))
 		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := b.Build()
 		outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine, 4*g.MaxDegree()+16, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

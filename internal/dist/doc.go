@@ -42,10 +42,12 @@
 // engine's recorded traffic histograms against them, making the bounds
 // machine-checked rather than eyeballed.
 //
-// All machines implement runtime.Machine — colour-indexed send and receive
-// buffers, with ReducedGreedyMachine's colour lists packed into the round
-// arena — and all are deterministic: the engine produces identical outputs
-// and statistics at every worker count. Each machine also has a
-// pooling-aware Source constructor (New*MachinePool) whose fixed arena of
-// machines makes repeated runs allocation-free.
+// All machines implement runtime.Machine — send and receive buffers with
+// one port per incident edge in colour order, so each machine addresses an
+// edge by its position in NodeInfo.Colors, with ReducedGreedyMachine's
+// colour lists packed into the round arena — and all are deterministic:
+// the engine produces identical outputs and statistics at every worker
+// count. Each machine also has a pooling-aware Source constructor
+// (New*MachinePool) whose fixed arena of machines makes repeated runs
+// allocation-free.
 package dist

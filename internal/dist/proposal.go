@@ -68,9 +68,9 @@ func (m *ProposalMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
 			continue
 		}
 		if i == m.prop {
-			out[m.colors[i]] = msgPropose
+			out[i] = msgPropose
 		} else {
-			out[m.colors[i]] = msgFree
+			out[i] = msgFree
 		}
 	}
 }
@@ -82,7 +82,7 @@ func (m *ProposalMachine) Receive(in []runtime.Message) {
 		if !ok {
 			continue
 		}
-		msg := in[m.colors[i]]
+		msg := in[i]
 		if msg == nil {
 			// Silence: the peer halted; the edge is gone for good.
 			m.live[i] = false

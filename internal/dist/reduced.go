@@ -175,13 +175,13 @@ func (m *ReducedGreedyMachine) Send(out []runtime.Message, arena *runtime.RoundA
 	r := m.round + 1
 	if r <= m.sRounds+m.rRounds {
 		msg := runtime.Message(arena.Pack(m.cur))
-		for _, c := range m.colors {
-			out[c] = msg
+		for i := range out {
+			out[i] = msg
 		}
 		return
 	}
 	if i := m.greedyPos(r); i >= 0 {
-		out[m.colors[i]] = msgFree
+		out[i] = msgFree
 	}
 }
 
@@ -251,7 +251,7 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 	default:
 		// Phase 3: greedy on the reduced palette.
 		if i := m.greedyPos(r); i >= 0 {
-			if in[m.colors[i]] != nil {
+			if in[i] != nil {
 				m.out = mm.Matched(m.colors[i])
 				m.halted = true
 				return
@@ -273,7 +273,7 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 // The list decodes into the machine's reusable scratch (valid until the
 // next call), so receiving allocates nothing at steady state.
 func (m *ReducedGreedyMachine) peerList(in []runtime.Message, i int) []group.Color {
-	msg := in[m.colors[i]]
+	msg := in[i]
 	if msg == nil {
 		panic("dist: reduction round missing a neighbour's colour list")
 	}

@@ -94,11 +94,7 @@ func pathScenario() Scenario {
 					return nil, err
 				}
 			}
-			g, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
+			return &Instance{G: b.Build()}, nil
 		},
 	}
 }
@@ -127,11 +123,7 @@ func cycleScenario() Scenario {
 					return nil, err
 				}
 			}
-			g, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
+			return &Instance{G: b.Build()}, nil
 		},
 	}
 }
@@ -161,11 +153,7 @@ func tree() Scenario {
 					}
 				}
 			}
-			g, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
+			return &Instance{G: b.Build()}, nil
 		},
 	}
 }
@@ -223,11 +211,7 @@ func caterpillar() Scenario {
 					placed++
 				}
 			}
-			g, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
+			return &Instance{G: b.Build()}, nil
 		},
 	}
 }
@@ -280,10 +264,7 @@ func doubleCover() Scenario {
 					}
 				}
 			}
-			g, err := b.Build()
-			if err != nil {
-				return nil, err
-			}
+			g := b.Build()
 			labels := make([]int, 2*n)
 			for v := n; v < 2*n; v++ {
 				labels[v] = 1 // dist.SideBlack; whites are the zero value

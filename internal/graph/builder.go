@@ -221,9 +221,9 @@ func (b *CSRBuilder) TryAddEdge(u, v int, c group.Color) bool {
 // and their mate indices straight into place. Colours are distinct at
 // every node, so each node's range comes out sorted by colour. Every
 // invariant was checked as the edges arrived, so Build checks none again
-// and its error is always nil. The builder remains usable afterwards
+// and cannot fail. The builder remains usable afterwards
 // (Reset to start a new graph); the graph owns the freshly built arrays.
-func (b *CSRBuilder) Build() (*Graph, error) {
+func (b *CSRBuilder) Build() *Graph {
 	m := len(b.colors)
 	// offsets[v+1] starts at v's first slot and is advanced past every
 	// half placed there, so the scatter leaves it at v's end: the final
@@ -257,7 +257,7 @@ func (b *CSRBuilder) Build() (*Graph, error) {
 	return &Graph{
 		n: b.n, k: b.k, maxDeg: maxDeg,
 		flat: flatAdj{offsets: offsets, halves: halves, colors: colors, mates: mates},
-	}, nil
+	}
 }
 
 // colorOrder returns the edge indices sorted by colour. A counting sort

@@ -59,17 +59,11 @@ func FuzzCSRBuilder(f *testing.F) {
 			return accepted[a].V < accepted[b].V
 		})
 
-		g, err := strict.Build()
-		if err != nil {
-			t.Fatalf("Build: %v", err)
-		}
+		g := strict.Build()
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
 		}
-		twin, err := lenient.Build()
-		if err != nil {
-			t.Fatalf("Build (TryAddEdge builder): %v", err)
-		}
+		twin := lenient.Build()
 		sameCSR(t, "AddEdge vs TryAddEdge", g, twin)
 		if got := g.Edges(); len(got) != len(accepted) || (len(got) > 0 && !reflect.DeepEqual(got, accepted)) {
 			t.Fatalf("Edges() = %v, accepted %v", got, accepted)
@@ -88,10 +82,7 @@ func FuzzCSRBuilder(f *testing.F) {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
-			h, err := replay.Build()
-			if err != nil {
-				t.Fatalf("%s: Build: %v", name, err)
-			}
+			h := replay.Build()
 			sameCSR(t, name, h, g)
 		}
 		sort.SliceStable(accepted, func(a, b int) bool { return accepted[a].Color < accepted[b].Color })

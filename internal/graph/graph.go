@@ -402,7 +402,7 @@ func PathGraph(k int, colors []group.Color) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return b.Build()
+	return b.Build(), nil
 }
 
 // CycleGraph builds a cycle with the given edge colours; colors[i] joins
@@ -418,7 +418,7 @@ func CycleGraph(k int, colors []group.Color) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return b.Build()
+	return b.Build(), nil
 }
 
 // WorstCase is the §1.2 lower-bound example for the greedy algorithm: two
@@ -449,11 +449,7 @@ func NewWorstCase(k int) (*WorstCase, error) {
 			return nil, err
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &WorstCase{G: g, U: 0, V: base}, nil
+	return &WorstCase{G: b.Build(), U: 0, V: base}, nil
 }
 
 // RandomMatchingUnion builds a random properly k-edge-coloured graph on n
@@ -464,13 +460,7 @@ func NewWorstCase(k int) (*WorstCase, error) {
 func RandomMatchingUnion(n, k int, density float64, rng *rand.Rand) *Graph {
 	b := NewCSRBuilder(n, k)
 	randomMatchingUnionInto(b, n, k, density, rng)
-	g, err := b.Build()
-	if err != nil {
-		// The builder enforces the same invariants the generator respects
-		// by construction; a failure here is a bug, not an input error.
-		panic(err)
-	}
-	return g
+	return b.Build()
 }
 
 // randomMatchingUnionInto streams the matching-union edges into an existing
@@ -543,7 +533,7 @@ func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 			b.link(perm[i], perm[i+1], c)
 		}
 	}
-	return b.Build()
+	return b.Build(), nil
 }
 
 // repairPairs makes every pair (perm[2i], perm[2i+1]) a non-edge of b by
@@ -591,11 +581,7 @@ func FromSystem(v colsys.System, radius int) (*Graph, map[string]int, error) {
 			return nil, nil, err
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, index, nil
+	return b.Build(), index, nil
 }
 
 // Figure1 builds a 16-node, 4-regular, properly 4-edge-coloured instance
@@ -616,7 +602,7 @@ func Figure1() (*Graph, error) {
 			}
 		}
 	}
-	return b.Build()
+	return b.Build(), nil
 }
 
 // RandomBoundedDegree builds a random properly coloured graph with maximum
@@ -640,11 +626,7 @@ func RandomBoundedDegree(n, k, delta, attempts int, rng *rand.Rand) *Graph {
 		// TryAddEdge enforces the remaining constraints; collisions are skipped.
 		b.TryAddEdge(u, v, c)
 	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return b.Build()
 }
 
 // DOT writes the graph in Graphviz format. Edge labels are colours; the

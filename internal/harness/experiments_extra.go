@@ -88,10 +88,7 @@ func e14() Experiment {
 					v := p.n + rng.Intn(p.n)
 					b.TryAddEdge(u, v, group.Color(1+rng.Intn(p.k)))
 				}
-				g, err := b.Build()
-				if err != nil {
-					return err
-				}
+				g := b.Build()
 				outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine,
 					4*g.MaxDegree()+16, 1)
 				if err != nil {

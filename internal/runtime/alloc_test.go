@@ -3,10 +3,12 @@ package runtime_test
 import (
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/mm"
 	"repro/internal/runtime"
 )
 
@@ -64,5 +66,32 @@ func checkRoundLoopAllocFree(t *testing.T, short, long *graph.Graph) {
 	if aLong > aShort+1 {
 		t.Errorf("allocations scale with rounds: %.1f at %d rounds vs %.1f at %d rounds",
 			aLong, rLong, aShort, rShort)
+	}
+}
+
+// TestWorkersLargePaletteAllocBounded pins that no engine buffer grows with
+// the palette: greedy on two nodes joined by one colour-2 edge at k = 2^30
+// runs one real round, and must cost what any two-node run costs. A buffer
+// of k+1 messages per worker would be 16 GiB here.
+func TestWorkersLargePaletteAllocBounded(t *testing.T) {
+	b := graph.NewCSRBuilder(2, 1<<30)
+	if err := b.AddEdge(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
+	for _, workers := range []int{1, 2} {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), workers)
+		goruntime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if stats.Rounds != 1 || outs[0] != mm.Matched(2) || outs[1] != mm.Matched(2) {
+			t.Fatalf("workers=%d: rounds %d, outputs %v; want one round matching the colour-2 edge", workers, stats.Rounds, outs)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("workers=%d: the run allocated %d bytes, want < 1 MiB", workers, d)
+		}
 	}
 }

@@ -13,13 +13,21 @@
 // # Machine protocol
 //
 // Machine is the one per-node interface: Init with the node's initial
-// knowledge, then Send/Receive pairs until Halted. A node's ports are its
-// incident edge colours 1…k, so a round's messages fit in a []Message of
-// length k+1 indexed by colour — the model's own port numbering, with no
-// second encoding beside it. Send may write out[c] only for the node's
-// incident colours; nil means "send nothing", and Receive sees in[c] == nil
+// knowledge, then Send/Receive pairs until Halted. A node's ports are
+// positions: port i is its i-th incident edge in increasing colour order,
+// the edge of colour NodeInfo.Colors[i], so a round's messages fit in a
+// []Message whose length is the node's degree. Send writes out[i] for the
+// edge it means; nil means "send nothing", and Receive sees in[i] == nil
 // for an edge whose peer sent nothing or has halted. The engine owns both
 // buffers; machines must not retain them across calls.
+//
+// Positions are a local relabelling of the model's colour ports, not a
+// change to the model: a node knows its incident colours from NodeInfo,
+// so it can translate between colour c and the position of c in Colors
+// on its own, and every output and statistic is what colour-indexed ports
+// would give. What the relabelling buys is size: the engine's per-worker
+// send buffer is Δ entries long, receive reads each node's incoming slab
+// slots in place, and no buffer grows with the palette k.
 //
 // Variable-length payloads (colour lists) are bump-allocated from the
 // per-worker RoundArena passed to Send. Payloads live exactly as long as
@@ -33,15 +41,15 @@
 // The engine stores messages in a dense slab with one slot per directed
 // edge, indexed exactly like graph.Halves(): slab[i] is the message
 // travelling towards half i's owner. The peer writes it during the send
-// phase, into slot graph.Mates()[j] of its own half j, and the owner
-// consumes (re-nils) it during the receive phase. A node's incoming
-// messages therefore sit contiguously in its own half range, and the
-// receive phase reads them in order without following an index into the
-// senders' slots. The two phases are separated by a round barrier, and
-// each slot has exactly one writer and one reader, so no slot is ever
-// touched concurrently and the round loop allocates nothing. Slots whose
-// owner has halted may keep a stale message; a halted node never reads
-// again, so they are harmless.
+// phase, from its port p, that is its own half j = lo+p, into slot
+// graph.Mates()[j], and the owner consumes (re-nils) it during the receive
+// phase. A node's halves are sorted by colour, so its incoming messages sit
+// contiguously in its own half range in port order, and the receive phase
+// hands that range to Receive as the in slice, with no copy. The two
+// phases are separated by a round barrier, and each slot has exactly one
+// writer and one reader, so no slot is ever touched concurrently and the
+// round loop allocates nothing. Slots whose owner has halted may keep a
+// stale message; a halted node never reads again, so they are harmless.
 //
 // Traffic is counted at send time, while the payload the sender just
 // packed is still in cache: a message counts as delivered when its

@@ -132,10 +132,7 @@ func TestEnginesAgreeOnAllMachines(t *testing.T) {
 	for i := 0; i < 4*half; i++ {
 		bb.TryAddEdge(rng.Intn(half), half+rng.Intn(half), group.Color(1+rng.Intn(64)))
 	}
-	bip, err := bb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bip := bb.Build()
 	checkAgree(t, "bipartite", bip, labels, dist.NewBipartiteMachine, 4*bip.MaxDegree()+16)
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,18 +38,21 @@ func (m *chatterMachine) Init(info NodeInfo) {
 }
 
 func (m *chatterMachine) Send(out []Message, _ *RoundArena) {
-	for _, c := range m.colors {
+	for i, c := range m.colors {
 		// Send on a pseudo-random subset of edges.
 		if m.rng.Intn(2) == 0 {
-			out[c] = int(c) + m.label
+			out[i] = int(c) + m.label
 		}
 	}
 }
 
 func (m *chatterMachine) Receive(in []Message) {
-	for _, v := range in {
+	// Weighting each payload by its port makes the counter, and so the
+	// output, depend on which port a message arrived on, not only on the
+	// payloads: an engine that mixes up ports diverges from the reference.
+	for i, v := range in {
 		if v != nil {
-			m.counter += v.(int)
+			m.counter += (i + 1) * v.(int)
 		}
 	}
 	m.rounds++
@@ -102,6 +106,91 @@ func TestEnginesAgreeOnRandomProtocols(t *testing.T) {
 			if stats.Rounds != refStats.Rounds || stats.Messages != refStats.Messages ||
 				!slices.Equal(stats.HaltTimes, refStats.HaltTimes) || !slices.Equal(stats.PerRound, refStats.PerRound) {
 				t.Fatalf("trial %d workers=%d: stats %+v, reference %+v", trial, workers, stats, refStats)
+			}
+		}
+	}
+}
+
+// portMachine sends, on every port i, the colour Colors[i] of that port's
+// edge, and counts the messages that arrive on a port of another colour.
+// Both endpoints of an edge see it under the same colour, so an engine
+// that delivers by position must put each message on the port whose
+// colour it carries. Nodes halt after 1 + deg mod 3 rounds, so some ports
+// fall silent while their peers still run.
+type portMachine struct {
+	colors []group.Color
+	rounds int
+	wrong  int
+}
+
+func (m *portMachine) Init(info NodeInfo) {
+	m.colors = info.Colors
+	m.rounds = 0
+	m.wrong = 0
+}
+
+func (m *portMachine) Send(out []Message, _ *RoundArena) {
+	if len(out) != len(m.colors) {
+		m.wrong++
+	}
+	for i, c := range m.colors {
+		out[i] = c
+	}
+}
+
+func (m *portMachine) Receive(in []Message) {
+	if len(in) != len(m.colors) {
+		m.wrong++
+	}
+	for i, msg := range in {
+		if msg != nil && msg != m.colors[i] {
+			m.wrong++
+		}
+	}
+	m.rounds++
+}
+
+func (m *portMachine) Halted() bool { return len(m.colors) == 0 || m.rounds > len(m.colors)%3 }
+
+func (m *portMachine) Output() mm.Output { return mm.Bottom }
+
+// TestPortContract pins the port numbering itself: out and in have one
+// entry per incident edge, and port i carries the edge of colour
+// Colors[i], in the reference simulator and in the engine at workers 1–3.
+func TestPortContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		n := 4 + rng.Intn(60)
+		g := graph.RandomMatchingUnion(n, 2+rng.Intn(8), 0.7, rng)
+		runs := map[string]func(Source) (*Stats, error){
+			"reference": func(src Source) (*Stats, error) {
+				_, st, err := RunReference(g, nil, src, 16)
+				return st, err
+			},
+		}
+		for workers := 1; workers <= 3; workers++ {
+			runs[fmt.Sprintf("workers=%d", workers)] = func(src Source) (*Stats, error) {
+				_, st, err := RunWorkersN(g, nil, src, 16, workers)
+				return st, err
+			}
+		}
+		for name, run := range runs {
+			var ms []*portMachine
+			st, err := run(Factory(func() Machine {
+				m := &portMachine{}
+				ms = append(ms, m)
+				return m
+			}))
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			if g.NumEdges() > 0 && st.Messages == 0 {
+				t.Fatalf("trial %d %s: no message delivered", trial, name)
+			}
+			for v, m := range ms {
+				if m.wrong != 0 {
+					t.Fatalf("trial %d %s: node %d saw %d port mismatches", trial, name, v, m.wrong)
+				}
 			}
 		}
 	}

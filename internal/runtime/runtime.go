@@ -42,9 +42,10 @@ func messageBytes(m Message) int {
 }
 
 // Machine is the per-node state machine of a synchronous distributed
-// algorithm. A node's ports are its incident edge colours 1…k, so a round's
-// messages fit in a slice indexed by colour — the model's own port
-// numbering. The engine drives a machine as:
+// algorithm. A node's ports are positions: port i is its i-th incident edge
+// in increasing colour order, the edge of colour NodeInfo.Colors[i], so a
+// round's messages fit in a slice of the node's degree. The engine drives a
+// machine as:
 //
 //	Init(info)                          // time 0; may already halt
 //	for !Halted():
@@ -56,17 +57,17 @@ func messageBytes(m Message) int {
 type Machine interface {
 	// Init resets the machine with the node's initial knowledge.
 	Init(info NodeInfo)
-	// Send writes this round's outgoing messages into out (length k+1,
-	// all-nil on entry): out[c] travels along the node's colour-c edge.
-	// Only incident colours may be written, and nil means "send nothing".
-	// Variable-length payloads are allocated from arena (see RoundArena
-	// for their lifetime). The engine owns both; machines must not retain
-	// them across calls.
+	// Send writes this round's outgoing messages into out (length
+	// len(Colors), all-nil on entry): out[i] travels along the edge of
+	// colour Colors[i], and nil means "send nothing". Variable-length
+	// payloads are allocated from arena (see RoundArena for their
+	// lifetime). The engine owns both; machines must not retain them
+	// across calls.
 	Send(out []Message, arena *RoundArena)
-	// Receive delivers this round's incoming messages, in[c] holding the
-	// message received along the colour-c edge — nil when the peer sent
-	// nothing or has halted — and lets the machine update its state. The
-	// engine owns in; machines must not retain it.
+	// Receive delivers this round's incoming messages, in[i] holding the
+	// message received along the edge of colour Colors[i] — nil when the
+	// peer sent nothing or has halted — and lets the machine update its
+	// state. The engine owns in; machines must not write or retain it.
 	Receive(in []Message)
 	// Halted reports whether the node has stopped.
 	Halted() bool

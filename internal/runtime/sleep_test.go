@@ -65,17 +65,17 @@ func (m *sleepyMachine) active(r int) bool {
 }
 
 func (m *sleepyMachine) Send(out []Message, _ *RoundArena) {
-	for _, c := range m.colors {
+	for i, c := range m.colors {
 		if edgeActive(c, m.round+1, m.seed) {
-			out[c] = &sleepyMsg{v: m.acc + uint64(c)}
+			out[i] = &sleepyMsg{v: m.acc + uint64(c)}
 		}
 	}
 }
 
 func (m *sleepyMachine) Receive(in []Message) {
 	m.round++
-	for _, c := range m.colors {
-		if msg := in[c]; msg != nil {
+	for _, msg := range in {
+		if msg != nil {
 			m.acc = m.acc*31 + msg.(*sleepyMsg).v
 		}
 	}
@@ -166,17 +166,16 @@ func TestSleepyProtocolMatchesReference(t *testing.T) {
 // sendToSleeper violates the Sleeper contract: even nodes sleep through
 // rounds 1 and 2 while odd nodes keep sending to them.
 type sendToSleeper struct {
-	even   bool
-	colors []group.Color
-	round  int
+	even  bool
+	round int
 }
 
-func (m *sendToSleeper) Init(info NodeInfo) { m.colors, m.round = info.Colors, 0 }
+func (m *sendToSleeper) Init(NodeInfo) { m.round = 0 }
 
 func (m *sendToSleeper) Send(out []Message, _ *RoundArena) {
 	if !m.even {
-		for _, c := range m.colors {
-			out[c] = "hello"
+		for i := range out {
+			out[i] = "hello"
 		}
 	}
 }

@@ -46,7 +46,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	if workers > n {
 		workers = n
 	}
-	k := g.K()
 	halves := g.Halves()
 	mates := g.Mates()
 	st := workersStatePool.Get().(*workersState)
@@ -56,7 +55,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		clear(st.machines)
 		workersStatePool.Put(st)
 	}()
-	st.fit(n, workers, k)
+	st.fit(n, workers, g.MaxDegree())
 
 	// Machines are created and initialised in node order before any worker
 	// starts, so stateful sources behave identically at every worker count.
@@ -88,7 +87,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	sleepy := false
 	for v := 0; v < n; v++ {
 		m := machines[v]
-		m.Init(NodeInfo{K: k, Colors: g.IncidentColors(v), Label: labelOf(labels, v)})
+		m.Init(NodeInfo{K: g.K(), Colors: g.IncidentColors(v), Label: labelOf(labels, v)})
 		if m.Halted() {
 			continue
 		}
@@ -110,14 +109,14 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 
 	// slab[i] is the message in flight towards Halves()[i]'s owner: the
 	// peer writes it into slot Mates()[j] of its own half j during the
-	// send phase, and the owner reads and re-nils it during the receive
-	// phase, so each node's incoming messages sit contiguously in its own
-	// half range. The two phases are barrier-separated, and each slot has
-	// exactly one writer and one reader, so no slot is ever touched
-	// concurrently. A run whose nodes all halt at time 0
-	// (greedy on a k-regular instance) executes no round, so it skips
-	// sizing and clearing the slab and offsets: a pooled state that only
-	// serves such runs never holds them.
+	// send phase, and the owner receives it in place and re-nils it during
+	// the receive phase, so each node's incoming messages sit contiguously
+	// in its own half range, in port order. The two phases are
+	// barrier-separated, and each slot has exactly one writer and one
+	// reader, so no slot is ever touched concurrently. A run whose nodes
+	// all halt at time 0 (greedy on a k-regular instance) executes no
+	// round, so it skips sizing and clearing the slab and offsets: a
+	// pooled state that only serves such runs never holds them.
 	var slab []Message
 	var offsets []int
 	if alive > 0 {
@@ -173,7 +172,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		cur, next := cur, next
 		arena := &st.arenas[w]
 		outBuf := st.outBufs[w]
-		inBuf := st.inBufs[w]
 		// traffic[r-1] is this worker's delivered share of round r; the
 		// slice is pooled in the workers state, so steady-state runs
 		// record the histogram without allocating.
@@ -200,13 +198,14 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			// any live reader and the slabs can be recycled.
 			arena.Reset()
 			// Send phase: claim frontier chunks; each live node's
-			// outgoing message on half i lands in slot mates[i], the
-			// receiving half's own, so the claim schedule cannot change
-			// what any slot holds. Traffic is counted here, while the
-			// payload Pack just wrote is still in cache: a message counts
-			// as delivered when its receiver runs this round, that is
-			// when its frontier bit is set inside the scanned window
-			// (words outside it can keep stale bits; see wake).
+			// outgoing message on port p, its half lo+p, lands in slot
+			// mates[lo+p], the receiving half's own, so the claim schedule
+			// cannot change what any slot holds. Traffic is counted here,
+			// while the payload Pack just wrote is still in cache: a
+			// message counts as delivered when its receiver runs this
+			// round, that is when its frontier bit is set inside the
+			// scanned window (words outside it can keep stale bits; see
+			// wake).
 			var rt RoundTraffic
 			for {
 				wlo, whi, ok := claimChunk(sendCursor, base, limit, chunkWords)
@@ -216,13 +215,16 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 				for wi := wlo; wi < whi; wi++ {
 					for word := cur[wi]; word != 0; word &= word - 1 {
 						v := wi<<6 + bits.TrailingZeros64(word)
-						machines[v].Send(outBuf, arena)
-						for i := offsets[v]; i < offsets[v+1]; i++ {
-							h := halves[i]
-							if msg := outBuf[h.Color]; msg != nil {
+						lo := offsets[v]
+						out := outBuf[:offsets[v+1]-lo]
+						machines[v].Send(out, arena)
+						for p, msg := range out {
+							if msg != nil {
+								i := lo + p
 								slab[mates[i]] = msg
-								outBuf[h.Color] = nil
-								if uw := h.Peer >> 6; uw >= base && uw < limit && cur[uw]&(1<<uint(h.Peer&63)) != 0 {
+								out[p] = nil
+								u := halves[i].Peer
+								if uw := u >> 6; uw >= base && uw < limit && cur[uw]&(1<<uint(u&63)) != 0 {
 									rt.Messages++
 									rt.Bytes += messageBytes(msg)
 								}
@@ -234,9 +236,9 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			bar.wait(nil)
 			// Receive phase: claim frontier chunks again. Chunks are
 			// disjoint word ranges, so the claimant exclusively owns its
-			// words' nodes: it delivers their incoming slots, clears
-			// them, and writes the words of the next frontier (halted
-			// bits dropped by one AND-NOT each).
+			// words' nodes: it hands each node its incoming slots as the
+			// in slice, clears them, and writes the words of the next
+			// frontier (halted bits dropped by one AND-NOT each).
 			//
 			// wmin/wmax track the nonzero next-frontier words this worker
 			// wrote and sleeps the nodes it put to sleep; all three are
@@ -254,22 +256,10 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 					for bw := word; bw != 0; bw &= bw - 1 {
 						t := bits.TrailingZeros64(bw)
 						v := wi<<6 + t
-						vlo, vhi := offsets[v], offsets[v+1]
-						got := false
-						for i := vlo; i < vhi; i++ {
-							if msg := slab[i]; msg != nil {
-								inBuf[halves[i].Color] = msg
-								slab[i] = nil
-								got = true
-							}
-						}
+						in := slab[offsets[v]:offsets[v+1]]
 						m := machines[v]
-						m.Receive(inBuf)
-						if got {
-							for i := vlo; i < vhi; i++ {
-								inBuf[halves[i].Color] = nil
-							}
-						}
+						m.Receive(in)
+						clear(in)
 						if m.Halted() {
 							lw &^= 1 << uint(t)
 							haltTimes[v] = round
@@ -357,10 +347,13 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	return outs, stats, nil
 }
 
-// workersState holds the reusable scratch of one RunWorkersN call. Pooling
-// it across calls keeps the engine's steady-state allocation footprint at
-// the outputs and statistics it returns, which matters when experiments run
-// thousands of executions back to back.
+// workersState holds the reusable scratch of one RunWorkersN call, sized by
+// the node count, the directed-edge count, the worker count and Δ, never by
+// the palette k: a graph with k = 2^30 and two nodes costs what any
+// two-node graph costs. Pooling it across calls keeps the engine's
+// steady-state allocation footprint at the outputs and statistics it
+// returns, which matters when experiments run thousands of executions back
+// to back.
 type workersState struct {
 	machines []Machine
 	// cur/next are the double-buffered frontier word arrays; fit zeroes
@@ -370,10 +363,10 @@ type workersState struct {
 	offsets   []int
 	slab      []Message
 	arenas    []RoundArena
-	// outBufs/inBufs are the per-worker colour-indexed message buffers
-	// (length k+1, all-nil between nodes by the send/receive contracts);
-	// pooling them removes two allocations per worker per run.
-	outBufs, inBufs [][]Message
+	// outBufs are the per-worker send buffers (length Δ, resliced to each
+	// node's degree, all-nil between nodes by the send contract); pooling
+	// them removes one allocation per worker per run.
+	outBufs [][]Message
 	// traffic[w] is worker w's per-round message/byte counts; the inner
 	// slices keep their capacity across runs so the histogram is free at
 	// steady state.
@@ -406,14 +399,14 @@ type workersState struct {
 
 var workersStatePool = sync.Pool{New: func() any { return &workersState{} }}
 
-// fit resizes the scratch for n nodes, the given worker count and palette
-// k. Machine entries are fully overwritten before use; the frontier words
-// must be all-zero and the colour-indexed buffers all-nil, and a previous
-// run can leave stale state in either (an error path abandons the frontier
+// fit resizes the scratch for n nodes, the given worker count and maximum
+// degree. Machine entries are fully overwritten before use; the frontier
+// words must be all-zero and the send buffers all-nil, and a previous run
+// can leave stale state in either (an error path abandons the frontier
 // mid-round), so both are cleared here rather than trusted. Arenas keep
 // their slabs across runs — that is the point of pooling them — because
 // payload contents carry no cross-run meaning.
-func (st *workersState) fit(n, workers, k int) {
+func (st *workersState) fit(n, workers, maxDeg int) {
 	if cap(st.machines) < n {
 		st.machines = make([]Machine, n)
 	}
@@ -458,19 +451,13 @@ func (st *workersState) fit(n, workers, k int) {
 		outBufs := make([][]Message, workers)
 		copy(outBufs, st.outBufs)
 		st.outBufs = outBufs
-		inBufs := make([][]Message, workers)
-		copy(inBufs, st.inBufs)
-		st.inBufs = inBufs
 	}
 	for w := 0; w < workers; w++ {
-		if cap(st.outBufs[w]) < k+1 {
-			st.outBufs[w] = make([]Message, k+1)
-			st.inBufs[w] = make([]Message, k+1)
+		if cap(st.outBufs[w]) < maxDeg {
+			st.outBufs[w] = make([]Message, maxDeg)
 		} else {
-			st.outBufs[w] = st.outBufs[w][:k+1]
-			st.inBufs[w] = st.inBufs[w][:k+1]
+			st.outBufs[w] = st.outBufs[w][:maxDeg]
 			clear(st.outBufs[w])
-			clear(st.inBufs[w])
 		}
 	}
 	st.sendCursor.Store(0)

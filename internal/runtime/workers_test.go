@@ -90,10 +90,7 @@ func TestWorkersMaxRoundsExceeded(t *testing.T) {
 // edgeless builds an n-node graph with palette 1…k and no edges.
 func edgeless(t *testing.T, n, k int) *graph.Graph {
 	t.Helper()
-	g, err := graph.NewCSRBuilder(n, k).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.NewCSRBuilder(n, k).Build()
 	return g
 }
 

@@ -544,3 +544,36 @@ func TestStrictRequestBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepLargePaletteGraph sweeps a stored graph at the largest palette
+// the store accepts. Its colours stop at 2, so every algorithm runs a few
+// rounds on three nodes; no layer between the store and the engine may
+// size anything by k, or this cell would need gigabytes.
+func TestSweepLargePaletteGraph(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var gr GraphResponse
+	body := readAll(t, postJSON(t, ts.URL+"/v1/graphs", GraphRequest{N: 3, K: maxGraphColors, Edges: [][3]int{{0, 1, 1}, {1, 2, 2}}}))
+	if err := json.Unmarshal(body, &gr); err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
+		Graphs:      []string{gr.ID},
+		Algos:       []string{"greedy", "reduced", "proposal"},
+		CheckBounds: true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", resp.StatusCode, readAll(t, resp))
+	}
+	rows, trailer := ndjson(t, readAll(t, resp))
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rows))
+	}
+	if trailer == nil || !trailer.Done || trailer.Rows != 3 || trailer.Violations != 0 {
+		t.Fatalf("trailer = %+v", trailer)
+	}
+	for _, r := range rows {
+		if r.Matched != 1 { // a two-edge path's maximal matchings have one edge
+			t.Fatalf("row %s matched = %d, want 1", r.ID(), r.Matched)
+		}
+	}
+}

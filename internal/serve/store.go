@@ -99,10 +99,7 @@ func (st *GraphStore) Put(n, k int, edges [][3]int) (*StoredGraph, bool, error) 
 			return nil, false, err
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, false, err
-	}
+	g := b.Build()
 	sg = &StoredGraph{
 		ID:        id,
 		N:         g.N(),

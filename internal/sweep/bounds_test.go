@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/gen"
-	"repro/internal/group"
 	"repro/internal/mm"
 	"repro/internal/runtime"
 )
@@ -14,7 +13,6 @@ import (
 // fat message on EVERY incident edge for three rounds, then halts. It
 // exists to prove the checker actually fires.
 type chattyMachine struct {
-	colors []group.Color
 	rounds int
 	halted bool
 }
@@ -25,14 +23,13 @@ type fatMessage struct{}
 func (fatMessage) WireBytes() int { return 9 }
 
 func (m *chattyMachine) Init(info runtime.NodeInfo) {
-	m.colors = info.Colors
 	m.rounds = 0
-	m.halted = len(m.colors) == 0
+	m.halted = len(info.Colors) == 0
 }
 
 func (m *chattyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
-	for _, c := range m.colors {
-		out[c] = fatMessage{}
+	for i := range out {
+		out[i] = fatMessage{}
 	}
 }
 

@@ -33,10 +33,7 @@ func decodeInstance(data []byte) (*graph.Graph, []int) {
 		}
 		b.TryAddEdge(u, v, group.Color(1+int(p[2])%k))
 	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err) // TryAddEdge admits only valid edges
-	}
+	g := b.Build()
 	if !bipartite {
 		return g, nil
 	}

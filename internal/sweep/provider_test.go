@@ -29,10 +29,7 @@ func testGraphInstance(t *testing.T) (*gen.Instance, string, [][3]int) {
 			t.Fatalf("AddEdge: %v", err)
 		}
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	g := b.Build()
 	return &gen.Instance{G: g}, gen.EdgeListID(4, 2, edges), edges
 }
 
