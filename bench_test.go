@@ -1,4 +1,4 @@
-// Top-level benchmarks: one per experiment of EXPERIMENTS.md, so every
+// Top-level benchmarks: one per experiment of internal/harness, so every
 // figure/lemma/theorem reproduction has a `go test -bench` entry point, plus
 // end-to-end benchmarks of the two headline pipelines (the greedy machine
 // and the Theorem 5 adversary).
@@ -8,7 +8,6 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	goruntime "runtime"
 	"strconv"
 	"testing"
 
@@ -51,7 +50,6 @@ func BenchmarkE10Regular(b *testing.B)      { benchExperiment(b, "E10") }
 func BenchmarkE12Lemmas(b *testing.B)       { benchExperiment(b, "E12") }
 func BenchmarkE13Views(b *testing.B)        { benchExperiment(b, "E13") }
 func BenchmarkE14Related(b *testing.B)      { benchExperiment(b, "E14") }
-func BenchmarkE15Scenarios(b *testing.B)    { benchExperiment(b, "E15") }
 
 // E11 sweeps palettes up to 2048 and is by far the heaviest experiment;
 // gate it so default -bench=. runs stay snappy while -bench=E11 still works.
@@ -296,27 +294,6 @@ func BenchmarkReducedCellSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkE11SweepParallel measures the parallel palette sweep behind E11
-// at several GOMAXPROCS settings; the speedup at procs=N over procs=1 is
-// the sweep's multi-core yield (palette sizes are embarrassingly parallel).
-func BenchmarkE11SweepParallel(b *testing.B) {
-	if testing.Short() {
-		b.Skip("the sweep reaches k=2048; skipped with -short")
-	}
-	ks := []int{4, 8, 16, 64, 256, 1024, 2048}
-	for _, procs := range []int{1, 2, 4, 8} {
-		b.Run("procs="+strconv.Itoa(procs), func(b *testing.B) {
-			prev := goruntime.GOMAXPROCS(procs)
-			defer goruntime.GOMAXPROCS(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := harness.E11PaletteSweep(ks, 3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGenMatchingUnion measures instance construction on the CSR
 // builder at benchmark scale. The builder amortises everything into a
 // handful of slabs; TestGeneratorAllocsBounded in internal/graph pins the
@@ -360,11 +337,10 @@ func BenchmarkGenBoundedDegree(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepStream compares the buffered Run against the streaming
-// pipeline on a grid big enough for the reorder window to matter. The
-// interesting number is allocs/op: the stream holds a bounded window and
-// recycles per-round histogram buffers, so its footprint is flat in the
-// cell count while Run's grows linearly.
+// BenchmarkSweepStream times the streaming pipeline on a grid big enough
+// for the reorder window to matter. The interesting number is allocs/op:
+// the stream holds a bounded window and recycles per-round histogram
+// buffers, so its footprint is flat in the cell count.
 func BenchmarkSweepStream(b *testing.B) {
 	cfg := sweep.Config{
 		Grids:       []string{"matching-union:n=256..1024,k=2|4"},
@@ -373,14 +349,6 @@ func BenchmarkSweepStream(b *testing.B) {
 		Seed:        1,
 		CheckBounds: true,
 	}
-	b.Run("buffered-run", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sweep.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("stream-discard", func(b *testing.B) {
 		b.ReportAllocs()
 		sink := sweep.NewJSONLSink(io.Discard)

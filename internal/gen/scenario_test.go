@@ -137,7 +137,8 @@ func TestParse(t *testing.T) {
 
 // TestEveryScenarioRunsGreedy builds each family at modest size and runs
 // the greedy machine on GOMAXPROCS engine workers, validating the matching — the
-// registry's instances must all be executable, not just constructible.
+// registry's instances must all be executable, not just constructible. A
+// family that carries labels also runs the §1.1 bipartite machine on them.
 func TestEveryScenarioRunsGreedy(t *testing.T) {
 	for _, s := range gen.All() {
 		overrides := gen.Params{}
@@ -155,6 +156,16 @@ func TestEveryScenarioRunsGreedy(t *testing.T) {
 		}
 		if err := graph.CheckMatching(g, outs); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if inst.Labels == nil {
+			continue
+		}
+		bouts, _, err := runtime.RunWorkersN(g, inst.Labels, dist.NewBipartiteMachine, 4*g.MaxDegree()+16, 2)
+		if err != nil {
+			t.Fatalf("%s (bipartite): %v", s.Name, err)
+		}
+		if err := graph.CheckMatching(g, bouts); err != nil {
+			t.Fatalf("%s (bipartite): %v", s.Name, err)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -334,61 +336,75 @@ func MatchingEdges(g *Graph, outs []mm.Output) []Edge {
 // endpoints are both free. It is the reference implementation for the
 // distributed variants.
 //
-// It runs on the CSR path: one pass over Halves()/Mates() buckets the
-// undirected edges by colour, then each class is scanned once — O(m + k)
-// total, instead of rebuilding and re-sorting the edge list per class.
-// Within a class the scan order is irrelevant: a colour class of a proper
-// colouring is a matching, so its edges' decisions are independent.
+// It runs on the CSR path: the undirected edges are ordered by colour once
+// (edgesByColor), and each class in the order is found by binary search
+// and scanned, so nothing is sized by the palette. Within a class the scan
+// order is irrelevant: a colour class of a proper colouring is a
+// matching, so its edges' decisions are independent.
 func SequentialGreedy(g *Graph, order []group.Color) []mm.Output {
-	if order == nil {
-		order = make([]group.Color, g.k)
-		for i := range order {
-			order[i] = group.Color(i + 1)
-		}
-	}
-	halves := g.Halves()
-	mates := g.Mates()
+	edges := g.edgesByColor()
 	outs := make([]mm.Output, g.N())
-
-	// Bucket by colour: count, prefix-sum, fill (counting sort on edges).
-	counts := make([]int, g.k+2)
-	for i, h := range halves {
-		if i < mates[i] { // each undirected edge once
-			counts[h.Color+1]++
-		}
-	}
-	for c := 1; c < len(counts); c++ {
-		counts[c] += counts[c-1]
-	}
-	starts := counts // starts[c] … starts[c+1] is colour c's bucket
-	type pair struct{ u, v int }
-	edges := make([]pair, len(halves)/2)
-	fill := make([]int, g.k+1)
-	for v := 0; v < g.n; v++ {
-		lo, hi := g.flat.offsets[v], g.flat.offsets[v+1]
-		for i := lo; i < hi; i++ {
-			if i < mates[i] {
-				c := halves[i].Color
-				p := starts[c] + fill[c]
-				fill[c]++
-				edges[p] = pair{u: v, v: halves[i].Peer}
+	match := func(class []Edge) {
+		for _, e := range class {
+			if !outs[e.U].IsMatched() && !outs[e.V].IsMatched() {
+				outs[e.U] = mm.Matched(e.Color)
+				outs[e.V] = mm.Matched(e.Color)
 			}
 		}
 	}
-
+	if order == nil {
+		match(edges) // classes 1…k in turn are the edges in their own order
+		return outs
+	}
+	byColor := func(e Edge, c group.Color) int { return cmp.Compare(e.Color, c) }
 	for _, c := range order {
-		if c < 1 || int(c) > g.k {
-			continue // no such colour class: nothing to match
-		}
-		for p := starts[c]; p < starts[c+1]; p++ {
-			e := edges[p]
-			if !outs[e.u].IsMatched() && !outs[e.v].IsMatched() {
-				outs[e.u] = mm.Matched(c)
-				outs[e.v] = mm.Matched(c)
-			}
-		}
+		lo, _ := slices.BinarySearchFunc(edges, c, byColor)
+		n, _ := slices.BinarySearchFunc(edges[lo:], c+1, byColor)
+		match(edges[lo : lo+n]) // empty for a colour with no edges
 	}
 	return outs
+}
+
+// edgesByColor lists every undirected edge once, with U < V, ordered by
+// colour. Like CSRBuilder.colorOrder it counting-sorts in O(m + k) while
+// k ≤ 16·m and otherwise sorts the m edges by comparison, so it never
+// allocates O(k) for a palette that dwarfs the graph.
+func (g *Graph) edgesByColor() []Edge {
+	halves, mates, offsets := g.flat.halves, g.flat.mates, g.flat.offsets
+	m := len(halves) / 2
+	edges := make([]Edge, 0, m)
+	if g.k > 16*m {
+		for v := 0; v < g.n; v++ {
+			for i := offsets[v]; i < offsets[v+1]; i++ {
+				if i < mates[i] { // the lower half names the edge; its node is the lower end
+					edges = append(edges, Edge{U: v, V: halves[i].Peer, Color: halves[i].Color})
+				}
+			}
+		}
+		slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Color, b.Color) })
+		return edges
+	}
+	pos := make([]int, g.k+1)
+	for i, h := range halves {
+		if i < mates[i] {
+			pos[h.Color]++
+		}
+	}
+	sum := 0
+	for c, count := range pos {
+		pos[c], sum = sum, sum+count
+	}
+	edges = edges[:m]
+	for v := 0; v < g.n; v++ {
+		for i := offsets[v]; i < offsets[v+1]; i++ {
+			if i < mates[i] {
+				c := halves[i].Color
+				edges[pos[c]] = Edge{U: v, V: halves[i].Peer, Color: c}
+				pos[c]++
+			}
+		}
+	}
+	return edges
 }
 
 // --- Generators -------------------------------------------------------------

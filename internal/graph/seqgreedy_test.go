@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,6 +88,34 @@ func TestSequentialGreedyCSRMatchesMapPath(t *testing.T) {
 		g := RandomBoundedDegree(150, k, 3, 900, rng)
 		assertSameOutputs(t, "bounded", g, nil)
 	}
+}
+
+// TestSequentialGreedyLargePaletteAllocs runs the oracle on a 3-node
+// graph at k = 2^30, where colours are ordered by a comparison sort, and
+// pins that nothing on the way allocates O(k). Explicit class orders,
+// including colours with no edges, must agree with the edge-walk oracle.
+func TestSequentialGreedyLargePaletteAllocs(t *testing.T) {
+	const k = 1 << 30
+	b := NewCSRBuilder(3, k)
+	for _, e := range []Edge{{0, 1, k}, {1, 2, k - 1}, {0, 2, 7}} {
+		if err := b.AddEdge(e.U, e.V, e.Color); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := SequentialGreedy(g, nil)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("greedy on 3 edges at k=2^30 allocated %d bytes", d)
+	}
+	want := []mm.Output{mm.Matched(7), mm.Bottom, mm.Matched(7)}
+	if !slices.Equal(got, want) {
+		t.Errorf("outputs %v, want %v", got, want)
+	}
+	assertSameOutputs(t, "large-palette/descending", g, []group.Color{k, k - 1, 7})
+	assertSameOutputs(t, "large-palette/odd-order", g, []group.Color{k - 1, 3, 0, k, k - 1, 7})
 }
 
 // TestEdgesConcurrentFirstFill: concurrent Edges() callers on a fresh

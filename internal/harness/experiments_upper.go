@@ -9,9 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/logstar"
-	"repro/internal/mm"
 	"repro/internal/runtime"
-	"repro/internal/sweep"
 )
 
 // e1 reproduces Figure 1 and Lemma 1: the greedy algorithm finds a maximal
@@ -233,20 +231,24 @@ func e11Measure(k, delta int) (e11Row, error) {
 	return row, nil
 }
 
-// E11PaletteSweep runs the E11 measurement for every palette size on a
-// bounded worker pool and returns the rows in palette order. Exported so
-// the top-level benchmarks can measure the sweep's parallel speedup.
-func E11PaletteSweep(ks []int, delta int) ([]e11Row, error) {
-	return sweep.Parallel(ks, 0, func(k int) (e11Row, error) { return e11Measure(k, delta) })
+// e11PaletteSweep runs the E11 measurement for every palette size and
+// returns the rows in palette order.
+func e11PaletteSweep(ks []int, delta int) ([]e11Row, error) {
+	rows := make([]e11Row, 0, len(ks))
+	for _, k := range ks {
+		row, err := e11Measure(k, delta)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // e11 measures the §1.3 upper-bound regime: for fixed Δ, greedy's rounds
 // grow linearly in k while colour reduction + greedy grows like log* k
 // (plus a Δ-dependent constant); the proposal baseline is palette-
-// independent on random instances but linear on adversarial chains. The
-// sweep over palette sizes is embarrassingly parallel, so the rows are
-// computed on a worker pool (bounded by GOMAXPROCS) and rendered in
-// deterministic palette order.
+// independent on random instances but linear on adversarial chains.
 func e11() Experiment {
 	return Experiment{
 		ID:    "E11",
@@ -256,7 +258,7 @@ func e11() Experiment {
 			const delta = 3
 			table := NewTable("k", "log*k", "greedy (worst)", "greedy (random)",
 				"reduced (pred)", "reduced (random)", "proposal (random)", "proposal (worst)")
-			rows, err := E11PaletteSweep([]int{4, 8, 16, 64, 256, 1024, 2048}, delta)
+			rows, err := e11PaletteSweep([]int{4, 8, 16, 64, 256, 1024, 2048}, delta)
 			if err != nil {
 				return err
 			}
@@ -277,15 +279,4 @@ func e11() Experiment {
 			return nil
 		},
 	}
-}
-
-// mmOutputs is a tiny helper used by several experiments.
-func matchedCount(outs []mm.Output) int {
-	n := 0
-	for _, o := range outs {
-		if o.IsMatched() {
-			n++
-		}
-	}
-	return n
 }

@@ -8,8 +8,8 @@ import (
 
 // Experiment is one reproducible artefact of the paper.
 type Experiment struct {
-	// ID is the experiment identifier used throughout DESIGN.md and
-	// EXPERIMENTS.md, e.g. "E9".
+	// ID is the experiment identifier, e.g. "E9"; cmd/mmexperiments -run
+	// selects one by it.
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -20,12 +20,12 @@ type Experiment struct {
 	Run func(w io.Writer) error
 }
 
-// registry is populated by the e*.go files' init-free registration calls
-// in All; keep experiments pure functions so ordering cannot matter.
+// All returns the registry, E1–E14 in order. Each experiment is a pure
+// function of its writer, so ordering cannot change any output.
 func All() []Experiment {
 	return []Experiment{
 		e1(), e2(), e3(), e4(), e5(), e6(), e7(), e8(), e9(), e10(), e11(), e12(),
-		e13(), e14(), e15(), e16(), e17(),
+		e13(), e14(),
 	}
 }
 
@@ -89,7 +89,7 @@ func (t *Table) SortRows(col int) {
 	})
 }
 
-// WriteTo renders the table with aligned columns.
+// Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {

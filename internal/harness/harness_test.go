@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,19 +24,24 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestRegistry pins that the harness is the paper: the registry is
+// exactly E1…E14 in order, and every experiment cites the artefact of the
+// paper it reproduces.
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("%d experiments registered, want 17", len(all))
+	if len(all) != 14 {
+		t.Fatalf("%d experiments registered, want 14", len(all))
 	}
-	seen := map[string]bool{}
-	for _, e := range all {
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment ID %s", e.ID)
+	cites := regexp.MustCompile(`§|Figure|Lemma|Theorem|Corollary|Remark`)
+	for i, e := range all {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("experiment %d has ID %s, want %s", i, e.ID, want)
 		}
-		seen[e.ID] = true
-		if e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
+		}
+		if !cites.MatchString(e.Paper) {
+			t.Errorf("experiment %s cites no paper artefact: Paper = %q", e.ID, e.Paper)
 		}
 	}
 	if _, ok := ByID("E9"); !ok {

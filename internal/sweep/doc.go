@@ -21,12 +21,12 @@
 //
 // # The streaming pipeline
 //
-// Stream is the execution core (Run is Stream with a collecting sink).
-// Cells fan out over Config.CellWorkers goroutines; completed Results pass
-// through a small reorder window keyed by cell index that restores grid
-// order — a worker may not start cell i until the emission frontier is
-// within Config.ReorderWindow of it, so the driver never buffers more than
-// a window of rows NO MATTER how many cells the grid expands to, and each
+// Stream is the driver's one entry point. Cells fan out over
+// Config.CellWorkers goroutines; completed Results pass through a small
+// reorder window keyed by cell index that restores grid order — a worker
+// may not start cell i until the emission frontier is within
+// Config.ReorderWindow of it, so the driver never buffers more than a
+// window of rows NO MATTER how many cells the grid expands to, and each
 // row's per-round histogram buffer returns to a pool the moment its sink
 // call returns. That is the bounded-memory guarantee: driver-side memory
 // is window × row size, independent of cell count and instance size
@@ -84,8 +84,9 @@
 // line — byte-identical for identical Configs regardless of cell and
 // engine parallelism or process count (the golden test pins the bytes).
 // cmd/mmsweep is the CLI (streaming -out, -resume, and the sharded
-// -shard/-supervise/-merge modes); harness experiment E16 sweeps
-// all nine families with bounds checked and pins buffered, streamed, and
-// killed-then-resumed output byte-identical, and E17 pins the supervised
-// sharded sweep crash-identical under injected kills and hangs.
+// -shard/-supervise/-merge modes). TestAllFamiliesConform sweeps all nine
+// families with bounds checked, TestStreamResumeByteIdentical pins killed-
+// then-resumed output byte-identical, and the shard package's
+// TestChaosSupervisedByteIdentical pins the supervised sharded sweep
+// crash-identical under injected kills and hangs.
 package sweep

@@ -121,12 +121,8 @@ func TestFixedInstanceSweep(t *testing.T) {
 	}
 
 	// bipartite needs labels the raw graph does not have: skipped, not failed.
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	var skips, matched int
-	for _, r := range rep.Results {
+	for _, r := range collect(t, cfg) {
 		if r.Algo == "bipartite" {
 			if r.Skip == "" {
 				t.Fatalf("bipartite on an unlabelled submitted graph should skip, got %+v", r)
@@ -162,15 +158,12 @@ func TestCellIDsAgreeWithCacheKeys(t *testing.T) {
 		Seed:      9,
 		Provider:  rec,
 	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	rows := collect(t, cfg)
 	seen := map[string]bool{}
 	for _, sid := range rec.ids {
 		seen[sid] = true
 	}
-	for _, r := range rep.Results {
+	for _, r := range rows {
 		_, params, err := gen.Parse(r.Scenario + ":" + r.Params)
 		if r.Scenario == id {
 			// Submitted addresses are not registry names; parse the

@@ -53,13 +53,13 @@ func TestSidecarSinkSplitsRows(t *testing.T) {
 	cfg := tinyConfig()
 
 	// Reference run: full rows, histograms attached.
-	var ref reportSink
+	var ref collectSink
 	if _, err := Stream(context.Background(), cfg, &ref); err != nil {
 		t.Fatal(err)
 	}
 
 	var main, side bytes.Buffer
-	var got reportSink
+	var got collectSink
 	sink := NewSidecarSink(MultiSink(NewJSONLSink(&main), &got), &side)
 	if _, err := Stream(context.Background(), cfg, sink); err != nil {
 		t.Fatal(err)

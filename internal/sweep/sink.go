@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"text/tabwriter"
 )
 
 // Sink consumes one Result per completed cell. Stream delivers results
@@ -51,8 +52,7 @@ type Syncer interface{ Sync() error }
 // pushes it all the way out — if the writer has a Flush method (a
 // bufio.Writer over a file) it is flushed after every row, so a killed
 // sweep leaves every completed cell on disk and -resume can pick up from
-// the exact row the process died at. Byte-for-byte, n streamed rows equal
-// Report.WriteJSONL of the same n results.
+// the exact row the process died at.
 //
 // Per-row flushing covers process death; it does NOT cover machine death.
 // A destination registered with WithSync additionally reaches stable
@@ -110,10 +110,38 @@ func (s *JSONLSink) Sync() error {
 	return nil
 }
 
+// AggRow is one aggregated (scenario, algorithm) row.
+type AggRow struct {
+	Scenario   string
+	Algo       string
+	Cells      int // executed cells
+	Skipped    int // skipped cells (inapplicable algorithm)
+	MaxRounds  int // worst round count across the cells
+	Messages   int // total messages across the cells
+	Bytes      int // total traffic bytes across the cells
+	Matched    int // total matched edges across the cells
+	Violations int // total contract breaches across the cells
+}
+
+// add folds one result into the row.
+func (row *AggRow) add(res *Result) {
+	if res.Skip != "" {
+		row.Skipped++
+		return
+	}
+	row.Cells++
+	if res.Rounds > row.MaxRounds {
+		row.MaxRounds = res.Rounds
+	}
+	row.Messages += res.Messages
+	row.Bytes += res.Bytes
+	row.Matched += res.Matched
+	row.Violations += len(res.Violations)
+}
+
 // AggregateSink folds rows into per-(scenario, algorithm) aggregates as
 // they stream past, holding one AggRow per pair rather than one Result per
-// cell — the constant-memory replacement for aggregating a buffered
-// Report.
+// cell.
 type AggregateSink struct {
 	index map[[2]string]int
 	rows  []AggRow
@@ -139,11 +167,20 @@ func (a *AggregateSink) Emit(r *Result) error {
 func (a *AggregateSink) Rows() []AggRow { return a.rows }
 
 // RenderTable writes the aggregate as an aligned text table.
-func (a *AggregateSink) RenderTable(w io.Writer) error { return renderAggTable(w, a.rows) }
+func (a *AggregateSink) RenderTable(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "scenario\talgo\tcells\tskipped\tmax rounds\tmessages\tbytes\tmatched\tviolations")
+	for _, row := range a.rows {
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			row.Scenario, row.Algo, row.Cells, row.Skipped, row.MaxRounds,
+			row.Messages, row.Bytes, row.Matched, row.Violations)
+	}
+	return tw.Flush()
+}
 
 // ViolationsSink collects every contract breach streaming past as one
-// formatted line per violation, prefixed with the cell identity — the
-// streaming counterpart of Report.Violations.
+// formatted line per violation, prefixed with the cell identity. Empty
+// means every row seen conformed.
 type ViolationsSink struct {
 	Lines []string
 }
@@ -153,22 +190,5 @@ func (s *ViolationsSink) Emit(r *Result) error {
 	for _, v := range r.Violations {
 		s.Lines = append(s.Lines, fmt.Sprintf("%s: %s", r.ID(), v))
 	}
-	return nil
-}
-
-// reportSink collects full Results for the buffered Run entry point. It
-// copies the PerRound histogram because the stream driver recycles the
-// buffer after Emit.
-type reportSink struct {
-	results []Result
-}
-
-// Emit implements Sink.
-func (s *reportSink) Emit(r *Result) error {
-	res := *r
-	if r.PerRound != nil {
-		res.PerRound = append([][2]int(nil), r.PerRound...)
-	}
-	s.results = append(s.results, res)
 	return nil
 }

@@ -28,17 +28,14 @@ func (s *syncSpy) Sync() error  { s.syncs++; return nil }
 func TestJSONLSinkSyncBoundary(t *testing.T) {
 	spy := &syncSpy{}
 	sink := NewJSONLSink(spy).WithSync(spy)
-	rep, err := Run(Config{Grids: []string{"path:n=8..16,k=2"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rep.Results {
-		if err := sink.Emit(&rep.Results[i]); err != nil {
+	rows := collect(t, Config{Grids: []string{"path:n=8..16,k=2"}, Seed: 1})
+	for i := range rows {
+		if err := sink.Emit(&rows[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if spy.flushes != len(rep.Results) {
-		t.Errorf("%d flushes for %d rows — Emit must flush each row", spy.flushes, len(rep.Results))
+	if spy.flushes != len(rows) {
+		t.Errorf("%d flushes for %d rows — Emit must flush each row", spy.flushes, len(rows))
 	}
 	if spy.syncs != 0 {
 		t.Errorf("Emit fsynced %d times — per-row fsync would serialise the sweep on the disk", spy.syncs)
@@ -49,7 +46,7 @@ func TestJSONLSinkSyncBoundary(t *testing.T) {
 	if spy.syncs != 1 {
 		t.Errorf("Sync fsynced %d times, want 1", spy.syncs)
 	}
-	if spy.flushes != len(rep.Results)+1 {
+	if spy.flushes != len(rows)+1 {
 		t.Errorf("Sync did not flush before fsyncing (%d flushes)", spy.flushes)
 	}
 

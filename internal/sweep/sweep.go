@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -196,7 +195,7 @@ func (c cell) id() string {
 // Expand resolves a Config into its cell list without running anything:
 // grids expand through gen.ParseGrid, and the cells are ordered grid by
 // grid, parameter cross product in DSL order, algorithm by algorithm,
-// repetition by repetition — the exact order Run reports results in.
+// repetition by repetition — the exact order Stream emits rows in.
 func Expand(cfg Config) (int, error) {
 	cells, err := expand(cfg)
 	return len(cells), err
@@ -252,20 +251,6 @@ func expand(cfg Config) ([]cell, error) {
 		return nil, fmt.Errorf("sweep: empty sweep (no grids or instances)")
 	}
 	return cells, nil
-}
-
-// Run executes the sweep buffered: every Result collected into a Report,
-// in cell order. It is the streaming pipeline with a collecting sink —
-// Stream is the bounded-memory entry point for sweeps bigger than RAM.
-// Instance build or execution failures abort the sweep with an error naming
-// the cell; contract violations do NOT — they are data, recorded in the
-// results for the caller to inspect (Report.Violations collects them).
-func Run(cfg Config) (*Report, error) {
-	var rs reportSink
-	if _, err := Stream(context.Background(), cfg, &rs); err != nil {
-		return nil, err
-	}
-	return &Report{Results: rs.results}, nil
 }
 
 // perRoundPool recycles Result.PerRound histogram buffers: runCell draws
@@ -365,8 +350,8 @@ func runCell(cfg Config, c cell) (Result, error) {
 // DefaultGrids is the smoke grid covering every registered scenario family
 // at a small size: families with an n parameter get n=128 (64 per side for
 // double-cover), the k-sized families (caterpillar, worstcase) run at their
-// defaults. E16 and the CI sweep drive it; it is also what cmd/mmsweep
-// -grid all expands to.
+// defaults. TestAllFamiliesConform and the CI sweep drive it; it is also
+// what cmd/mmsweep -grid all expands to.
 func DefaultGrids() []string {
 	var specs []string
 	for _, s := range gen.All() {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -22,15 +23,42 @@ func tinyConfig() Config {
 	}
 }
 
-func runJSONL(t *testing.T, cfg Config) []byte {
+// collectSink keeps a copy of every row for tests that inspect a whole
+// sweep after it ends. It copies PerRound because Stream recycles that
+// buffer once Emit returns.
+type collectSink struct {
+	results []Result
+}
+
+func (s *collectSink) Emit(r *Result) error {
+	res := *r
+	if r.PerRound != nil {
+		res.PerRound = append([][2]int(nil), r.PerRound...)
+	}
+	s.results = append(s.results, res)
+	return nil
+}
+
+// collect runs the sweep to completion and returns its rows in cell order.
+func collect(t *testing.T, cfg Config) []Result {
 	t.Helper()
-	rep, err := Run(cfg)
-	if err != nil {
+	var rows collectSink
+	if _, err := Stream(context.Background(), cfg, &rows); err != nil {
 		t.Fatal(err)
 	}
+	return rows.results
+}
+
+// runJSONL encodes the collected rows as JSON lines only after the sweep
+// has ended: the reference that per-row streamed output is held to.
+func runJSONL(t *testing.T, cfg Config) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := rep.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, r := range collect(t, cfg) {
+		if err := enc.Encode(&r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
@@ -107,22 +135,23 @@ func TestJSONLRowsParse(t *testing.T) {
 // inapplicable combinations (bipartite on unlabelled families) are skipped,
 // not failed.
 func TestAllFamiliesConform(t *testing.T) {
-	rep, err := Run(Config{
+	var rows collectSink
+	var vio ViolationsSink
+	if _, err := Stream(context.Background(), Config{
 		Grids:       DefaultGrids(),
 		Algos:       AlgoNames(),
 		Reps:        2,
 		Seed:        7,
 		CheckBounds: true,
-	})
-	if err != nil {
+	}, MultiSink(&rows, &vio)); err != nil {
 		t.Fatal(err)
 	}
-	if vs := rep.Violations(); len(vs) != 0 {
-		t.Fatalf("communication contracts violated:\n%s", strings.Join(vs, "\n"))
+	if len(vio.Lines) != 0 {
+		t.Fatalf("communication contracts violated:\n%s", strings.Join(vio.Lines, "\n"))
 	}
 	families := map[string]bool{}
 	ran, skipped := 0, 0
-	for _, res := range rep.Results {
+	for _, res := range rows.results {
 		if res.Skip != "" {
 			skipped++
 			continue
@@ -143,16 +172,16 @@ func TestAllFamiliesConform(t *testing.T) {
 }
 
 func TestAggregate(t *testing.T) {
-	rep, err := Run(Config{
+	var agg AggregateSink
+	if _, err := Stream(context.Background(), Config{
 		Grids:       []string{"path:n=8..16"},
 		Algos:       []string{"greedy", "bipartite"},
 		Seed:        1,
 		CheckBounds: true,
-	})
-	if err != nil {
+	}, &agg); err != nil {
 		t.Fatal(err)
 	}
-	rows := rep.Aggregate()
+	rows := agg.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("%d aggregate rows, want 2", len(rows))
 	}
@@ -163,7 +192,7 @@ func TestAggregate(t *testing.T) {
 		t.Errorf("bipartite row wrong: %+v", rows[1])
 	}
 	var tbl bytes.Buffer
-	if err := rep.RenderTable(&tbl); err != nil {
+	if err := agg.RenderTable(&tbl); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tbl.String(), "path") || !strings.Contains(tbl.String(), "violations") {
