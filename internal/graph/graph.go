@@ -366,44 +366,19 @@ func SequentialGreedy(g *Graph, order []group.Color) []mm.Output {
 }
 
 // edgesByColor lists every undirected edge once, with U < V, ordered by
-// colour. Like CSRBuilder.colorOrder it counting-sorts in O(m + k) while
-// k ≤ 16·m and otherwise sorts the m edges by comparison, so it never
-// allocates O(k) for a palette that dwarfs the graph.
+// colour. It sorts the m edges by comparison, so nothing it allocates is
+// sized by the palette.
 func (g *Graph) edgesByColor() []Edge {
 	halves, mates, offsets := g.flat.halves, g.flat.mates, g.flat.offsets
-	m := len(halves) / 2
-	edges := make([]Edge, 0, m)
-	if g.k > 16*m {
-		for v := 0; v < g.n; v++ {
-			for i := offsets[v]; i < offsets[v+1]; i++ {
-				if i < mates[i] { // the lower half names the edge; its node is the lower end
-					edges = append(edges, Edge{U: v, V: halves[i].Peer, Color: halves[i].Color})
-				}
-			}
-		}
-		slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Color, b.Color) })
-		return edges
-	}
-	pos := make([]int, g.k+1)
-	for i, h := range halves {
-		if i < mates[i] {
-			pos[h.Color]++
-		}
-	}
-	sum := 0
-	for c, count := range pos {
-		pos[c], sum = sum, sum+count
-	}
-	edges = edges[:m]
+	edges := make([]Edge, 0, len(halves)/2)
 	for v := 0; v < g.n; v++ {
 		for i := offsets[v]; i < offsets[v+1]; i++ {
-			if i < mates[i] {
-				c := halves[i].Color
-				edges[pos[c]] = Edge{U: v, V: halves[i].Peer, Color: c}
-				pos[c]++
+			if i < mates[i] { // the lower half names the edge; its node is the lower end
+				edges = append(edges, Edge{U: v, V: halves[i].Peer, Color: halves[i].Color})
 			}
 		}
 	}
+	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Color, b.Color) })
 	return edges
 }
 

@@ -91,8 +91,7 @@ func TestSequentialGreedyCSRMatchesMapPath(t *testing.T) {
 }
 
 // TestSequentialGreedyLargePaletteAllocs runs the oracle on a 3-node
-// graph at k = 2^30, where colours are ordered by a comparison sort, and
-// pins that nothing on the way allocates O(k). Explicit class orders,
+// graph at k = 2^30 and pins that nothing on the way allocates O(k). Explicit class orders,
 // including colours with no edges, must agree with the edge-walk oracle.
 func TestSequentialGreedyLargePaletteAllocs(t *testing.T) {
 	const k = 1 << 30

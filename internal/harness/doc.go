@@ -13,22 +13,9 @@
 // top-level benchmarks drive the registry, and the harness tests run every
 // experiment on every `go test ./...`.
 //
-// The registry is the paper and nothing else; every Paper field cites it:
-//
-//	E1   Figure 1, Lemma 1        greedy matches within k−1 rounds
-//	E2   §1.2                     the worst case needs exactly k−1 rounds
-//	E3   Figure 2, §2.1–2.2       colour systems and translations
-//	E4   Figure 3, §2.4           encoding maximal matchings, (M1)–(M3)
-//	E5   Figure 4, §3.2           templates and colour pickers
-//	E6   Figure 5, §3.3–3.4       extending a template by a picker
-//	E7   Figure 6, §3.6, §3.8     the 1-critical base case
-//	E8   Figures 7–8, §3.9        h-critical pairs, the inductive step
-//	E9   Theorems 2 and 5         the adversary defeats greedy at radius d
-//	E10  Corollary 1, Lemma 4     Ω(Δ) rounds; k ≤ 2
-//	E11  §1.3                     rounds vs k: greedy linear, reduction log*
-//	E12  Lemmas 6–10              property sweep of the template toolbox
-//	E13  §2.3, Remark 2           views and indistinguishability
-//	E14  §1.1                     bipartite matching and 2Δ−1 recolouring
+// The registry is E1–E14 and nothing else: each experiment's Paper field
+// cites the figure, section, lemma or theorem it reproduces, and
+// `go run ./cmd/mmexperiments -list` prints the whole table from All().
 //
 // The systems built around the algorithms (scenario families, the sweep
 // driver, sharding) are pinned by their own package tests, not here.
