@@ -8,6 +8,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	goruntime "runtime"
 	"strconv"
 	"testing"
 
@@ -81,9 +82,9 @@ func BenchmarkAdversaryByK(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyMachineEngines runs the engine on one worker (sequential)
-// and on GOMAXPROCS workers over the same instances; the round loop is
-// allocation-free at every worker count (BENCH_pr1.json records a
+// BenchmarkGreedyMachineEngines runs RunWorkersN on one worker
+// (sequential) and on GOMAXPROCS workers over the same instances; the round
+// loop is allocation-free at every worker count (BENCH_pr1.json records a
 // baseline).
 //
 // The instance is a union of partial random matchings rather than a
@@ -95,12 +96,12 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		rng := rand.New(rand.NewSource(1))
 		g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-		factory := dist.NewGreedyMachinePool(n)
+		pool := dist.NewGreedyMachinePool(n)
 		prefix := "n=" + strconv.Itoa(n) + "/"
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, factory, 64); err != nil {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, 64, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -108,7 +109,7 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 		b.Run(prefix+"workers", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunWorkers(g, factory, 64); err != nil {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, 64, goruntime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,7 +137,7 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, pool, maxR); err != nil {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, maxR, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -144,7 +145,7 @@ func BenchmarkReducedPipelineEngines(b *testing.B) {
 		b.Run(prefix+"workers", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunWorkers(g, pool, maxR); err != nil {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, maxR, goruntime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,12 +164,12 @@ func BenchmarkWorkersScaling(b *testing.B) {
 		}
 		rng := rand.New(rand.NewSource(1))
 		g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-		factory := dist.NewGreedyMachinePool(n)
+		pool := dist.NewGreedyMachinePool(n)
 		for _, workers := range []int{1, 2, 4, 8, 16} {
 			b.Run("n="+strconv.Itoa(n)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := runtime.RunWorkersN(g, nil, factory, 64, workers); err != nil {
+					if _, _, err := runtime.RunWorkersN(g, nil, pool, 64, workers); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -200,7 +201,7 @@ func BenchmarkEngineTailRounds(b *testing.B) {
 		b.Run(prefix+"sequential", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runtime.RunSequential(g, pool, k+16); err != nil {
+				if _, _, err := runtime.RunWorkersN(g, nil, pool, k+16, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,8 +381,9 @@ func BenchmarkGenScenarios(b *testing.B) {
 	}
 }
 
-// BenchmarkReductionSchedule measures the shared schedule computation that
-// every node of the reduced-greedy machine performs at Init.
+// BenchmarkReductionSchedule measures the schedule computation that a
+// reduced-greedy pool performs once per palette and shares across its
+// machines.
 func BenchmarkReductionSchedule(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

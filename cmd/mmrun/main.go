@@ -12,6 +12,7 @@
 //	mmrun -graph random -n 100 -k 8 -algo proposal
 //	mmrun -graph regular -n 64 -k 5 -workers 1
 //	mmrun -scenario matching-union:n=65536,k=6 -workers 8
+//	mmrun -scenario matching-union:n=1048576,k=6 -workers 0  # scale: 2^20 nodes on GOMAXPROCS workers
 //	mmrun -scenario caterpillar:k=8,legs=2 -stats  # per-round histogram
 //	mmrun -scenario double-cover:n=512 -algo bipartite
 //	mmrun -scenario list                           # list the registry
@@ -20,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	goruntime "runtime"
@@ -35,34 +38,51 @@ import (
 )
 
 func main() {
-	graphKind := flag.String("graph", "worstcase", "instance: figure1, worstcase, random, regular, bounded, cayley")
-	scenario := flag.String("scenario", "", "scenario spec name[:param=value,…] from internal/gen (overrides -graph); \"list\" prints the registry")
-	algName := flag.String("algo", "greedy", "machine: greedy, proposal, reduced, bipartite (bipartite needs a labelled scenario)")
-	workers := flag.Int("workers", 1, "engine worker count (0 = GOMAXPROCS); results are identical at every count")
-	n := flag.Int("n", 64, "number of nodes (random/regular/bounded)")
-	k := flag.Int("k", 4, "number of edge colours")
-	delta := flag.Int("delta", 3, "degree bound (bounded graphs, reduced machine)")
-	radius := flag.Int("radius", 3, "ball radius (cayley graphs)")
-	seed := flag.Int64("seed", 1, "random seed")
-	stats := flag.Bool("stats", false, "print the per-round message/byte histogram")
-	dot := flag.Bool("dot", false, "emit Graphviz DOT with the matching in bold")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is mmrun with its arguments and output streams passed in; it returns
+// the process exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	graphKind := fs.String("graph", "worstcase", "instance: figure1, worstcase, random, regular, bounded, cayley")
+	scenario := fs.String("scenario", "", "scenario spec name[:param=value,…] from internal/gen (overrides -graph); \"list\" prints the registry")
+	algName := fs.String("algo", "greedy", "machine: greedy, proposal, reduced, bipartite (bipartite needs a labelled scenario)")
+	workers := fs.Int("workers", 1, "engine worker count (0 = GOMAXPROCS); results are identical at every count")
+	n := fs.Int("n", 64, "number of nodes (random/regular/bounded)")
+	k := fs.Int("k", 4, "number of edge colours")
+	delta := fs.Int("delta", 3, "degree bound (bounded graphs, reduced machine)")
+	radius := fs.Int("radius", 3, "ball radius (cayley graphs)")
+	seed := fs.Int64("seed", 1, "random seed")
+	stats := fs.Bool("stats", false, "print the per-round message/byte histogram")
+	dot := fs.Bool("dot", false, "emit Graphviz DOT with the matching in bold")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
 
 	if *scenario == "list" {
-		cli.PrintScenarios(os.Stdout)
-		return
+		cli.PrintScenarios(stdout)
+		return cli.ExitOK
 	}
 	if *scenario != "" {
 		// Instance-shape flags belong in the spec when a scenario is
 		// named; silently ignoring an explicit -n/-k would run a
 		// different instance than the user asked for.
 		ignored := map[string]bool{"graph": true, "n": true, "k": true, "radius": true}
-		flag.Visit(func(f *flag.Flag) {
-			if ignored[f.Name] {
-				fmt.Fprintf(os.Stderr, "mmrun: -%s has no effect with -scenario; pass instance parameters in the spec (e.g. -scenario name:%s=…)\n", f.Name, f.Name)
-				os.Exit(cli.ExitMismatch)
+		var set string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored[f.Name] && set == "" {
+				set = f.Name
 			}
 		})
+		if set != "" {
+			fmt.Fprintf(stderr, "mmrun: -%s has no effect with -scenario; pass instance parameters in the spec (e.g. -scenario name:%s=…)\n", set, set)
+			return cli.ExitMismatch
+		}
 	}
 
 	var g *graph.Graph
@@ -80,84 +100,85 @@ func main() {
 		g, err = buildGraph(*graphKind, *n, *k, *delta, *radius, *seed)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmrun: %v\n", err)
-		os.Exit(cli.ExitMismatch)
+		fmt.Fprintf(stderr, "mmrun: %v\n", err)
+		return cli.ExitMismatch
 	}
 
-	var factory runtime.Source
+	var src runtime.Source
 	maxRounds := runtime.DefaultMaxRounds(g)
 	switch *algName {
 	case "greedy":
-		factory = dist.NewGreedyMachine
+		src = dist.NewGreedyMachinePool(g.N())
 	case "proposal":
-		factory = dist.NewProposalMachine
+		src = dist.NewProposalMachinePool(g.N())
 	case "reduced":
 		// The reduced machine panics (documented) past its degree bound;
 		// with -scenario the instance no longer derives from -delta, so
 		// check the mismatch here and fail with a usable message instead.
 		if d := g.MaxDegree(); d > *delta {
-			fmt.Fprintf(os.Stderr, "mmrun: -algo reduced needs max degree ≤ delta, but the instance has Δ = %d > %d; raise -delta\n", d, *delta)
-			os.Exit(cli.ExitMismatch)
+			fmt.Fprintf(stderr, "mmrun: -algo reduced needs max degree ≤ delta, but the instance has Δ = %d > %d; raise -delta\n", d, *delta)
+			return cli.ExitMismatch
 		}
-		factory = dist.NewReducedGreedyMachine(*delta)
+		src = dist.NewReducedGreedyMachinePool(*delta, g.N())
 		if t := dist.TotalRounds(g.K(), *delta) + 8; t > maxRounds {
 			maxRounds = t
 		}
 	case "bipartite":
 		if labels == nil {
-			fmt.Fprintln(os.Stderr, "mmrun: -algo bipartite needs a labelled instance (e.g. -scenario double-cover)")
-			os.Exit(cli.ExitMismatch)
+			fmt.Fprintln(stderr, "mmrun: -algo bipartite needs a labelled instance (e.g. -scenario double-cover)")
+			return cli.ExitMismatch
 		}
-		factory = dist.NewBipartiteMachine
+		src = dist.NewBipartiteMachinePool(g.N())
 		if t := 4*g.MaxDegree() + 16; t > maxRounds {
 			maxRounds = t
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "mmrun: unknown algorithm %q\n", *algName)
-		os.Exit(cli.ExitMismatch)
+		fmt.Fprintf(stderr, "mmrun: unknown algorithm %q\n", *algName)
+		return cli.ExitMismatch
 	}
 
 	nw := *workers
 	if nw <= 0 {
 		nw = goruntime.GOMAXPROCS(0)
 	}
-	outs, st, err := runtime.RunWorkersN(g, labels, factory, maxRounds, nw)
+	outs, st, err := runtime.RunWorkersN(g, labels, src, maxRounds, nw)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmrun: %v\n", err)
-		os.Exit(cli.ExitFailure)
+		fmt.Fprintf(stderr, "mmrun: %v\n", err)
+		return cli.ExitFailure
 	}
 
 	matching := graph.MatchingEdges(g, outs)
 	if *dot {
-		if err := g.DOT(os.Stdout, nil, matching); err != nil {
-			fmt.Fprintf(os.Stderr, "mmrun: %v\n", err)
-			os.Exit(cli.ExitFailure)
+		if err := g.DOT(stdout, nil, matching); err != nil {
+			fmt.Fprintf(stderr, "mmrun: %v\n", err)
+			return cli.ExitFailure
 		}
-		return
+		return cli.ExitOK
 	}
 
-	fmt.Printf("instance:  %s (n=%d, |E|=%d, Δ=%d, k=%d)\n",
+	fmt.Fprintf(stdout, "instance:  %s (n=%d, |E|=%d, Δ=%d, k=%d)\n",
 		instName, g.N(), g.NumEdges(), g.MaxDegree(), g.K())
-	fmt.Printf("algorithm: %s on %d engine worker(s)\n", *algName, nw)
-	fmt.Printf("rounds:    %d (greedy bound k−1 = %d)\n", st.Rounds, g.K()-1)
-	fmt.Printf("messages:  %d\n", st.Messages)
-	fmt.Printf("matching:  %d edges\n", len(matching))
+	fmt.Fprintf(stdout, "algorithm: %s on %d engine worker(s)\n", *algName, nw)
+	fmt.Fprintf(stdout, "rounds:    %d (greedy bound k−1 = %d)\n", st.Rounds, g.K()-1)
+	fmt.Fprintf(stdout, "messages:  %d\n", st.Messages)
+	fmt.Fprintf(stdout, "matching:  %d edges\n", len(matching))
 	if *stats {
-		printPerRound(st)
+		printPerRound(stdout, st)
 	}
 	if err := graph.CheckMatching(g, outs); err != nil {
-		fmt.Fprintf(os.Stderr, "mmrun: INVALID OUTPUT: %v\n", err)
-		os.Exit(cli.ExitFailure)
+		fmt.Fprintf(stderr, "mmrun: INVALID OUTPUT: %v\n", err)
+		return cli.ExitFailure
 	}
-	fmt.Println("validated: maximal matching (M1–M3 hold)")
+	fmt.Fprintln(stdout, "validated: maximal matching (M1–M3 hold)")
+	return cli.ExitOK
 }
 
 // printPerRound renders the engine's per-round traffic histogram.
-func printPerRound(st *runtime.Stats) {
-	fmt.Println("per-round traffic:")
-	fmt.Printf("  %5s  %9s  %10s\n", "round", "messages", "bytes")
+func printPerRound(w io.Writer, st *runtime.Stats) {
+	fmt.Fprintln(w, "per-round traffic:")
+	fmt.Fprintf(w, "  %5s  %9s  %10s\n", "round", "messages", "bytes")
 	for r, t := range st.PerRound {
-		fmt.Printf("  %5d  %9d  %10d\n", r+1, t.Messages, t.Bytes)
+		fmt.Fprintf(w, "  %5d  %9d  %10d\n", r+1, t.Messages, t.Bytes)
 	}
 }
 

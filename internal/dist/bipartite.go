@@ -41,9 +41,6 @@ type BipartiteMachine struct {
 	out     mm.Output
 }
 
-// NewBipartiteMachine is a runtime.Factory for BipartiteMachine.
-var NewBipartiteMachine runtime.Factory = func() runtime.Machine { return &BipartiteMachine{} }
-
 // NewBipartiteMachinePool returns a pooling-aware runtime.Source backed by
 // a fixed arena of n machines reused across runs, like
 // NewGreedyMachinePool: Init fully resets a machine while keeping its

@@ -83,7 +83,7 @@ func TestProposalRoundBoundTightOnChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := wc.G.N()
-	_, st, err := runtime.RunSequential(wc.G, NewProposalMachine, n+8)
+	_, st, err := runtime.RunWorkersN(wc.G, nil, NewProposalMachinePool(wc.G.N()), n+8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,16 +59,11 @@ type GreedyMachine struct {
 	out    mm.Output
 }
 
-// NewGreedyMachine is a runtime.Factory — hence a runtime.Source — for
-// GreedyMachine. It is a variable of Factory type so call sites keep
-// passing it by name to an engine that takes a Source.
-var NewGreedyMachine runtime.Factory = func() runtime.Machine { return &GreedyMachine{} }
-
-// NewGreedyMachinePool returns a pooling-aware runtime.Source backed by a
-// fixed arena of n machines reused across runs: Init fully resets a
+// NewGreedyMachinePool returns a runtime.Source for GreedyMachine backed by
+// a fixed arena of n machines reused across runs: Init fully resets a
 // machine, so an engine driving an n-node instance repeatedly performs no
-// per-node allocation after the first run. Engines request the whole batch
-// through NewPool rather than n factory calls.
+// per-node allocation after the first run. The arena grows when a run has
+// more nodes.
 func NewGreedyMachinePool(n int) runtime.Source {
 	return runtime.NewPool[GreedyMachine](n, nil)
 }

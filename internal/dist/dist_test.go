@@ -43,7 +43,7 @@ func TestGreedyMachineIsFaithful(t *testing.T) {
 	instances = append(instances, p)
 
 	for i, g := range instances {
-		outs, stats, err := runtime.RunSequential(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), 1)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -70,7 +70,7 @@ func TestGreedyWorstCaseRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, stats, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, runtime.DefaultMaxRounds(wc.G))
+		outs, stats, err := runtime.RunWorkersN(wc.G, nil, dist.NewGreedyMachinePool(wc.G.N()), runtime.DefaultMaxRounds(wc.G), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestProposalMachine(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomMatchingUnion(10+rng.Intn(40), 2+rng.Intn(6), 0.8, rng)
-		outs, _, err := runtime.RunSequential(g, dist.NewProposalMachine, runtime.DefaultMaxRounds(g))
+		outs, _, err := runtime.RunWorkersN(g, nil, dist.NewProposalMachinePool(g.N()), runtime.DefaultMaxRounds(g), 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -102,7 +102,7 @@ func TestProposalMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, _, err := runtime.RunSequential(wc.G, dist.NewProposalMachine, runtime.DefaultMaxRounds(wc.G))
+		outs, _, err := runtime.RunWorkersN(wc.G, nil, dist.NewProposalMachinePool(wc.G.N()), runtime.DefaultMaxRounds(wc.G), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestBipartiteMachine(t *testing.T) {
 			b.TryAddEdge(u, v, group.Color(1+rng.Intn(k)))
 		}
 		g := b.Build()
-		outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine, 4*g.MaxDegree()+16, 1)
+		outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachinePool(g.N()), 4*g.MaxDegree()+16, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -152,7 +152,7 @@ func TestReducedGreedyMachine(t *testing.T) {
 	} {
 		g := graph.RandomBoundedDegree(p.n, p.k, p.delta, 5*p.n, rng)
 		pred := dist.TotalRounds(p.k, p.delta)
-		outs, stats, err := runtime.RunSequential(g, dist.NewReducedGreedyMachine(p.delta), pred+1)
+		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewReducedGreedyMachinePool(p.delta, g.N()), pred+1, 1)
 		if err != nil {
 			t.Fatalf("k=%d Δ=%d: %v", p.k, p.delta, err)
 		}

@@ -47,7 +47,7 @@
 // edge by its position in NodeInfo.Colors, with ReducedGreedyMachine's
 // colour lists packed into the round arena — and all are deterministic:
 // the engine produces identical outputs and statistics at every worker
-// count. Each machine also has a pooling-aware Source constructor
-// (New*MachinePool) whose fixed arena of machines makes repeated runs
-// allocation-free.
+// count. Each machine has one Source constructor, New*MachinePool, a
+// runtime.Pool whose fixed arena of machines makes repeated runs
+// allocation-free; it is the only way to obtain machines for the engine.
 package dist

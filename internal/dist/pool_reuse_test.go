@@ -14,12 +14,12 @@ import (
 // of different n and k with machine pools shared across runs, and asserts
 // every run matches runtime.RunReference on fresh machines: no stale
 // live/slab/arena/machine state may leak between runs. The reference
-// simulator keeps no state between runs and takes a freshly built source
-// every run, so a leak cannot corrupt both sides. The reduced battery has a
-// second pooled side, one NewReducedGreedyMachine factory reused across
-// palettes, whose machines share a schedule holder that must recompute
-// when k changes, and a Δ=4 instance through its own pool. CI runs this
-// under -race, which additionally checks the engine's internal sharing.
+// simulator keeps no state between runs and takes a freshly built pool
+// every run, so a leak cannot corrupt both sides. The reduced pool is
+// reused across palettes, so its machines' shared schedule holder must
+// recompute when k changes, and a Δ=4 instance runs through its own pool.
+// CI runs this under -race, which additionally checks the engine's
+// internal sharing.
 func TestPooledStateReuseAcrossRuns(t *testing.T) {
 	const maxN = 96
 	rng := rand.New(rand.NewSource(17))
@@ -35,12 +35,11 @@ func TestPooledStateReuseAcrossRuns(t *testing.T) {
 	greedyPool := dist.NewGreedyMachinePool(maxN)
 	reducedPool := dist.NewReducedGreedyMachinePool(3, maxN)
 	proposalPool := dist.NewProposalMachinePool(maxN)
-	reducedFactory := dist.NewReducedGreedyMachine(3)
 	reduced4Pool := dist.NewReducedGreedyMachinePool(4, maxN)
-	greedyFresh := func() runtime.Source { return dist.NewGreedyMachine }
-	proposalFresh := func() runtime.Source { return dist.NewProposalMachine }
+	greedyFresh := func() runtime.Source { return dist.NewGreedyMachinePool(maxN) }
+	proposalFresh := func() runtime.Source { return dist.NewProposalMachinePool(maxN) }
 	reducedFresh := func(delta int) func() runtime.Source {
-		return func() runtime.Source { return dist.NewReducedGreedyMachine(delta) }
+		return func() runtime.Source { return dist.NewReducedGreedyMachinePool(delta, maxN) }
 	}
 
 	var instances []instance
@@ -66,12 +65,6 @@ func TestPooledStateReuseAcrossRuns(t *testing.T) {
 			name:   fmt.Sprintf("reduced/n=%d,k=%d", p.n, p.k),
 			g:      g,
 			pooled: reducedPool,
-			fresh:  reducedFresh(3),
-			maxR:   dist.TotalRounds(p.k, 3) + 8,
-		}, instance{
-			name:   fmt.Sprintf("reduced-factory/n=%d,k=%d", p.n, p.k),
-			g:      g,
-			pooled: reducedFactory,
 			fresh:  reducedFresh(3),
 			maxR:   dist.TotalRounds(p.k, 3) + 8,
 		})
@@ -120,27 +113,23 @@ func TestPooledStateReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-// fixedSource hands the engine the same machines every run, so a test can
-// inspect them afterwards.
-type fixedSource []runtime.Machine
-
-func (s fixedSource) NewPool(n int) []runtime.Machine { return s[:n] }
-
 // TestReducedSourceSharesOneSchedule pins the shared reduction schedule:
-// after a run, every non-isolated machine of one source — pool or factory —
-// holds the same schedule backing array, and a source reused on a
-// different palette recomputes it for the new k.
+// after a run, every non-isolated machine of one pool holds the same
+// schedule backing array, and a pool reused on a different palette
+// recomputes it for the new k.
 func TestReducedSourceSharesOneSchedule(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(5))
 	g257 := graph.RandomBoundedDegree(n, 257, 3, 6*n, rng)
 	g200 := graph.RandomBoundedDegree(n, 200, 3, 6*n, rng)
 
-	// shared runs g on src and returns the one schedule all its
+	pool := dist.NewReducedGreedyMachinePool(3, n)
+	ms := pool.NewPool(n)
+	// shared runs g on the pool and returns the one schedule all its
 	// non-isolated machines hold.
-	shared := func(name string, g *graph.Graph, src runtime.Source, ms []runtime.Machine) []dist.Step {
+	shared := func(name string, g *graph.Graph) []dist.Step {
 		t.Helper()
-		if _, _, err := runtime.RunWorkersN(g, nil, src, dist.TotalRounds(g.K(), 3)+8, 2); err != nil {
+		if _, _, err := runtime.RunWorkersN(g, nil, pool, dist.TotalRounds(g.K(), 3)+8, 2); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var first []dist.Step
@@ -167,26 +156,12 @@ func TestReducedSourceSharesOneSchedule(t *testing.T) {
 		return first
 	}
 
-	pool := dist.NewReducedGreedyMachinePool(3, n)
-	poolMachines := pool.NewPool(n)
-	factoryMachines := dist.NewReducedGreedyMachine(3).NewPool(n)
-	for _, side := range []struct {
-		name string
-		src  runtime.Source
-		ms   []runtime.Machine
-	}{
-		{"pool", pool, poolMachines},
-		{"factory", fixedSource(factoryMachines), factoryMachines},
-	} {
-		a := shared(side.name+"/k=257", g257, side.src, side.ms)
-		again := shared(side.name+"/k=257 again", g257, side.src, side.ms)
-		if &a[0] != &again[0] {
-			t.Errorf("%s: a rerun at the same palette recomputed the schedule", side.name)
-		}
-		b := shared(side.name+"/k=200", g200, side.src, side.ms)
-		if &a[0] == &b[0] {
-			t.Errorf("%s: the k=200 run reused the k=257 schedule", side.name)
-		}
-		shared(side.name+"/k=257 after k=200", g257, side.src, side.ms)
+	a := shared("k=257", g257)
+	if again := shared("k=257 again", g257); &a[0] != &again[0] {
+		t.Error("a rerun at the same palette recomputed the schedule")
 	}
+	if b := shared("k=200", g200); &a[0] == &b[0] {
+		t.Error("the k=200 run reused the k=257 schedule")
+	}
+	shared("k=257 after k=200", g257)
 }

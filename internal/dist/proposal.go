@@ -24,9 +24,6 @@ type ProposalMachine struct {
 	out    mm.Output
 }
 
-// NewProposalMachine is a runtime.Factory for ProposalMachine.
-var NewProposalMachine runtime.Factory = func() runtime.Machine { return &ProposalMachine{} }
-
 // NewProposalMachinePool returns a pooling-aware runtime.Source backed by a
 // fixed arena of n machines reused across runs, like NewGreedyMachinePool:
 // Init fully resets a machine while keeping its live-edge scratch, so

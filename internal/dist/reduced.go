@@ -79,21 +79,13 @@ func (s *sharedSchedule) get(k, d int) []Step {
 	return e.steps
 }
 
-// NewReducedGreedyMachine returns a runtime.Factory for machines that
-// reduce the palette for instances of maximum degree ≤ delta. Every machine
-// the factory builds points at one shared schedule holder, so a run
-// computes the reduction schedule once, not once per node.
-func NewReducedGreedyMachine(delta int) runtime.Factory {
-	shared := &sharedSchedule{}
-	return func() runtime.Machine { return &ReducedGreedyMachine{delta: delta, shared: shared} }
-}
-
-// NewReducedGreedyMachinePool returns a pooling-aware runtime.Source backed
-// by a fixed arena of n machines reused across runs, like
-// NewGreedyMachinePool: Init fully resets a machine while keeping its
-// scratch capacity, so repeated runs on same-shaped instances allocate
-// nothing per node. As with NewReducedGreedyMachine, the arena's machines
-// share one schedule holder, computed once per run and recomputed only when
+// NewReducedGreedyMachinePool returns a runtime.Source for machines that
+// reduce the palette for instances of maximum degree ≤ delta, backed by a
+// fixed arena of n machines reused across runs, like NewGreedyMachinePool:
+// Init fully resets a machine while keeping its scratch capacity, so
+// repeated runs on same-shaped instances allocate nothing per node. The
+// arena's machines share one schedule holder, so a run computes the
+// reduction schedule once, not once per node, and recomputes it only when
 // the palette changes.
 func NewReducedGreedyMachinePool(delta, n int) runtime.Source {
 	shared := &sharedSchedule{}

@@ -69,6 +69,6 @@
 //     2n nodes, labels carrying the sides, the natural input for the §1.1
 //     bipartite algorithm.
 //
-// cmd/mmrun (-scenario), examples/flatengine (-scenario), internal/sweep
-// and the top-level BenchmarkGen* benchmarks all drive this registry.
+// cmd/mmrun (-scenario), internal/sweep and the top-level BenchmarkGen*
+// benchmarks all drive this registry.
 package gen

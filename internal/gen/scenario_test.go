@@ -150,7 +150,7 @@ func TestEveryScenarioRunsGreedy(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		g := inst.G
-		outs, _, err := runtime.RunWorkers(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+		outs, _, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), 2)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -160,7 +160,7 @@ func TestEveryScenarioRunsGreedy(t *testing.T) {
 		if inst.Labels == nil {
 			continue
 		}
-		bouts, _, err := runtime.RunWorkersN(g, inst.Labels, dist.NewBipartiteMachine, 4*g.MaxDegree()+16, 2)
+		bouts, _, err := runtime.RunWorkersN(g, inst.Labels, dist.NewBipartiteMachinePool(g.N()), 4*g.MaxDegree()+16, 2)
 		if err != nil {
 			t.Fatalf("%s (bipartite): %v", s.Name, err)
 		}
@@ -185,7 +185,7 @@ func TestDoubleCoverIsBipartite(t *testing.T) {
 			t.Fatalf("edge {%d, %d} joins two side-%d nodes", e.U, e.V, inst.Labels[e.U])
 		}
 	}
-	outs, _, err := runtime.RunWorkersN(inst.G, inst.Labels, dist.NewBipartiteMachine,
+	outs, _, err := runtime.RunWorkersN(inst.G, inst.Labels, dist.NewBipartiteMachinePool(inst.G.N()),
 		4*inst.G.MaxDegree()+16, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestCaterpillarForcesFullGreedySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := runtime.RunSequential(inst.G, dist.NewGreedyMachine, 4*k)
+		_, stats, err := runtime.RunWorkersN(inst.G, nil, dist.NewGreedyMachinePool(inst.G.N()), 4*k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

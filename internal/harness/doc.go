@@ -11,7 +11,9 @@
 // RunAll executes everything with a banner per experiment and returns the
 // first failure after running the rest. cmd/mmexperiments and the
 // top-level benchmarks drive the registry, and the harness tests run every
-// experiment on every `go test ./...`.
+// experiment on every `go test ./...` and compare RunAll's output, which is
+// what mmexperiments prints, byte for byte with testdata/experiments.golden.
+// Run output must therefore be deterministic: no wall-clock columns.
 //
 // The registry is E1–E14 and nothing else: each experiment's Paper field
 // cites the figure, section, lemma or theorem it reproduces, and

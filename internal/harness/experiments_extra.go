@@ -89,7 +89,7 @@ func e14() Experiment {
 					b.TryAddEdge(u, v, group.Color(1+rng.Intn(p.k)))
 				}
 				g := b.Build()
-				outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachine,
+				outs, stats, err := runtime.RunWorkersN(g, labels, dist.NewBipartiteMachinePool(g.N()),
 					4*g.MaxDegree()+16, 1)
 				if err != nil {
 					return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/algo"
 	"repro/internal/colsys"
@@ -107,9 +106,8 @@ func e9() Experiment {
 		Title: "Theorem 5: the adversary defeats greedy at radius d",
 		Paper: "Theorems 2 and 5",
 		Run: func(w io.Writer) error {
-			table := NewTable("k", "d", "levels", "|U[d]|", "U[d]=V[d]", "A(U,e)", "A(V,e)", "time")
+			table := NewTable("k", "d", "levels", "|U[d]|", "U[d]=V[d]", "A(U,e)", "A(V,e)")
 			for k := 3; k <= 6; k++ {
-				start := time.Now()
 				adv, err := core.New(algo.NewGreedy(), k)
 				if err != nil {
 					return err
@@ -123,8 +121,7 @@ func e9() Experiment {
 				}
 				table.AddRow(k, res.D, len(res.Pairs),
 					len(colsys.Nodes(res.U.System(), res.D)),
-					"yes", res.OutU, res.OutV,
-					time.Since(start).Round(time.Millisecond))
+					"yes", res.OutU, res.OutV)
 			}
 			table.Render(w)
 			fmt.Fprintln(w, "equal radius-d views with different outputs: running time ≥ d = k−1.")

@@ -24,7 +24,7 @@ func e1() Experiment {
 			table := NewTable("instance", "n", "|E|", "Δ", "k", "rounds", "bound k−1", "|M|", "maximal")
 
 			run := func(name string, g *graph.Graph) error {
-				outs, stats, err := runtime.RunSequential(g, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+				outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), 1)
 				if err != nil {
 					return err
 				}
@@ -37,7 +37,7 @@ func e1() Experiment {
 				// Cross-check the engine against the naive reference
 				// simulator, which shares only the Machine interface with it,
 				// on every instance of the experiment.
-				routs, rstats, err := runtime.RunReference(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g))
+				routs, rstats, err := runtime.RunReference(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g))
 				if err != nil {
 					return err
 				}
@@ -100,7 +100,7 @@ func e2() Experiment {
 				if err != nil {
 					return err
 				}
-				outs, stats, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, runtime.DefaultMaxRounds(wc.G))
+				outs, stats, err := runtime.RunWorkersN(wc.G, nil, dist.NewGreedyMachinePool(wc.G.N()), runtime.DefaultMaxRounds(wc.G), 1)
 				if err != nil {
 					return err
 				}
@@ -173,18 +173,18 @@ func e11Measure(k, delta int) (e11Row, error) {
 		return row, err
 	}
 	maxR := 4*k + wc.G.N() + 16
-	_, greedyWorst, err := runtime.RunSequential(wc.G, dist.NewGreedyMachine, maxR)
+	_, greedyWorst, err := runtime.RunWorkersN(wc.G, nil, dist.NewGreedyMachinePool(wc.G.N()), maxR, 1)
 	if err != nil {
 		return row, err
 	}
-	_, propWorst, err := runtime.RunSequential(wc.G, dist.NewProposalMachine, maxR)
+	_, propWorst, err := runtime.RunWorkersN(wc.G, nil, dist.NewProposalMachinePool(wc.G.N()), maxR, 1)
 	if err != nil {
 		return row, err
 	}
 
 	rng := rand.New(rand.NewSource(11<<16 + int64(k)))
 	g := graph.RandomBoundedDegree(128, k, delta, 600, rng)
-	outs, greedyRand, err := runtime.RunSequential(g, dist.NewGreedyMachine, maxR)
+	outs, greedyRand, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), maxR, 1)
 	if err != nil {
 		return row, err
 	}
@@ -192,15 +192,15 @@ func e11Measure(k, delta int) (e11Row, error) {
 		return row, err
 	}
 	row.pred = dist.TotalRounds(k, delta)
-	outs, reducedRand, err := runtime.RunSequential(g, dist.NewReducedGreedyMachine(delta), row.pred+8)
+	outs, reducedRand, err := runtime.RunWorkersN(g, nil, dist.NewReducedGreedyMachinePool(delta, g.N()), row.pred+8, 1)
 	if err != nil {
 		return row, err
 	}
 	if err := graph.CheckMatching(g, outs); err != nil {
 		return row, err
 	}
-	// Cross-check a three-worker run, from a pooled machine source, against
-	// the one-worker run on the reduced pipeline — the heaviest message path.
+	// Cross-check a three-worker run against the one-worker run on the
+	// reduced pipeline — the heaviest message path.
 	// Three workers always exercise the multi-worker schedule, whatever
 	// GOMAXPROCS is.
 	wouts, wstats, err := runtime.RunWorkersN(g, nil, dist.NewReducedGreedyMachinePool(delta, g.N()), row.pred+8, 3)
@@ -215,7 +215,7 @@ func e11Measure(k, delta int) (e11Row, error) {
 	if wstats.Rounds != reducedRand.Rounds {
 		return row, fmt.Errorf("k=%d: multi-worker rounds %d, one worker %d", k, wstats.Rounds, reducedRand.Rounds)
 	}
-	outs, propRand, err := runtime.RunSequential(g, dist.NewProposalMachine, maxR)
+	outs, propRand, err := runtime.RunWorkersN(g, nil, dist.NewProposalMachinePool(g.N()), maxR, 1)
 	if err != nil {
 		return row, err
 	}

@@ -70,9 +70,11 @@ type ParsedHistogram struct {
 // identically (pinned by the round-trip test). Like the live method it
 // returns NaN with zero observations: "no data" must stay distinguishable
 // from "all observations were 0", and callers that encode quantiles (the
-// loadgen report) map NaN to an absent field rather than a fake zero.
+// loadgen report) map NaN to an absent field rather than a fake zero. A
+// scraped histogram with no finite bucket bound (only +Inf) has nothing to
+// clamp to, so it returns NaN too.
 func (h *ParsedHistogram) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 || len(h.Cum) == 0 {
+	if h == nil || h.Count == 0 || len(h.Cum) == 0 || len(h.Upper) == 0 {
 		return math.NaN()
 	}
 	rank := q * float64(h.Count)

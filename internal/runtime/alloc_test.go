@@ -82,7 +82,7 @@ func TestWorkersLargePaletteAllocBounded(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
-		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachine, runtime.DefaultMaxRounds(g), workers)
+		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), workers)
 		goruntime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -67,9 +67,11 @@
 // RunWorkersN is the engine: a fixed worker pool with a round barrier, live
 // nodes tracked in a shared bitset frontier, work distributed by chunk
 // stealing (below), messages in the dense slab, per-worker RoundArenas for
-// payloads. RunWorkers picks GOMAXPROCS workers; RunSequential is
-// RunWorkersN with one worker, which runs the round loop on the calling
-// goroutine. Outputs and Stats are identical at every worker count.
+// payloads. It is also the only way to start a run: one worker runs the
+// round loop on the calling goroutine, and callers that want every core
+// pass GOMAXPROCS. Machines come from a Source, which every caller builds
+// as a Pool of one machine type, so repeated runs reuse one arena. Outputs
+// and Stats are identical at every worker count.
 //
 // Because every worker count runs the same code, the equivalence tests pin
 // the engine against witnesses outside it: a naive simulator written

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -36,12 +37,14 @@ func engines() []engineRun {
 
 // checkAgree runs every execution and compares outputs, rounds, messages,
 // per-node halt times and the per-round histogram against the reference.
-func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, factory runtime.Source, maxRounds int) {
+// Each run gets its own source from newSource, so no two runs, and never
+// the reference and the engine, drive the same machines.
+func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, newSource func(n int) runtime.Source, maxRounds int) {
 	t.Helper()
 	var refOuts []mm.Output
 	var refStats *runtime.Stats
 	for _, e := range engines() {
-		outs, stats, err := e.run(g, labels, factory, maxRounds)
+		outs, stats, err := e.run(g, labels, newSource(g.N()), maxRounds)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, e.name, err)
 		}
@@ -84,6 +87,12 @@ func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, factory
 	}
 }
 
+// reducedPool is NewReducedGreedyMachinePool at degree bound delta, in the
+// shape of the other machines' pool constructors.
+func reducedPool(delta int) func(n int) runtime.Source {
+	return func(n int) runtime.Source { return dist.NewReducedGreedyMachinePool(delta, n) }
+}
+
 // TestEnginesAgreeOnGreedy is the equivalence gate of the engine: the
 // reference simulator and the engine at one, two and three workers must
 // produce identical outputs and statistics for the greedy machine over
@@ -94,21 +103,21 @@ func TestEnginesAgreeOnGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgree(t, "random-regular", g, nil, dist.NewGreedyMachine, 64)
+	checkAgree(t, "random-regular", g, nil, dist.NewGreedyMachinePool, 64)
 
 	for k := 2; k <= 8; k++ {
 		wc, err := graph.NewWorstCase(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgree(t, "worst-case", wc.G, nil, dist.NewGreedyMachine, 64)
+		checkAgree(t, "worst-case", wc.G, nil, dist.NewGreedyMachinePool, 64)
 	}
 
 	p, err := graph.PathGraph(6, []group.Color{6, 5, 4, 3, 2, 1, 2, 3, 4, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgree(t, "path", p, nil, dist.NewGreedyMachine, 64)
+	checkAgree(t, "path", p, nil, dist.NewGreedyMachinePool, 64)
 }
 
 // TestEnginesAgreeOnAllMachines extends the gate to every dist machine,
@@ -117,10 +126,10 @@ func TestEnginesAgreeOnAllMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 
 	g := graph.RandomMatchingUnion(60, 5, 0.8, rng)
-	checkAgree(t, "proposal", g, nil, dist.NewProposalMachine, runtime.DefaultMaxRounds(g))
+	checkAgree(t, "proposal", g, nil, dist.NewProposalMachinePool, runtime.DefaultMaxRounds(g))
 
 	b := graph.RandomBoundedDegree(80, 256, 3, 400, rng)
-	checkAgree(t, "reduced", b, nil, dist.NewReducedGreedyMachine(3),
+	checkAgree(t, "reduced", b, nil, reducedPool(3),
 		dist.TotalRounds(256, 3)+8)
 
 	half := 30
@@ -133,7 +142,7 @@ func TestEnginesAgreeOnAllMachines(t *testing.T) {
 		bb.TryAddEdge(rng.Intn(half), half+rng.Intn(half), group.Color(1+rng.Intn(64)))
 	}
 	bip := bb.Build()
-	checkAgree(t, "bipartite", bip, labels, dist.NewBipartiteMachine, 4*bip.MaxDegree()+16)
+	checkAgree(t, "bipartite", bip, labels, dist.NewBipartiteMachinePool, 4*bip.MaxDegree()+16)
 }
 
 // TestWorkersValidMatchingAtScale exercises the engine on an instance big
@@ -149,7 +158,7 @@ func TestWorkersValidMatchingAtScale(t *testing.T) {
 	// properly coloured instance every node has a colour-1 edge and greedy
 	// halts at time 0, which would leave the round loop untested.
 	g := graph.RandomMatchingUnion(n, 6, 0.7, rng)
-	outs, stats, err := runtime.RunWorkers(g, dist.NewGreedyMachine, 64)
+	outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(n), 64, goruntime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,12 @@ import (
 	"repro/internal/group"
 )
 
-// targetEcho builds a Factory handing out echoMachines whose halt round is
-// a function of the node ID (factories are called in node order at every
-// worker count, which this relies on — the same contract stateful sources
-// use).
-func targetEcho(target func(v int) int) Factory {
-	v := 0
-	return func() Machine {
-		m := &echoMachine{target: target(v), selfName: fmt.Sprintf("m%d", v)}
-		v++
-		return m
-	}
+// targetEcho builds a Source handing out echoMachines whose halt round is
+// a function of the node ID.
+func targetEcho(target func(v int) int) Source {
+	return nodeSource(func(v int) Machine {
+		return &echoMachine{target: target(v), selfName: fmt.Sprintf("m%d", v)}
+	})
 }
 
 // checkFrontierRun pins RunWorkersN against the reference simulator on
@@ -30,8 +25,8 @@ func checkFrontierRun(t *testing.T, name string, g *graph.Graph, target func(v i
 
 // checkAgainstReference pins RunWorkersN at several worker counts against
 // the reference simulator: outputs, rounds, messages, halt times, per-round
-// histogram. newSource is called once per run, so sources that number their
-// machines in factory-call order see every run from node 0.
+// histogram. newSource is called once per run, so no two runs drive the
+// same machines.
 func checkAgainstReference(t *testing.T, name string, g *graph.Graph, newSource func() Source, maxRounds int) *Stats {
 	t.Helper()
 	refOuts, refStats, err := RunReference(g, nil, newSource(), maxRounds)

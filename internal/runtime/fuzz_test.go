@@ -82,21 +82,14 @@ func TestEnginesAgreeOnRandomProtocols(t *testing.T) {
 			seeds[i] = rng.Int63()
 		}
 
-		factoryFor := func() Factory {
-			i := 0
-			return func() Machine {
-				m := &chatterMachine{seed: seeds[i%n]}
-				i++
-				return m
-			}
-		}
+		src := nodeSource(func(v int) Machine { return &chatterMachine{seed: seeds[v]} })
 
-		refOuts, refStats, err := RunReference(g, labels, factoryFor(), 64)
+		refOuts, refStats, err := RunReference(g, labels, src, 64)
 		if err != nil {
 			t.Fatalf("trial %d reference: %v", trial, err)
 		}
 		for _, workers := range []int{1, 2, 3} {
-			outs, stats, err := RunWorkersN(g, labels, factoryFor(), 64, workers)
+			outs, stats, err := RunWorkersN(g, labels, src, 64, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
@@ -176,7 +169,7 @@ func TestPortContract(t *testing.T) {
 		}
 		for name, run := range runs {
 			var ms []*portMachine
-			st, err := run(Factory(func() Machine {
+			st, err := run(nodeSource(func(int) Machine {
 				m := &portMachine{}
 				ms = append(ms, m)
 				return m

@@ -1,12 +1,9 @@
 package runtime
 
-// Pool is a pooling-aware Source backed by a fixed arena of concrete
-// machines: NewPool(n) hands the engine all n machines — and the same
-// boxed []Machine — in one call, so repeated runs perform no per-machine
-// allocation and no per-run boxing. It replaces the ad-hoc cyclic-counter
-// pools the dist package used to build by hand: those relied on the engine
-// calling the factory exactly n times per run in node order, a contract
-// nothing enforced; NewPool makes the batch explicit.
+// Pool is the Source, backed by a fixed arena of concrete machines:
+// NewPool(n) hands the engine all n machines — and the same boxed
+// []Machine — in one call, so repeated runs perform no per-machine
+// allocation and no per-run boxing.
 //
 // Machines are zero values of M optionally fixed up by setup (construction
 // parameters like the reduced machine's Δ); Init must fully reset a

@@ -53,26 +53,6 @@ func TestPoolReusesMachinesAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFactoryNewPool checks the Factory adapter calls the factory once per
-// node in order.
-func TestFactoryNewPool(t *testing.T) {
-	calls := 0
-	f := Factory(func() Machine {
-		m := &poolProbe{tag: calls}
-		calls++
-		return m
-	})
-	ms := f.NewPool(4)
-	if calls != 4 {
-		t.Fatalf("factory called %d times", calls)
-	}
-	for i, m := range ms {
-		if m.(*poolProbe).tag != i {
-			t.Fatalf("machine %d out of order (tag %d)", i, m.(*poolProbe).tag)
-		}
-	}
-}
-
 // TestEnginesUsePoolBatch drives the engine at one and two workers from
 // one Pool and checks each run re-initialises the same machines.
 func TestEnginesUsePoolBatch(t *testing.T) {
@@ -82,7 +62,7 @@ func TestEnginesUsePoolBatch(t *testing.T) {
 	}
 	p := NewPool[poolProbe](3, nil)
 	for run := 1; run <= 2; run++ {
-		if _, _, err := RunSequential(g, p, 8); err != nil {
+		if _, _, err := RunWorkersN(g, nil, p, 8, 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := RunWorkersN(g, nil, p, 8, 2); err != nil {

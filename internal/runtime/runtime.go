@@ -94,27 +94,14 @@ type Sleeper interface {
 }
 
 // Source produces the machines of one engine run. Engines know their node
-// count up front, so the primitive is a single batch request rather than n
-// individual factory calls; pooling-aware sources (NewPool) return the same
-// backing machines — and the same boxed slice — run after run, which is
-// what makes repeated executions allocation-free. The returned slice is
-// owned by the source and must not be mutated by the caller; machines are
-// handed out in node order.
+// count up front, so the primitive is a single batch request. Pool is the
+// Source every caller uses: it returns the same backing machines — and the
+// same boxed slice — run after run, which is what makes repeated
+// executions allocation-free. The returned slice is owned by the source
+// and must not be mutated by the caller; machines are handed out in node
+// order.
 type Source interface {
 	NewPool(n int) []Machine
-}
-
-// Factory creates one fresh Machine per node. It is the simplest Source:
-// NewPool is n independent factory calls in node order.
-type Factory func() Machine
-
-// NewPool implements Source.
-func (f Factory) NewPool(n int) []Machine {
-	ms := make([]Machine, n)
-	for i := range ms {
-		ms[i] = f()
-	}
-	return ms
 }
 
 // RoundTraffic is one round's delivered traffic. A message is delivered
@@ -148,12 +135,6 @@ type Stats struct {
 
 // DefaultMaxRounds bounds executions to catch non-terminating protocols.
 func DefaultMaxRounds(g *graph.Graph) int { return 4*g.K() + g.N() + 16 }
-
-// RunSequential executes the protocol on one worker: RunWorkersN with a
-// single worker, which runs the round loop on the calling goroutine.
-func RunSequential(g *graph.Graph, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	return RunWorkersN(g, nil, src, maxRounds, 1)
-}
 
 func checkLabels(g *graph.Graph, labels []int) error {
 	if labels != nil && len(labels) != g.N() {

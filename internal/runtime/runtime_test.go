@@ -45,6 +45,19 @@ func (m *echoMachine) Halted() bool { return m.halted }
 
 func (m *echoMachine) Output() mm.Output { return mm.Bottom }
 
+// nodeSource is the tests' Source for hand-written machines: every NewPool
+// call builds node v's machine with build(v), so each run, engine or
+// reference, drives fresh machines.
+type nodeSource func(v int) Machine
+
+func (build nodeSource) NewPool(n int) []Machine {
+	ms := make([]Machine, n)
+	for v := range ms {
+		ms[v] = build(v)
+	}
+	return ms
+}
+
 func triangleFree(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := graph.PathGraph(3, []group.Color{1, 2})
@@ -56,7 +69,7 @@ func triangleFree(t *testing.T) *graph.Graph {
 
 func TestSequentialMechanics(t *testing.T) {
 	g := triangleFree(t)
-	outs, stats, err := RunSequential(g, Factory(func() Machine { return &echoMachine{target: 2, selfName: "x"} }), 10)
+	outs, stats, err := RunWorkersN(g, nil, nodeSource(func(int) Machine { return &echoMachine{target: 2, selfName: "x"} }), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +88,7 @@ func TestSequentialMechanics(t *testing.T) {
 
 func TestHaltAtTimeZero(t *testing.T) {
 	g := triangleFree(t)
-	outs, stats, err := RunSequential(g, Factory(func() Machine { return &echoMachine{target: 0} }), 10)
+	outs, stats, err := RunWorkersN(g, nil, nodeSource(func(int) Machine { return &echoMachine{target: 0} }), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +106,8 @@ func TestStaggeredHalting(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := []int{1, 3, 2, 4}
-	i := 0
-	factory := Factory(func() Machine {
-		m := &echoMachine{target: targets[i%4], selfName: "n"}
-		i++
-		return m
-	})
-	_, stats, err := RunSequential(g, factory, 10)
+	src := nodeSource(func(v int) Machine { return &echoMachine{target: targets[v], selfName: "n"} })
+	_, stats, err := RunWorkersN(g, nil, src, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +130,8 @@ func TestStaggeredHalting(t *testing.T) {
 
 func TestMaxRoundsExceeded(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 99, selfName: "z"} })
-	if _, _, err := RunSequential(g, factory, 5); err == nil ||
+	src := nodeSource(func(int) Machine { return &echoMachine{target: 99, selfName: "z"} })
+	if _, _, err := RunWorkersN(g, nil, src, 5, 1); err == nil ||
 		!strings.Contains(err.Error(), "no termination") {
 		t.Errorf("sequential err = %v, want termination error", err)
 	}

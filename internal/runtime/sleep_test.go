@@ -206,12 +206,7 @@ func TestSleepContractViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3} {
-		v := 0
-		src := Factory(func() Machine {
-			m := &sendToSleeper{even: v%2 == 0}
-			v++
-			return m
-		})
+		src := nodeSource(func(v int) Machine { return &sendToSleeper{even: v%2 == 0} })
 		_, _, err := RunWorkersN(g, nil, src, 10, workers)
 		if err == nil || !strings.Contains(err.Error(), "asleep") {
 			t.Fatalf("workers=%d: err = %v, want a message-while-asleep error", workers, err)
@@ -246,8 +241,7 @@ func TestSleepStaleFrontierWord(t *testing.T) {
 	const n = 130
 	g := edgeless(t, n, 4)
 	newSource := func() Source {
-		v := 0
-		return Factory(func() Machine {
+		return nodeSource(func(v int) Machine {
 			m := &sleepEcho{echoMachine: echoMachine{target: 6}}
 			switch v {
 			case 128:
@@ -255,7 +249,6 @@ func TestSleepStaleFrontierWord(t *testing.T) {
 			case 129:
 				m.target, m.sleepAt, m.sleepFor = 5, 1, 2
 			}
-			v++
 			return m
 		})
 	}
@@ -273,11 +266,8 @@ func TestSleepFastForward(t *testing.T) {
 	const n = 70
 	g := edgeless(t, n, 4)
 	newSource := func() Source {
-		v := 0
-		return Factory(func() Machine {
-			m := &sleepEcho{echoMachine: echoMachine{target: 8 + v%5}, sleepAt: 0, sleepFor: 5 + v%3}
-			v++
-			return m
+		return nodeSource(func(v int) Machine {
+			return &sleepEcho{echoMachine: echoMachine{target: 8 + v%5}, sleepAt: 0, sleepFor: 5 + v%3}
 		})
 	}
 	st := checkAgainstReference(t, "fast-forward", g, newSource, 20)

@@ -28,7 +28,7 @@ func TestSleepingGreedyTrafficMatchesReference(t *testing.T) {
 		g := inst.G
 		pool := dist.NewGreedyMachinePool(g.N())
 		maxRounds := runtime.DefaultMaxRounds(g)
-		refOuts, ref, err := runtime.RunReference(g, nil, pool, maxRounds)
+		refOuts, ref, err := runtime.RunReference(g, nil, dist.NewGreedyMachinePool(g.N()), maxRounds)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}

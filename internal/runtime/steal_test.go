@@ -12,13 +12,16 @@ import (
 
 // pinAgainstReference runs RunWorkersN at several worker counts and
 // demands byte-identical outputs and Stats (including the per-round
-// histogram) against the reference simulator.
-func pinAgainstReference(t *testing.T, name string, g *graph.Graph, src runtime.Source, maxRounds int, reps int) {
+// histogram) against the reference simulator. The reference and the engine
+// each get their own source from newSource; the engine reuses its source
+// across worker counts and reps.
+func pinAgainstReference(t *testing.T, name string, g *graph.Graph, newSource func(n int) runtime.Source, maxRounds int, reps int) {
 	t.Helper()
-	refOuts, refStats, err := runtime.RunReference(g, nil, src, maxRounds)
+	refOuts, refStats, err := runtime.RunReference(g, nil, newSource(g.N()), maxRounds)
 	if err != nil {
 		t.Fatalf("%s/reference: %v", name, err)
 	}
+	src := newSource(g.N())
 	for _, workers := range []int{2, 3, 5} {
 		for rep := 0; rep < reps; rep++ {
 			outs, stats, err := runtime.RunWorkersN(g, nil, src, maxRounds, workers)
@@ -72,23 +75,23 @@ func TestWorkersStealInterleavings(t *testing.T) {
 	}
 
 	mu := graph.RandomMatchingUnion(300, 6, 0.7, rng)
-	pinAgainstReference(t, "greedy", mu, dist.NewGreedyMachinePool(300), 64, reps)
+	pinAgainstReference(t, "greedy", mu, dist.NewGreedyMachinePool, 64, reps)
 
 	// k ≫ Δ: greedy nodes sleep between their few incident classes, so
 	// wakeups, widened scan windows and fast-forwards are all in play.
 	sparse := graph.RandomBoundedDegree(300, 256, 3, 400, rng)
-	pinAgainstReference(t, "sleeping-greedy", sparse, dist.NewGreedyMachinePool(300),
+	pinAgainstReference(t, "sleeping-greedy", sparse, dist.NewGreedyMachinePool,
 		runtime.DefaultMaxRounds(sparse), reps)
 
 	// The reduced machine exercises the arena path: colour-list payloads are
 	// packed by whichever worker claims the sender, so the pin also proves
 	// payload contents are schedule-independent.
 	bd := graph.RandomBoundedDegree(200, 128, 3, 1000, rng)
-	pinAgainstReference(t, "reduced", bd, dist.NewReducedGreedyMachinePool(3, 200),
+	pinAgainstReference(t, "reduced", bd, reducedPool(3),
 		dist.TotalRounds(128, 3)+8, reps)
 
 	pr := graph.RandomMatchingUnion(140, 5, 0.8, rng)
-	pinAgainstReference(t, "proposal", pr, dist.NewProposalMachine, runtime.DefaultMaxRounds(pr), reps)
+	pinAgainstReference(t, "proposal", pr, dist.NewProposalMachinePool, runtime.DefaultMaxRounds(pr), reps)
 }
 
 // TestWorkersChunkGranularities pins the schedule-independence across claim
@@ -97,10 +100,9 @@ func TestWorkersStealInterleavings(t *testing.T) {
 func TestWorkersChunkGranularities(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g := graph.RandomMatchingUnion(500, 6, 0.6, rng)
-	src := dist.NewGreedyMachinePool(500)
 	for _, chunk := range []int{1, 2, 7, 64} {
 		restore := runtime.SetStealChunkWords(chunk)
-		pinAgainstReference(t, "chunk", g, src, 64, 1)
+		pinAgainstReference(t, "chunk", g, dist.NewGreedyMachinePool, 64, 1)
 		restore()
 	}
 }

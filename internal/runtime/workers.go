@@ -3,19 +3,12 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/mm"
 )
-
-// RunWorkers executes the protocol on a fixed pool of GOMAXPROCS workers;
-// see RunWorkersN.
-func RunWorkers(g *graph.Graph, src Source, maxRounds int) ([]mm.Output, *Stats, error) {
-	return RunWorkersN(g, nil, src, maxRounds, goruntime.GOMAXPROCS(0))
-}
 
 // RunWorkersN executes the protocol on a fixed pool of workers with a round
 // barrier: live nodes are tracked in a shared bitset frontier, workers claim
@@ -49,28 +42,13 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	halves := g.Halves()
 	mates := g.Mates()
 	st := workersStatePool.Get().(*workersState)
-	defer func() {
-		// Drop machine references before pooling so a finished run does not
-		// pin its machines (and, through them, the graph) until the next use.
-		clear(st.machines)
-		workersStatePool.Put(st)
-	}()
+	defer workersStatePool.Put(st)
 	st.fit(n, workers, g.MaxDegree())
 
-	// Machines are created and initialised in node order before any worker
-	// starts, so stateful sources behave identically at every worker count.
-	// Pooling-aware sources hand back their own boxed slice; the plain
-	// Factory path fills the engine's pooled scratch so neither case boxes
-	// machines per run.
-	var machines []Machine
-	if f, ok := src.(Factory); ok {
-		machines = st.machines
-		for v := 0; v < n; v++ {
-			machines[v] = f()
-		}
-	} else {
-		machines = src.NewPool(n)
-	}
+	// Machines are requested and initialised in node order before any
+	// worker starts, so stateful sources behave identically at every worker
+	// count. The source owns the slice, so the engine boxes nothing per run.
+	machines := src.NewPool(n)
 	haltTimes := make([]int, n)
 	var alive int64
 	// scanLo/scanHi bound the frontier's nonzero words. Liveness only
@@ -355,7 +333,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 // returns, which matters when experiments run thousands of executions back
 // to back.
 type workersState struct {
-	machines []Machine
 	// cur/next are the double-buffered frontier word arrays; fit zeroes
 	// them on every reuse (a run that errored out of its round loop can
 	// leave bits behind, and stale liveness must never leak across runs).
@@ -400,17 +377,13 @@ type workersState struct {
 var workersStatePool = sync.Pool{New: func() any { return &workersState{} }}
 
 // fit resizes the scratch for n nodes, the given worker count and maximum
-// degree. Machine entries are fully overwritten before use; the frontier
-// words must be all-zero and the send buffers all-nil, and a previous run
+// degree. The frontier words must be all-zero and the send buffers
+// all-nil, and a previous run
 // can leave stale state in either (an error path abandons the frontier
 // mid-round), so both are cleared here rather than trusted. Arenas keep
 // their slabs across runs — that is the point of pooling them — because
 // payload contents carry no cross-run meaning.
 func (st *workersState) fit(n, workers, maxDeg int) {
-	if cap(st.machines) < n {
-		st.machines = make([]Machine, n)
-	}
-	st.machines = st.machines[:n]
 	words := frontierWords(n)
 	if cap(st.cur) < words {
 		st.cur = make([]uint64, words)

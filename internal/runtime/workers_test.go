@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -13,13 +14,13 @@ import (
 // simulator.
 func TestWorkersMatchSequentialMechanics(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 3, selfName: "w"} })
-	_, refStats, err := RunReference(g, nil, factory, 10)
+	src := nodeSource(func(int) Machine { return &echoMachine{target: 3, selfName: "w"} })
+	_, refStats, err := RunReference(g, nil, src, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 7} {
-		_, wStats, err := RunWorkersN(g, nil, factory, 10, workers)
+		_, wStats, err := RunWorkersN(g, nil, src, 10, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -37,19 +38,12 @@ func TestWorkersStaggeredHalting(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := []int{1, 3, 2, 4}
-	factoryFor := func() Factory {
-		i := 0
-		return func() Machine {
-			m := &echoMachine{target: targets[i%4], selfName: "n"}
-			i++
-			return m
-		}
-	}
-	_, refStats, err := RunReference(g, nil, factoryFor(), 10)
+	src := nodeSource(func(v int) Machine { return &echoMachine{target: targets[v], selfName: "n"} })
+	_, refStats, err := RunReference(g, nil, src, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wStats, err := RunWorkersN(g, nil, factoryFor(), 10, 2)
+	_, wStats, err := RunWorkersN(g, nil, src, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +61,7 @@ func TestWorkersStaggeredHalting(t *testing.T) {
 // zero-round, zero-message run.
 func TestWorkersHaltAtTimeZero(t *testing.T) {
 	g := triangleFree(t)
-	_, stats, err := RunWorkers(g, Factory(func() Machine { return &echoMachine{target: 0} }), 10)
+	_, stats, err := RunWorkersN(g, nil, nodeSource(func(int) Machine { return &echoMachine{target: 0} }), 10, goruntime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +74,8 @@ func TestWorkersHaltAtTimeZero(t *testing.T) {
 // than one worker too.
 func TestWorkersMaxRoundsExceeded(t *testing.T) {
 	g := triangleFree(t)
-	factory := Factory(func() Machine { return &echoMachine{target: 99, selfName: "z"} })
-	if _, _, err := RunWorkersN(g, nil, factory, 5, 2); err == nil ||
+	src := nodeSource(func(int) Machine { return &echoMachine{target: 99, selfName: "z"} })
+	if _, _, err := RunWorkersN(g, nil, src, 5, 2); err == nil ||
 		!strings.Contains(err.Error(), "no termination") {
 		t.Errorf("err = %v, want termination error", err)
 	}
@@ -97,7 +91,7 @@ func edgeless(t *testing.T, n, k int) *graph.Graph {
 // TestWorkersEmptyGraph: a zero-node instance runs to completion.
 func TestWorkersEmptyGraph(t *testing.T) {
 	g := edgeless(t, 0, 3)
-	outs, stats, err := RunWorkers(g, Factory(func() Machine { return &echoMachine{} }), 10)
+	outs, stats, err := RunWorkersN(g, nil, nodeSource(func(int) Machine { return &echoMachine{} }), 10, goruntime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

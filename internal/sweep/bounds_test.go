@@ -50,8 +50,7 @@ func TestCheckFiresOnViolatingMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := inst.G
-	var src runtime.Factory = func() runtime.Machine { return &chattyMachine{} }
-	_, st, err := runtime.RunSequential(g, src, 16)
+	_, st, err := runtime.RunWorkersN(g, nil, runtime.NewPool[chattyMachine](g.N(), nil), 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
