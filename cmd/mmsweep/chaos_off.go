@@ -2,9 +2,15 @@
 
 package main
 
-import "repro/internal/sweep/shard"
+import (
+	"flag"
 
-// chaosInjector is the production stub: without the chaos build tag there
+	"repro/internal/sweep/shard"
+)
+
+// registerChaos is the production stub: without the chaos build tag there
 // is no -chaos flag and no fault injection — a release binary cannot be
 // asked to SIGKILL itself.
-func chaosInjector(int64) (*shard.FaultInjector, error) { return nil, nil }
+func registerChaos(*flag.FlagSet) chaosFlag {
+	return func(int64) (*shard.FaultInjector, error) { return nil, nil }
+}

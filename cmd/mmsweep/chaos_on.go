@@ -13,20 +13,20 @@ import (
 	"repro/internal/sweep/shard"
 )
 
-// chaosSpec is the -chaos flag, compiled in only under the chaos build tag
-// so production binaries physically cannot SIGKILL themselves: fault
-// injection is a test capability, not a runtime one.
-var chaosSpec string
-
-func init() {
-	flag.StringVar(&chaosSpec, "chaos", "",
+// registerChaos adds the -chaos flag to fs and returns the injector it
+// configures. The flag is compiled in only under the chaos build tag, so
+// production binaries physically cannot SIGKILL themselves: fault injection
+// is a test capability, not a runtime one.
+func registerChaos(fs *flag.FlagSet) chaosFlag {
+	spec := fs.String("chaos", "",
 		"fault injection (chaos builds only): kill=P,hang=P[,stall=DUR][,seed=N] — each worker row draws a seeded fault: SIGKILL this process or stall past the supervisor's lease")
+	return func(baseSeed int64) (*shard.FaultInjector, error) { return chaosInjector(*spec, baseSeed) }
 }
 
-// chaosInjector parses -chaos into a FaultInjector. Decisions derive from
-// (seed, shard, attempt, cell), so the same spec replays the same fault
+// chaosInjector parses a -chaos spec into a FaultInjector. Decisions derive
+// from (seed, shard, attempt, cell), so the same spec replays the same fault
 // schedule; the seed defaults to a value derived from the sweep's base seed.
-func chaosInjector(baseSeed int64) (*shard.FaultInjector, error) {
+func chaosInjector(chaosSpec string, baseSeed int64) (*shard.FaultInjector, error) {
 	if chaosSpec == "" {
 		return nil, nil
 	}

@@ -54,6 +54,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,33 +67,43 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is mmsweep with its arguments and output streams passed in; it
+// returns the process exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var grids cli.StringList
-	flag.Var(&grids, "grid", "grid spec name[:param=values,…] with ranges (repeatable); \"all\" sweeps every family, \"list\" prints the registry")
-	algos := flag.String("algo", "greedy", "comma-separated algorithms: greedy, reduced, proposal, bipartite, or \"all\"")
-	seeds := flag.Int("seeds", 1, "seeded repetitions per cell")
-	seed := flag.Int64("seed", 1, "base seed (per-cell seeds derive from it deterministically)")
-	checkBounds := flag.Bool("check-bounds", false, "verify the paper's communication contracts per cell; violations fail the run")
-	out := flag.String("out", "-", "JSONL output path (\"-\" = stdout); rows stream and flush as cells finish")
-	resume := flag.Bool("resume", false, "continue an interrupted sweep: keep -out's complete rows, skip their cells, append the rest (requires -out file)")
-	cellWorkers := flag.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
-	engineWorkers := flag.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
-	window := flag.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
-	shardSpec := flag.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")
-	attempt := flag.Int("attempt", 0, "restart count of this shard attempt (set by -supervise; feeds fault-injection derivation)")
-	livenessFD := flag.Int("liveness-fd", -1, "inherited pipe fd to heartbeat one byte per row on (set by -supervise)")
-	supervise := flag.Int("supervise", 0, "fork/exec N supervised shard workers of this binary, restart crashed/hung ones, then merge into -out")
-	mergeN := flag.Int("merge", 0, "merge N existing shard files of this sweep into -out, verifying canonical order")
-	leaseTimeout := flag.Duration("lease-timeout", shard.DefaultLeaseTimeout, "kill a supervised worker making no visible progress for this long")
-	maxAttempts := flag.Int("max-attempts", shard.DefaultMaxAttempts, "abandon a shard after this many worker launches")
-	progress := flag.Duration("progress", 0, "print a cells-done/rows-per-second/ETA line to stderr at this interval (0 = off)")
-	sidecarOut := flag.String("perround-sidecar", "", "divert per_round histograms to this sidecar JSONL (delta+varint packed, keyed by cell id); -out rows then omit per_round")
-	traceFile := flag.String("trace", "", "write one JSON span line per resolve/run/emit step to this file")
-	metricsOut := flag.String("metrics-out", "", "on exit, write the run's metrics (Prometheus text format) to this file")
-	flag.Parse()
+	fs.Var(&grids, "grid", "grid spec name[:param=values,…] with ranges (repeatable); \"all\" sweeps every family, \"list\" prints the registry")
+	algos := fs.String("algo", "greedy", "comma-separated algorithms: greedy, reduced, proposal, bipartite, or \"all\"")
+	seeds := fs.Int("seeds", 1, "seeded repetitions per cell")
+	seed := fs.Int64("seed", 1, "base seed (per-cell seeds derive from it deterministically)")
+	checkBounds := fs.Bool("check-bounds", false, "verify the paper's communication contracts per cell; violations fail the run")
+	out := fs.String("out", "-", "JSONL output path (\"-\" = stdout); rows stream and flush as cells finish")
+	resume := fs.Bool("resume", false, "continue an interrupted sweep: keep -out's complete rows, skip their cells, append the rest (requires -out file)")
+	cellWorkers := fs.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
+	engineWorkers := fs.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
+	window := fs.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
+	shardSpec := fs.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")
+	attempt := fs.Int("attempt", 0, "restart count of this shard attempt (set by -supervise; feeds fault-injection derivation)")
+	livenessFD := fs.Int("liveness-fd", -1, "inherited pipe fd to heartbeat one byte per row on (set by -supervise)")
+	supervise := fs.Int("supervise", 0, "fork/exec N supervised shard workers of this binary, restart crashed/hung ones, then merge into -out")
+	mergeN := fs.Int("merge", 0, "merge N existing shard files of this sweep into -out, verifying canonical order")
+	leaseTimeout := fs.Duration("lease-timeout", shard.DefaultLeaseTimeout, "kill a supervised worker making no visible progress for this long")
+	maxAttempts := fs.Int("max-attempts", shard.DefaultMaxAttempts, "abandon a shard after this many worker launches")
+	progress := fs.Duration("progress", 0, "print a cells-done/rows-per-second/ETA line to stderr at this interval (0 = off)")
+	sidecarOut := fs.String("perround-sidecar", "", "divert per_round histograms to this sidecar JSONL (delta+varint packed, keyed by cell id); -out rows then omit per_round")
+	traceFile := fs.String("trace", "", "write one JSON span line per resolve/run/emit step to this file")
+	metricsOut := fs.String("metrics-out", "", "on exit, write the run's metrics (Prometheus text format) to this file")
+	chaos := registerChaos(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
 
 	cfg := sweep.Config{
 		Reps:          *seeds,
@@ -105,7 +116,7 @@ func run() int {
 	for _, spec := range grids {
 		switch spec {
 		case "list":
-			cli.PrintScenarios(os.Stdout)
+			cli.PrintScenarios(stdout)
 			return cli.ExitOK
 		case "all":
 			cfg.Grids = append(cfg.Grids, sweep.DefaultGrids()...)
@@ -114,7 +125,7 @@ func run() int {
 		}
 	}
 	if len(cfg.Grids) == 0 {
-		fmt.Fprintln(os.Stderr, "mmsweep: no -grid given (try -grid all or -grid list)")
+		fmt.Fprintln(stderr, "mmsweep: no -grid given (try -grid all or -grid list)")
 		return cli.ExitMismatch
 	}
 	if *algos == "all" {
@@ -125,7 +136,7 @@ func run() int {
 
 	cells, err := sweep.Expand(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitMismatch
 	}
 
@@ -141,7 +152,7 @@ func run() int {
 	if *traceFile != "" {
 		tf, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 			return cli.ExitFailure
 		}
 		defer tf.Close()
@@ -154,7 +165,7 @@ func run() int {
 			return code
 		}
 		if err := writeMetricsOut(*metricsOut, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 			if code == cli.ExitOK {
 				return cli.ExitFailure
 			}
@@ -171,43 +182,43 @@ func run() int {
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "mmsweep: -shard, -supervise and -merge are mutually exclusive")
+		fmt.Fprintln(stderr, "mmsweep: -shard, -supervise and -merge are mutually exclusive")
 		return cli.ExitMismatch
 	}
 	if modes == 1 && *out == "-" {
-		fmt.Fprintln(os.Stderr, "mmsweep: sharded modes need -out pointing at a file (shard paths derive from it)")
+		fmt.Fprintln(stderr, "mmsweep: sharded modes need -out pointing at a file (shard paths derive from it)")
 		return cli.ExitMismatch
 	}
 	switch {
 	case *shardSpec != "":
 		if *progress > 0 && cfg.Metrics != nil {
-			defer cfg.Metrics.StartProgress(os.Stderr, *progress)()
+			defer cfg.Metrics.StartProgress(stderr, *progress)()
 		}
-		return finish(runShard(cfg, *out, *shardSpec, *attempt, *livenessFD))
+		return finish(runShard(cfg, *out, *shardSpec, *attempt, *livenessFD, chaos, stderr))
 	case *supervise > 0:
 		// The supervisor itself streams nothing; its registry records the
 		// shard fault history (restarts, lease expiries, backoff).
-		return finish(runSupervise(cfg, *out, *supervise, *leaseTimeout, *maxAttempts, reg))
+		return finish(runSupervise(args, cfg, *out, *supervise, *leaseTimeout, *maxAttempts, reg, stdout, stderr))
 	case *mergeN > 0:
-		return finish(runMerge(cfg, *out, *mergeN))
+		return finish(runMerge(cfg, *out, *mergeN, stdout, stderr))
 	}
 
 	// Destination: stdout, or a file created/truncated UP FRONT so even a
 	// zero-row failure leaves a well-defined (empty) artefact. With
 	// -resume, the existing file's complete rows survive and the file is
 	// truncated only past its last complete row.
-	jsonlSink := sweep.NewJSONLSink(os.Stdout)
-	tableW := io.Writer(os.Stderr) // keep the table off the JSONL stream
+	jsonlSink := sweep.NewJSONLSink(stdout)
+	tableW := io.Writer(stderr) // keep the table off the JSONL stream
 	var flushClose func() error
 	if *out == "-" {
 		if *resume {
-			fmt.Fprintln(os.Stderr, "mmsweep: -resume needs -out pointing at a file")
+			fmt.Fprintln(stderr, "mmsweep: -resume needs -out pointing at a file")
 			return cli.ExitMismatch
 		}
 	} else {
 		f, err := openOut(*out, *resume, &cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 			return cli.Classify(err)
 		}
 		// Buffered, fsync-on-close: JSONLSink flushes the buffer after
@@ -215,18 +226,18 @@ func run() int {
 		// sweep reports complete.
 		o := cli.WrapOut(f)
 		jsonlSink = sweep.NewJSONLSink(o.Writer()).WithSync(o)
-		tableW = os.Stdout
+		tableW = stdout
 		flushClose = o.Close
 	}
 	if n := len(cfg.Completed); n > 0 {
-		fmt.Fprintf(os.Stderr, "mmsweep: %d cells (%d already complete, resuming)\n", cells, n)
+		fmt.Fprintf(stderr, "mmsweep: %d cells (%d already complete, resuming)\n", cells, n)
 	} else {
-		fmt.Fprintf(os.Stderr, "mmsweep: %d cells\n", cells)
+		fmt.Fprintf(stderr, "mmsweep: %d cells\n", cells)
 	}
 
 	stopProgress := func() {}
 	if *progress > 0 && cfg.Metrics != nil {
-		stopProgress = cfg.Metrics.StartProgress(os.Stderr, *progress)
+		stopProgress = cfg.Metrics.StartProgress(stderr, *progress)
 	}
 
 	// The sidecar wraps only the row writer: aggregates and violation
@@ -236,7 +247,7 @@ func run() int {
 	if *sidecarOut != "" {
 		f, err := os.Create(*sidecarOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 			return finish(cli.Classify(err))
 		}
 		o := cli.WrapOut(f)
@@ -263,16 +274,16 @@ func run() int {
 		// and flushed — rerun with -resume to continue from it. A
 		// configuration mismatch (exit 2, field and offset in the message)
 		// is different: resuming cannot fix it.
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		if code := cli.Classify(err); code == cli.ExitMismatch {
 			return finish(code)
 		}
-		fmt.Fprintf(os.Stderr, "mmsweep: %d rows written before the failure; -resume continues from them\n", stats.Emitted)
+		fmt.Fprintf(stderr, "mmsweep: %d rows written before the failure; -resume continues from them\n", stats.Emitted)
 		return finish(cli.ExitFailure)
 	}
 
 	if err := agg.RenderTable(tableW); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return finish(cli.ExitFailure)
 	}
 	if stats.SkippedResume > 0 {
@@ -282,9 +293,9 @@ func run() int {
 
 	if *checkBounds {
 		if len(vio.Lines) > 0 {
-			fmt.Fprintf(os.Stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
+			fmt.Fprintf(stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
 			for _, v := range vio.Lines {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
+				fmt.Fprintf(stderr, "  %s\n", v)
 			}
 			return finish(cli.ExitFailure)
 		}

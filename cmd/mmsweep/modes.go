@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -14,14 +15,18 @@ import (
 	"repro/internal/sweep/shard"
 )
 
+// chaosFlag builds a shard worker's fault injector from the sweep's base
+// seed; it returns nil, nil unless a chaos build was given -chaos.
+type chaosFlag func(baseSeed int64) (*shard.FaultInjector, error)
+
 // runShard executes one shard worker: the cfg's canonical cell order is
 // partitioned len-ways by the spec, and this process streams its contiguous
 // slice into the derived shard file with resume semantics — restarting over
 // a crashed attempt's file costs exactly the torn row it died writing.
-func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int) int {
+func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int, chaos chaosFlag, stderr io.Writer) int {
 	sp, err := shard.ParseSpec(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitMismatch
 	}
 	cfg.Shard = &sp
@@ -33,9 +38,9 @@ func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int) int {
 			beat = func() { lf.Write([]byte{'.'}) } // any byte renews the lease
 		}
 	}
-	inj, err := chaosInjector(cfg.Seed)
+	inj, err := chaos(cfg.Seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitMismatch
 	}
 	path := shard.Path(out, sp.Index, sp.Count)
@@ -45,10 +50,10 @@ func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int) int {
 		Injector: inj,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: shard %s: %v\n", sp, err)
+		fmt.Fprintf(stderr, "mmsweep: shard %s: %v\n", sp, err)
 		return cli.Classify(err)
 	}
-	fmt.Fprintf(os.Stderr, "mmsweep: shard %s: %d rows (%d already complete) -> %s\n",
+	fmt.Fprintf(stderr, "mmsweep: shard %s: %d rows (%d already complete) -> %s\n",
 		sp, stats.Emitted, stats.SkippedResume, path)
 	return cli.ExitOK
 }
@@ -59,10 +64,10 @@ func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int) int {
 // delays, configuration mismatches (exit 2) treated as permanent. On
 // success the shard files are merged into -out and verified byte-identical
 // to the canonical order.
-func runSupervise(cfg sweep.Config, out string, n int, lease time.Duration, maxAttempts int, reg *obs.Registry) int {
+func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time.Duration, maxAttempts int, reg *obs.Registry, stdout, stderr io.Writer) int {
 	bin, err := os.Executable()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
 	// Workers re-run this invocation's flags minus the supervision flags,
@@ -70,7 +75,7 @@ func runSupervise(cfg sweep.Config, out string, n int, lease time.Duration, maxA
 	// so injected faults land in workers, not the supervisor. The obs flags
 	// stay with the supervisor too — N workers sharing one -trace or
 	// -metrics-out file would clobber each other.
-	base := stripFlags(os.Args[1:], "supervise", "merge", "shard", "attempt", "liveness-fd",
+	base := stripFlags(args, "supervise", "merge", "shard", "attempt", "liveness-fd",
 		"progress", "trace", "metrics-out")
 	ec := shard.ExecConfig{
 		Bin: bin,
@@ -88,25 +93,25 @@ func runSupervise(cfg sweep.Config, out string, n int, lease time.Duration, maxA
 		LeaseTimeout: lease,
 		MaxAttempts:  maxAttempts,
 		Seed:         cfg.Seed,
-		Log:          os.Stderr,
+		Log:          stderr,
 		Metrics:      shard.NewMetrics(reg),
 	}
 	if err := sup.Run(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
-		fmt.Fprintln(os.Stderr, "mmsweep: shard files keep their completed rows; re-running resumes from them")
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
+		fmt.Fprintln(stderr, "mmsweep: shard files keep their completed rows; re-running resumes from them")
 		return cli.Classify(err)
 	}
-	return runMerge(cfg, out, n)
+	return runMerge(cfg, out, n, stdout, stderr)
 }
 
 // runMerge stitches the n shard files back into -out as one verified,
 // byte-identical artefact, then replays it through the aggregate and
 // violations sinks so a supervised run reports exactly what a
 // single-process run would have.
-func runMerge(cfg sweep.Config, out string, n int) int {
+func runMerge(cfg sweep.Config, out string, n int, stdout, stderr io.Writer) int {
 	o, err := cli.CreateOut(out)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
 	// Close flushes and fsyncs: the merged artefact is the durable
@@ -116,36 +121,36 @@ func runMerge(cfg sweep.Config, out string, n int) int {
 		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: merge: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: merge: %v\n", err)
 		return cli.Classify(err)
 	}
-	fmt.Fprintf(os.Stderr, "mmsweep: merged %d rows from %d shards -> %s\n", rows, n, out)
+	fmt.Fprintf(stderr, "mmsweep: merged %d rows from %d shards -> %s\n", rows, n, out)
 
 	rf, err := os.Open(out)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
 	defer rf.Close()
 	var agg sweep.AggregateSink
 	var vio sweep.ViolationsSink
 	if _, err := sweep.DecodeRows(rf, sweep.MultiSink(&agg, &vio)); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
-	if err := agg.RenderTable(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsweep: %v\n", err)
+	if err := agg.RenderTable(stdout); err != nil {
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
 	if cfg.CheckBounds {
 		if len(vio.Lines) > 0 {
-			fmt.Fprintf(os.Stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
+			fmt.Fprintf(stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
 			for _, v := range vio.Lines {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
+				fmt.Fprintf(stderr, "  %s\n", v)
 			}
 			return cli.ExitFailure
 		}
-		fmt.Fprintln(os.Stdout, "bounds: all communication contracts hold")
+		fmt.Fprintln(stdout, "bounds: all communication contracts hold")
 	}
 	return cli.ExitOK
 }
