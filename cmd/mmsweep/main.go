@@ -22,9 +22,12 @@
 // bounded by the reorder window however many cells the grid expands to,
 // and a run that dies mid-sweep (crash, OOM-kill, ctrl-C) leaves every
 // completed row on disk. -resume picks such a run back up: the existing
-// -out file is scanned, complete rows are kept (a torn final line is
-// truncated away), the finished cells are skipped, and the missing rows
-// are appended — the final file is byte-identical to an uninterrupted run.
+// -out file's complete rows must be a verified prefix of this sweep (the
+// first cells of its plan, same IDs and seeds, same order); they are kept
+// (a torn final line is truncated away), their cells are skipped, and the
+// missing rows are appended — the final file is byte-identical to an
+// uninterrupted run. A file that is not such a prefix is refused and left
+// untouched.
 //
 // Sharded multi-process sweeps split the grid's canonical cell order into
 // N contiguous ranges:
@@ -47,9 +50,11 @@
 // the JSONL itself goes to stdout). Exit codes are a contract: 0 success,
 // 1 sweep failure or (with -check-bounds) contract violations — the
 // partial output stays intact and -resume continues from it — and 2 for
-// configuration mismatches (a wrong -seed against an existing file, or a
-// file written by a retired instance builder; the message names the field
-// and file offset), which retrying cannot fix.
+// configuration mismatches and usage errors, which retrying cannot fix:
+// an existing or shard file that is not a prefix of this sweep (a row of
+// another cell, a wrong -seed, a retired instance builder's row; the
+// message names the field and file offset), or -perround-sidecar combined
+// with -resume or a sharded mode.
 package main
 
 import (
@@ -82,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "base seed (per-cell seeds derive from it deterministically)")
 	checkBounds := fs.Bool("check-bounds", false, "verify the paper's communication contracts per cell; violations fail the run")
 	out := fs.String("out", "-", "JSONL output path (\"-\" = stdout); rows stream and flush as cells finish")
-	resume := fs.Bool("resume", false, "continue an interrupted sweep: keep -out's complete rows, skip their cells, append the rest (requires -out file)")
+	resume := fs.Bool("resume", false, "continue an interrupted sweep: verify -out's complete rows are a prefix of this sweep, skip their cells, append the rest (requires -out file)")
 	cellWorkers := fs.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
 	engineWorkers := fs.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
 	window := fs.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
@@ -94,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	leaseTimeout := fs.Duration("lease-timeout", shard.DefaultLeaseTimeout, "kill a supervised worker making no visible progress for this long")
 	maxAttempts := fs.Int("max-attempts", shard.DefaultMaxAttempts, "abandon a shard after this many worker launches")
 	progress := fs.Duration("progress", 0, "print a cells-done/rows-per-second/ETA line to stderr at this interval (0 = off)")
-	sidecarOut := fs.String("perround-sidecar", "", "divert per_round histograms to this sidecar JSONL (delta+varint packed, keyed by cell id); -out rows then omit per_round")
+	sidecarOut := fs.String("perround-sidecar", "", "divert per_round histograms to this sidecar JSONL (delta+varint packed, keyed by cell id); -out rows then omit per_round (not with -resume or the sharded modes)")
 	traceFile := fs.String("trace", "", "write one JSON span line per resolve/run/emit step to this file")
 	metricsOut := fs.String("metrics-out", "", "on exit, write the run's metrics (Prometheus text format) to this file")
 	chaos := registerChaos(fs)
@@ -189,6 +194,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mmsweep: sharded modes need -out pointing at a file (shard paths derive from it)")
 		return cli.ExitMismatch
 	}
+	// The sidecar is written fresh by one process: a resumed run would
+	// recreate it without the kept rows' histograms, and shard workers,
+	// supervisors and merges never write one.
+	if *sidecarOut != "" && (*resume || modes > 0) {
+		fmt.Fprintln(stderr, "mmsweep: -perround-sidecar cannot be combined with -resume, -shard, -supervise or -merge (the sidecar only holds the cells one uninterrupted run executes)")
+		return cli.ExitMismatch
+	}
 	switch {
 	case *shardSpec != "":
 		if *progress > 0 && cfg.Metrics != nil {
@@ -205,32 +217,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Destination: stdout, or a file created/truncated UP FRONT so even a
 	// zero-row failure leaves a well-defined (empty) artefact. With
-	// -resume, the existing file's complete rows survive and the file is
-	// truncated only past its last complete row.
+	// -resume, the file's complete rows must be a prefix of this sweep;
+	// they survive, and only a torn tail past them is cut.
 	jsonlSink := sweep.NewJSONLSink(stdout)
 	tableW := io.Writer(stderr) // keep the table off the JSONL stream
-	var flushClose func() error
+	var outClose func() error
 	if *out == "-" {
 		if *resume {
 			fmt.Fprintln(stderr, "mmsweep: -resume needs -out pointing at a file")
 			return cli.ExitMismatch
 		}
 	} else {
-		f, err := openOut(*out, *resume, &cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
-			return cli.Classify(err)
+		var o *sweep.Output
+		var err error
+		if *resume {
+			o, err = sweep.Resume(*out, &cfg)
+		} else {
+			o, err = sweep.Create(*out)
 		}
-		// Buffered, fsync-on-close: JSONLSink flushes the buffer after
-		// every row, and Close syncs the rows to stable storage before the
-		// sweep reports complete.
-		o := cli.WrapOut(f)
-		jsonlSink = sweep.NewJSONLSink(o.Writer()).WithSync(o)
+		if err != nil {
+			// A *sweep.MismatchError (the file is not a prefix of this
+			// sweep) maps to exit 2; the file is left as it was.
+			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
+			return finish(cli.Classify(err))
+		}
+		jsonlSink = sweep.NewJSONLSink(o)
 		tableW = stdout
-		flushClose = o.Close
+		outClose = o.Close
 	}
-	if n := len(cfg.Completed); n > 0 {
-		fmt.Fprintf(stderr, "mmsweep: %d cells (%d already complete, resuming)\n", cells, n)
+	if cfg.Done > 0 {
+		fmt.Fprintf(stderr, "mmsweep: %d cells (%d already complete, resuming)\n", cells, cfg.Done)
 	} else {
 		fmt.Fprintf(stderr, "mmsweep: %d cells\n", cells)
 	}
@@ -245,13 +261,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rowSink := sweep.Sink(jsonlSink)
 	var sidecarClose func() error
 	if *sidecarOut != "" {
-		f, err := os.Create(*sidecarOut)
+		o, err := sweep.Create(*sidecarOut)
 		if err != nil {
 			fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 			return finish(cli.Classify(err))
 		}
-		o := cli.WrapOut(f)
-		rowSink = sweep.NewSidecarSink(jsonlSink, o.Writer())
+		rowSink = sweep.NewSidecarSink(jsonlSink, o)
 		sidecarClose = o.Close
 	}
 
@@ -259,8 +274,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var vio sweep.ViolationsSink
 	stats, err := sweep.Stream(context.Background(), cfg, sweep.MultiSink(rowSink, &agg, &vio))
 	stopProgress()
-	if flushClose != nil {
-		if cerr := flushClose(); cerr != nil && err == nil {
+	if outClose != nil {
+		if cerr := outClose(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -282,26 +297,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return finish(cli.ExitFailure)
 	}
 
-	if err := agg.RenderTable(tableW); err != nil {
-		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
-		return finish(cli.ExitFailure)
-	}
+	var note string
 	if stats.SkippedResume > 0 {
-		fmt.Fprintf(tableW, "resumed: table covers the %d newly-run cells; %d rows were already complete\n",
+		note = fmt.Sprintf("resumed: table covers the %d newly-run cells; %d rows were already complete",
 			stats.Emitted, stats.SkippedResume)
 	}
+	return finish(report(&agg, &vio, *checkBounds, note, tableW, stderr))
+}
 
-	if *checkBounds {
-		if len(vio.Lines) > 0 {
-			fmt.Fprintf(stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
-			for _, v := range vio.Lines {
-				fmt.Fprintf(stderr, "  %s\n", v)
-			}
-			return finish(cli.ExitFailure)
-		}
-		fmt.Fprintln(tableW, "bounds: all communication contracts hold")
+// report writes the aggregate table to w, then note when it is not empty,
+// then — with checkBounds — the bounds verdict: any violation is listed on
+// stderr and exits 1.
+func report(agg *sweep.AggregateSink, vio *sweep.ViolationsSink, checkBounds bool, note string, w, stderr io.Writer) int {
+	if err := agg.RenderTable(w); err != nil {
+		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
+		return cli.ExitFailure
 	}
-	return finish(cli.ExitOK)
+	if note != "" {
+		fmt.Fprintln(w, note)
+	}
+	if !checkBounds {
+		return cli.ExitOK
+	}
+	if len(vio.Lines) > 0 {
+		fmt.Fprintf(stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
+		for _, v := range vio.Lines {
+			fmt.Fprintf(stderr, "  %s\n", v)
+		}
+		return cli.ExitFailure
+	}
+	fmt.Fprintln(w, "bounds: all communication contracts hold")
+	return cli.ExitOK
 }
 
 // writeMetricsOut dumps the registry to path in the Prometheus text
@@ -316,37 +342,4 @@ func writeMetricsOut(path string, reg *obs.Registry) error {
 		return err
 	}
 	return f.Close()
-}
-
-// openOut prepares the JSONL output file. Fresh runs create or truncate;
-// resume runs scan the existing file, record its completed cells in cfg,
-// cut a torn final line, and position for append.
-func openOut(path string, resume bool, cfg *sweep.Config) (*os.File, error) {
-	if !resume {
-		return os.Create(path)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	state, err := sweep.ReadCompleted(f)
-	if err != nil {
-		// A *sweep.MismatchError (a retired builder's rows) maps to exit
-		// code 2.
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(state.ValidSize); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(state.ValidSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Completed cells are skipped; their recorded seeds and offsets travel
-	// along so Stream refuses a -seed mismatch (exit 2, offending offset in
-	// the message) instead of appending rows from a different universe.
-	state.Configure(cfg)
-	return f, nil
 }

@@ -38,6 +38,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"resume builder row", map[string]string{"OUT": builderRow}, []string{"-grid", "path:n=8", "-resume", "-out", "OUT"}, cli.ExitMismatch, "builder mismatch"},
 		{"shard builder row", map[string]string{"OUT.shard0of1": builderRow}, []string{"-grid", "path:n=8", "-shard", "0/1", "-out", "OUT"}, cli.ExitMismatch, "builder mismatch"},
 		{"merge builder row", map[string]string{"OUT.shard0of1": builderRow}, []string{"-grid", "path:n=8", "-merge", "1", "-out", "OUT"}, cli.ExitMismatch, "builder mismatch"},
+		{"sidecar with resume", nil, []string{"-grid", "path:n=8", "-perround-sidecar", "OUT.pr", "-resume", "-out", "OUT"}, cli.ExitMismatch, "-perround-sidecar cannot be combined"},
+		{"sidecar with shard", nil, []string{"-grid", "path:n=8", "-perround-sidecar", "OUT.pr", "-shard", "0/2", "-out", "OUT"}, cli.ExitMismatch, "-perround-sidecar cannot be combined"},
+		{"sidecar with supervise", nil, []string{"-grid", "path:n=8", "-perround-sidecar", "OUT.pr", "-supervise", "2", "-out", "OUT"}, cli.ExitMismatch, "-perround-sidecar cannot be combined"},
+		{"sidecar with merge", nil, []string{"-grid", "path:n=8", "-perround-sidecar", "OUT.pr", "-merge", "2", "-out", "OUT"}, cli.ExitMismatch, "-perround-sidecar cannot be combined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -71,23 +75,40 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestRunResumeSeedMismatch: resuming a seed-1 file under -seed 2 exits 2.
-func TestRunResumeSeedMismatch(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "sweep.jsonl")
-	grid := []string{"-grid", "path:n=8..32", "-out", out}
-	if _, stderr, code := runArgs(grid...); code != cli.ExitOK {
-		t.Fatalf("clean run exit %d:\n%s", code, stderr)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, code := runArgs(append(grid, "-resume", "-seed", "2")...)
-	if code != cli.ExitMismatch || !strings.Contains(stderr, "seed mismatch") {
-		t.Fatalf("exit %d, want %d with a seed mismatch:\n%s", code, cli.ExitMismatch, stderr)
+// TestRunResumeRefusals: -resume over a file that is not a prefix of this
+// sweep exits 2 with the mismatched field named, and leaves the file as it
+// found it: a seed-1 file cut mid-row under -seed 2, and a path file under
+// a grid whose first cell is a cycle.
+func TestRunResumeRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		first, again []string
+		want         string
+	}{
+		{"seed", []string{"-grid", "path:n=8..32"}, []string{"-grid", "path:n=8..32", "-seed", "2"}, "seed mismatch"},
+		{"not a prefix", []string{"-grid", "path:n=8..16"}, []string{"-grid", "cycle:n=8", "-grid", "path:n=8..16"}, "cell mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "sweep.jsonl")
+			if _, stderr, code := runArgs(append(tc.first, "-out", out)...); code != cli.ExitOK {
+				t.Fatalf("first run exit %d:\n%s", code, stderr)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = data[:len(data)-len(data)/5] // cut mid-row
+			if err := os.WriteFile(out, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, stderr, code := runArgs(append(tc.again, "-resume", "-out", out)...)
+			if code != cli.ExitMismatch || !strings.Contains(stderr, tc.want) {
+				t.Fatalf("exit %d, want %d with %q:\n%s", code, cli.ExitMismatch, tc.want, stderr)
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("the refused file was modified (err %v)", err)
+			}
+		})
 	}
 }
 

@@ -109,14 +109,14 @@ func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time
 // violations sinks so a supervised run reports exactly what a
 // single-process run would have.
 func runMerge(cfg sweep.Config, out string, n int, stdout, stderr io.Writer) int {
-	o, err := cli.CreateOut(out)
+	o, err := sweep.Create(out)
 	if err != nil {
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
 	// Close flushes and fsyncs: the merged artefact is the durable
 	// deliverable.
-	rows, err := shard.Merge(o.Writer(), cfg, shard.Paths(out, n))
+	rows, err := shard.Merge(o, cfg, shard.Paths(out, n))
 	if cerr := o.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -138,21 +138,7 @@ func runMerge(cfg sweep.Config, out string, n int, stdout, stderr io.Writer) int
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
 	}
-	if err := agg.RenderTable(stdout); err != nil {
-		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
-		return cli.ExitFailure
-	}
-	if cfg.CheckBounds {
-		if len(vio.Lines) > 0 {
-			fmt.Fprintf(stderr, "mmsweep: %d communication-bound violations:\n", len(vio.Lines))
-			for _, v := range vio.Lines {
-				fmt.Fprintf(stderr, "  %s\n", v)
-			}
-			return cli.ExitFailure
-		}
-		fmt.Fprintln(stdout, "bounds: all communication contracts hold")
-	}
-	return cli.ExitOK
+	return report(&agg, &vio, cfg.CheckBounds, "", stdout, stderr)
 }
 
 // stripFlags removes the named flags (with their values, in both "-name v"

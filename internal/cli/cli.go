@@ -1,7 +1,7 @@
 // Package cli is the shared plumbing of the cmd/ binaries: the exit-code
-// contract, repeatable list flags, scenario-registry listing, and the
-// buffered fsync-on-close output file. mmrun, mmsweep and mmserve all
-// speak through it, so the conventions stay identical across tools.
+// contract, repeatable list flags and scenario-registry listing. mmrun,
+// mmsweep and mmserve all speak through it, so the conventions stay
+// identical across tools. (The durable sweep output file is sweep.Output.)
 //
 // The exit-code contract is load-bearing for supervisors (human and
 // programmatic): 0 is success, 1 is a failure that a retry or -resume may
@@ -11,11 +11,9 @@
 package cli
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/gen"
@@ -69,52 +67,4 @@ func PrintScenarios(w io.Writer) {
 	for _, s := range gen.All() {
 		fmt.Fprintf(w, "%-16s %s\n  defaults: %s\n", s.Name, s.Doc, s.Params)
 	}
-}
-
-// OutFile is a buffered output file with the durability contract the
-// streaming tools share: writes go through a bufio.Writer (which
-// sweep.JSONLSink flushes per row, so a killed process leaves complete
-// rows on disk), and Close flushes AND fsyncs before closing — the file is
-// on stable storage before the process reports success.
-type OutFile struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
-// CreateOut creates (or truncates) path as a buffered fsync-on-close
-// output file.
-func CreateOut(path string) (*OutFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return WrapOut(f), nil
-}
-
-// WrapOut wraps an already-positioned file (e.g. one opened and seeked by
-// resume recovery) in the buffered fsync-on-close contract.
-func WrapOut(f *os.File) *OutFile {
-	return &OutFile{f: f, bw: bufio.NewWriter(f)}
-}
-
-// Writer returns the buffered writer rows are encoded into; it implements
-// the Flush hook sweep.JSONLSink drives per row.
-func (o *OutFile) Writer() *bufio.Writer { return o.bw }
-
-// Sync implements sweep.Syncer: flush the buffer, then fsync the file.
-func (o *OutFile) Sync() error {
-	if err := o.bw.Flush(); err != nil {
-		return err
-	}
-	return o.f.Sync()
-}
-
-// Close flushes, fsyncs and closes. It is safe to report success only
-// after Close returns nil.
-func (o *OutFile) Close() error {
-	err := o.Sync()
-	if cerr := o.f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
 }

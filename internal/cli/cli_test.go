@@ -3,8 +3,6 @@ package cli
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,42 +53,4 @@ func TestPrintScenariosCoversRegistry(t *testing.T) {
 			t.Fatalf("registry listing misses %q", name)
 		}
 	}
-}
-
-func TestOutFileFlushSyncClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.jsonl")
-	o, err := CreateOut(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Writer().WriteString("row\n"); err != nil {
-		t.Fatal(err)
-	}
-	// Sync pushes buffered bytes all the way to the file.
-	if err := o.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "row\n" {
-		t.Fatalf("after Sync file holds %q", b)
-	}
-	if _, err := o.Writer().WriteString("tail\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, _ = os.ReadFile(path)
-	if string(b) != "row\ntail\n" {
-		t.Fatalf("after Close file holds %q", b)
-	}
-}
-
-// TestOutFileIsSyncer pins that OutFile satisfies the sink durability hook
-// mmsweep registers (sweep.JSONLSink.WithSync).
-func TestOutFileIsSyncer(t *testing.T) {
-	var _ sweep.Syncer = (*OutFile)(nil)
 }

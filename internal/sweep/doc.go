@@ -38,28 +38,31 @@
 //
 // On a cell failure, sink error, or cancelled context the stream aborts
 // fail-fast: because emission is in-order, whatever was written is a clean
-// prefix of the deterministic output. ReadCompleted rebuilds the
-// completed-cell set from such a prefix (cutting a torn final line at
-// ResumeState.ValidSize), and a re-run with ResumeState.Configure applied
-// skips those cells and appends exactly the missing rows — the resumed
-// file is byte-identical to an uninterrupted run, pinned by test and
-// exercised as a real SIGKILL/resume/cmp cycle in CI. Resuming over rows
-// from a different configuration is refused with a *MismatchError naming
-// the mismatched field (seed, or builder for rows of the retired sharded
-// builder) and the offending row's byte offset; cmd/mmsweep maps it to exit code 2, the permanent-failure
-// convention supervisors use to stop retrying.
+// prefix of the deterministic output. A resume continues only such a
+// prefix: ScanPlan holds a file to the run's plan (CellPlan — row i must
+// carry cell i's ID and seed), refusing a row of another cell, one past
+// the plan's end, another seed or the retired sharded builder with a
+// *MismatchError naming the field ("cell", "seed", "builder") and the
+// row's byte offset; cmd/mmsweep maps it to exit code 2, the
+// permanent-failure convention supervisors use to stop retrying. Resume
+// runs that check before it touches the file, then cuts a torn final line
+// at ResumeState.ValidSize and sets Config.Done to the verified row count,
+// so Stream skips those cells and appends exactly the missing rows — the
+// resumed file is byte-identical to an uninterrupted run, pinned by test
+// and exercised as a real SIGKILL/resume/cmp cycle in CI. Shard-worker
+// restarts and shard.Merge apply the same verifier.
 //
 // # Durability and sharding
 //
-// JSONLSink flushes after every row — a SIGKILLed process leaves its
-// completed rows on disk — and a destination registered with WithSync
-// additionally reaches stable storage on Sync, the boundary shard workers
-// cross before reporting a cell range complete (per-row fsync would
-// serialise the sweep on the disk; completion-boundary fsync is where the
-// resume machinery actually needs durability).
+// Output is the one durable output file (Create, Resume): JSONLSink
+// flushes it after every row — a SIGKILLed process leaves its completed
+// rows on disk — and Close flushes, fsyncs and closes, the boundary shard
+// workers cross before reporting a cell range complete (per-row fsync
+// would serialise the sweep on the disk; completion-boundary fsync is
+// where the resume machinery actually needs durability).
 //
 // Config.Shard restricts a run to one contiguous slice of the canonical
-// cell order (gen.SplitCells partitions it; CellPlan exposes the canonical
+// cell order (gen.SplitCells partitions it; CellPlan exposes the run's
 // (ID, seed) plan). The sub-package internal/sweep/shard builds the
 // fault-tolerant multi-process topology on top: supervised workers with
 // leases and backed-off restarts, deterministic fault injection, and a

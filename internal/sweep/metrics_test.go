@@ -76,7 +76,7 @@ func TestStreamMetrics(t *testing.T) {
 }
 
 // TestStreamMetricsResumeSkips pins the skipped-resume counter: cells
-// already in Config.Completed count as skipped, not planned.
+// counted by Config.Done count as skipped, not planned.
 func TestStreamMetricsResumeSkips(t *testing.T) {
 	base := Config{Grids: []string{"path:n=8..32,k=2"}, Seed: 1}
 	plan, err := CellPlan(base)
@@ -86,7 +86,7 @@ func TestStreamMetricsResumeSkips(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	cfg := base
 	cfg.Metrics = m
-	cfg.Completed = map[string]bool{plan[0].ID: true}
+	cfg.Done = 1
 	if _, err := Stream(context.Background(), cfg, SinkFunc(func(*Result) error { return nil })); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
 )
 
 // maxRowBytes bounds one JSONL row during resume scanning. Rows carry
@@ -14,42 +16,33 @@ import (
 // histogram at extreme round counts).
 const maxRowBytes = 1 << 26
 
-// ResumeState is what ReadCompleted recovers from an existing JSONL sweep
+// ResumeState is what ScanRows recovers from an existing JSONL sweep
 // output.
 type ResumeState struct {
-	// Completed holds the canonical Scenario:Params/Algo/rep ID of every
-	// complete row; assign it to Config.Completed to skip those cells.
-	Completed map[string]bool
 	// ValidSize is the byte offset just past the last complete row. A
 	// streaming run killed mid-write leaves a torn final line; a resuming
 	// writer must truncate the file to ValidSize before appending so the
 	// resumed output stays byte-identical to an uninterrupted run.
 	ValidSize int64
-	// Seeds maps each completed cell ID to the instance seed its row
-	// recorded; assign it to Config.CompletedSeeds so the resuming run
-	// refuses a base-seed mismatch instead of appending rows from a
-	// different instance universe.
-	Seeds map[string]int64
-	// Offsets maps each completed cell ID to the byte offset its row
-	// starts at — assign it to Config.CompletedOffsets so a refusal can
-	// point at the offending row in the file.
-	Offsets map[string]int64
 	// Rows counts the complete rows.
 	Rows int
 }
 
-// MismatchError reports a resume refusal: the rows already in the output
-// file were produced under a different configuration than the run trying
-// to append to them, so continuing would mix two instance universes in one
-// artefact. Field names the mismatched configuration axis ("seed" or
-// "builder"), Offset the byte position of the row that pins the recorded
-// value. cmd/mmsweep maps this error to exit code 2 (configuration
-// mismatch) — distinct from exit 1 (sweep failure) — so supervisors can
-// tell "restarting cannot fix this" from "retry may succeed".
+// MismatchError reports a refusal to build on existing rows: they are not
+// a prefix of the sweep trying to continue them, so appending to (or
+// merging) them would mix two sweeps in one artefact. Field names the
+// mismatched axis — "cell" (a row the plan does not have at that
+// position, or one past its end), "seed" (a different base seed) or
+// "builder" (a row of the retired sharded instance builder) — and Offset
+// the byte position of the offending row. cmd/mmsweep maps this error to
+// exit code 2 (configuration mismatch) — distinct from exit 1 (sweep
+// failure) — so supervisors can tell "restarting cannot fix this" from
+// "retry may succeed".
 type MismatchError struct {
-	// Field is the mismatched axis: "seed" or "builder".
+	// Field is the mismatched axis: "cell", "seed" or "builder".
 	Field string
-	// Cell is the canonical ID of the offending row.
+	// Cell is the canonical ID of the offending row; empty for Field
+	// "cell", whose Want is that ID.
 	Cell string
 	// Offset is the byte offset of the row that recorded Want.
 	Offset int64
@@ -63,7 +56,7 @@ func (e *MismatchError) Error() string {
 	if e.Cell != "" {
 		where = fmt.Sprintf("cell %s at %s", e.Cell, where)
 	}
-	return fmt.Sprintf("sweep: resume: %s mismatch: %s recorded %s but this run derives %s — the existing rows describe a different instance universe",
+	return fmt.Sprintf("sweep: %s mismatch: %s recorded %s but this run derives %s — the existing rows are not a prefix of this sweep",
 		e.Field, where, e.Want, e.Got)
 }
 
@@ -84,22 +77,18 @@ type ScannedRow struct {
 }
 
 // ScanRows walks the complete rows of a JSONL sweep output in file order,
-// calling fn for each, and returns the same ResumeState ReadCompleted
-// does. A torn final line — the usual debris of a killed run — ends the
-// scan cleanly without a callback; a complete row that is not valid JSON
-// or lacks the identity fields is an error. A complete row carrying a
+// calling fn for each, and returns the recovered ResumeState. A torn
+// final line — the usual debris of a killed run — ends the scan cleanly
+// without a callback; a complete row that is not valid JSON or lacks the
+// identity fields is an error. A complete row carrying a
 // "builder" tag was written by the retired sharded instance builder, which
 // named a different instance for the same seed than any this tree builds;
 // it is refused with a *MismatchError{Field: "builder"}. fn may be nil
 // (scan for the state only); a non-nil error from fn aborts the scan and
-// is returned verbatim, so callers can layer their own verification (the
-// shard merge checks canonical order this way).
+// is returned verbatim, so callers can layer their own verification
+// (ScanPlan checks the rows against a sweep's plan this way).
 func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
-	state := ResumeState{
-		Completed: map[string]bool{},
-		Seeds:     map[string]int64{},
-		Offsets:   map[string]int64{},
-	}
+	var state ResumeState
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
 		line, err := readRow(br)
@@ -132,7 +121,7 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 				// than risk a joined line.
 				return state, nil
 			}
-			id := fmt.Sprintf("%s:%s/%s/rep%d", row.Scenario, row.Params, row.Algo, row.Rep)
+			id := cellID(row.Scenario, row.Params, row.Algo, row.Rep)
 			if row.Builder != "" {
 				return ResumeState{}, &MismatchError{
 					Field:  "builder",
@@ -154,9 +143,6 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 					return state, err
 				}
 			}
-			state.Completed[id] = true
-			state.Seeds[id] = row.Seed
-			state.Offsets[id] = state.ValidSize
 			state.Rows++
 		}
 		if err == io.EOF {
@@ -171,22 +157,112 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 	}
 }
 
-// ReadCompleted reconstructs the resume state from an existing JSONL sweep
-// output: every syntactically complete row contributes its canonical cell
-// ID, and a torn final line is excluded from ValidSize rather than treated
-// as corruption. It is ScanRows without a row callback.
-func ReadCompleted(r io.Reader) (ResumeState, error) {
-	return ScanRows(r, nil)
+// ScanPlan is ScanRows holding the file to plan, the cells of one sweep
+// run in canonical order: complete row i must carry plan[i]'s ID and seed.
+// A row naming another cell, or one past the end of the plan, is refused
+// with a *MismatchError{Field: "cell"}; a row whose seed differs, with
+// Field "seed". Either way the error points at the row's offset. A file
+// that passes is a prefix of the run's output — the one condition under
+// which resuming, restarting or merging reproduces an uninterrupted run
+// byte for byte. fn, when non-nil, sees each row after it passes.
+func ScanPlan(r io.Reader, plan []CellInfo, fn func(ScannedRow) error) (ResumeState, error) {
+	i := 0 // rows verified so far
+	return ScanRows(r, func(row ScannedRow) error {
+		mm := &MismatchError{Field: "cell", Offset: row.Offset, Want: row.ID}
+		switch {
+		case i == len(plan):
+			mm.Got = fmt.Sprintf("nothing past its %d cells", len(plan))
+			return mm
+		case row.ID != plan[i].ID:
+			mm.Got = fmt.Sprintf("%s at position %d", plan[i].ID, i)
+			return mm
+		case row.Seed != plan[i].Seed:
+			mm.Field, mm.Cell = "seed", row.ID
+			mm.Want, mm.Got = strconv.FormatInt(row.Seed, 10), strconv.FormatInt(plan[i].Seed, 10)
+			return mm
+		}
+		i++
+		if fn != nil {
+			return fn(row)
+		}
+		return nil
+	})
 }
 
-// Configure primes cfg to resume over the recovered rows: completed cells
-// are skipped, and the recorded seeds and offsets travel along so a
-// base-seed mismatch is refused with a *MismatchError pointing at the
-// offending row instead of silently mixing instance universes.
-func (s *ResumeState) Configure(cfg *Config) {
-	cfg.Completed = s.Completed
-	cfg.CompletedSeeds = s.Seeds
-	cfg.CompletedOffsets = s.Offsets
+// Output is a sweep's durable output file. Writes are buffered; Flush
+// pushes them to the kernel — JSONLSink calls it after every row, so a
+// killed process leaves every complete row on disk — and Close flushes,
+// fsyncs, then closes, so the rows are on stable storage before the run
+// reports success. Fsync is paid once, at Close: per-row fsync would
+// serialise the sweep on the disk.
+type Output struct {
+	f  file
+	bw *bufio.Writer
+}
+
+// file is what Output needs of an *os.File.
+type file interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// Create creates (or truncates) path as a fresh Output.
+func Create(path string) (*Output, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Output{f: f, bw: bufio.NewWriter(f)}, nil
+}
+
+// Resume opens path to continue cfg's run (the Shard slice when Shard is
+// set) in it. It first verifies with ScanPlan that the file's complete
+// rows are a prefix of the run; only then does it cut a torn tail, seek to
+// the end and set cfg.Done to the rows already on disk, so Stream appends
+// exactly the missing suffix. A refused file is left as Resume found it.
+// A missing file is created and resumes from nothing.
+func Resume(path string, cfg *Config) (*Output, error) {
+	plan, err := CellPlan(*cfg)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	state, err := ScanPlan(f, plan, nil)
+	if err == nil {
+		err = f.Truncate(state.ValidSize)
+	}
+	if err == nil {
+		_, err = f.Seek(state.ValidSize, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	cfg.Done = state.Rows
+	return &Output{f: f, bw: bufio.NewWriter(f)}, nil
+}
+
+// Write buffers p.
+func (o *Output) Write(p []byte) (int, error) { return o.bw.Write(p) }
+
+// Flush hands the buffered bytes to the kernel.
+func (o *Output) Flush() error { return o.bw.Flush() }
+
+// Close flushes, fsyncs and closes. It is safe to report success only
+// after Close returns nil.
+func (o *Output) Close() error {
+	err := o.bw.Flush()
+	if err == nil {
+		err = o.f.Sync()
+	}
+	if cerr := o.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // DecodeRows replays an existing JSONL sweep output through a sink, row by

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"repro/internal/gen"
 	"repro/internal/sweep"
@@ -14,14 +13,14 @@ import (
 // single-process row order and writes them to w, returning the row count.
 // Because gen.SplitCells hands every shard a contiguous slice of the
 // canonical order, the merge is a verified concatenation, not a sort: the
-// files are walked in shard order and every row must carry exactly the
-// cell ID and instance seed the canonical plan assigns to its position.
-// Any deviation — a missing cell, an out-of-order or surplus row, a row
-// from a different seed universe (or one ScanRows refuses, such as a
-// retired builder's row) — is an error naming the shard file and byte
-// offset, never a silently wrong artefact. The output of a clean merge is byte-identical to an
-// uninterrupted single-process run of the same Config (pinned by test and
-// by the CI chaos smoke).
+// files are walked in shard order and sweep.ScanPlan holds each to its
+// shard's range of the plan. A row of the wrong cell or past the range
+// (fields "cell"), of another seed ("seed") or of the retired builder
+// ("builder") is a *sweep.MismatchError naming the byte offset; a shard
+// with rows still missing is a plain error naming the file. Never a
+// silently wrong artefact: the output of a clean merge is byte-identical
+// to an uninterrupted single-process run of the same Config (pinned by
+// test and by the CI chaos smoke).
 //
 // cfg is the whole-sweep configuration: Shard is ignored, the shard count
 // is len(paths).
@@ -34,48 +33,25 @@ func Merge(w io.Writer, cfg sweep.Config, paths []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ranges := gen.SplitCells(len(plan), len(paths))
 	total := 0
-	for i, path := range paths {
-		r := ranges[i]
-		f, err := os.Open(path)
+	for i, r := range gen.SplitCells(len(plan), len(paths)) {
+		f, err := os.Open(paths[i])
 		if err != nil {
 			return total, fmt.Errorf("shard %d: %w", i, err)
 		}
-		next := r.Lo
-		state, err := sweep.ScanRows(f, func(row sweep.ScannedRow) error {
-			if next >= r.Hi {
-				return fmt.Errorf("shard %d (%s): surplus row %s at offset %d past the shard's range %s",
-					i, path, row.ID, row.Offset, r)
-			}
-			if row.ID != plan[next].ID {
-				return fmt.Errorf("shard %d (%s): row at offset %d is %s, want %s at canonical index %d — not this sweep's shard output",
-					i, path, row.Offset, row.ID, plan[next].ID, next)
-			}
-			if row.Seed != plan[next].Seed {
-				return &sweep.MismatchError{
-					Field:  "seed",
-					Cell:   row.ID,
-					Offset: row.Offset,
-					Want:   strconv.FormatInt(row.Seed, 10),
-					Got:    strconv.FormatInt(plan[next].Seed, 10),
-				}
-			}
-			if _, err := w.Write(row.Line); err != nil {
-				return err
-			}
-			next++
-			return nil
+		state, err := sweep.ScanPlan(f, plan[r.Lo:r.Hi], func(row sweep.ScannedRow) error {
+			_, err := w.Write(row.Line)
+			return err
 		})
 		f.Close()
 		if err != nil {
-			return total, err
-		}
-		if next < r.Hi {
-			return total, fmt.Errorf("shard %d (%s) is incomplete: %d of %d rows, next missing cell %s — the worker has not finished (or its torn tail was cut)",
-				i, path, next-r.Lo, r.Len(), plan[next].ID)
+			return total, fmt.Errorf("shard %d (%s): %w", i, paths[i], err)
 		}
 		total += state.Rows
+		if state.Rows < r.Len() {
+			return total, fmt.Errorf("shard %d (%s) is incomplete: %d of %d rows, next missing cell %s — the worker has not finished (or its torn tail was cut)",
+				i, paths[i], state.Rows, r.Len(), plan[r.Lo+state.Rows].ID)
+		}
 	}
 	return total, nil
 }

@@ -177,8 +177,9 @@ func TestMergeByteIdentical(t *testing.T) {
 }
 
 // TestMergeRefusals: every way shard files can be wrong is a loud error —
-// incomplete shards, swapped files, a different seed universe, a row of the
-// retired sharded builder — never a silently wrong artefact.
+// incomplete shards, swapped files (a cell mismatch), a different seed
+// universe, a row of the retired sharded builder — never a silently wrong
+// artefact.
 func TestMergeRefusals(t *testing.T) {
 	cfg := shardConfig()
 	dir := t.TempDir()
@@ -198,8 +199,9 @@ func TestMergeRefusals(t *testing.T) {
 	})
 	t.Run("swapped shards", func(t *testing.T) {
 		bad := []string{paths[1], paths[0], paths[2], paths[3]}
-		if _, err := Merge(&bytes.Buffer{}, cfg, bad); err == nil {
-			t.Fatal("swapped shard files not refused")
+		var mm *sweep.MismatchError
+		if _, err := Merge(&bytes.Buffer{}, cfg, bad); !errors.As(err, &mm) || mm.Field != "cell" || mm.Offset != 0 {
+			t.Fatalf("swapped shard files not refused as a cell mismatch at offset 0: %v", err)
 		}
 	})
 	t.Run("wrong shard count", func(t *testing.T) {

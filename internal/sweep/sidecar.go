@@ -19,9 +19,10 @@ import (
 // slowly-shrinking traffic, so most deltas fit one or two bytes.
 //
 // The sink is opt-in (mmsweep -perround-sidecar) and lossless: ReadSidecar
-// reassembles the exact [][2]int histograms. It is not resume-aware — the
-// sidecar is recreated per run and holds histograms only for the cells that
-// run executed; the main JSONL stream remains the resumable artefact.
+// reassembles the exact [][2]int histograms of the cells one stream
+// executes. A sidecar is written fresh by one uninterrupted run, so
+// mmsweep refuses the flag (exit 2) with -resume, -shard, -supervise and
+// -merge, where it would lose the kept rows' histograms or be ignored.
 type SidecarSink struct {
 	inner Sink
 	enc   *json.Encoder

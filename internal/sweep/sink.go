@@ -39,30 +39,18 @@ func MultiSink(sinks ...Sink) Sink {
 }
 
 // flusher is the optional per-row flush hook of a JSONL destination
-// (bufio.Writer implements it).
+// (Output and bufio.Writer implement it).
 type flusher interface{ Flush() error }
 
-// Syncer is the durability hook of a file-backed JSONL destination:
-// os.File implements it as fsync. Flushing hands rows to the kernel —
-// enough for a killed process to leave them on disk — but only a sync
-// survives power-loss-style truncation of the page cache.
-type Syncer interface{ Sync() error }
-
 // JSONLSink streams results as JSON lines: each Emit encodes one row and
-// pushes it all the way out — if the writer has a Flush method (a
-// bufio.Writer over a file) it is flushed after every row, so a killed
-// sweep leaves every completed cell on disk and -resume can pick up from
-// the exact row the process died at.
-//
-// Per-row flushing covers process death; it does NOT cover machine death.
-// A destination registered with WithSync additionally reaches stable
-// storage on every Sync call — shard workers sync before reporting a cell
-// range complete, so a supervisor restarted after a crash that also took
-// the page cache never trusts rows that were only ever in memory.
+// pushes it all the way out — if the writer has a Flush method (an Output,
+// or a bufio.Writer over a file) it is flushed after every row, so a
+// killed sweep leaves every completed cell on disk and -resume can pick up
+// from the exact row the process died at. Per-row flushing covers process
+// death; Output.Close adds the fsync that covers machine death.
 type JSONLSink struct {
-	enc  *json.Encoder
-	fl   flusher
-	sync Syncer
+	enc *json.Encoder
+	fl  flusher
 }
 
 // NewJSONLSink wraps w in a streaming row writer.
@@ -74,16 +62,6 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return s
 }
 
-// WithSync registers the destination's durability hook (the os.File under
-// the bufio.Writer) and returns the sink for chaining. Sync pushes through
-// it; Emit never does — fsync per row would serialise the sweep on the
-// disk, and the resume machinery only needs durability at completion
-// boundaries.
-func (s *JSONLSink) WithSync(f Syncer) *JSONLSink {
-	s.sync = f
-	return s
-}
-
 // Emit implements Sink.
 func (s *JSONLSink) Emit(r *Result) error {
 	if err := s.enc.Encode(r); err != nil {
@@ -91,21 +69,6 @@ func (s *JSONLSink) Emit(r *Result) error {
 	}
 	if s.fl != nil {
 		return s.fl.Flush()
-	}
-	return nil
-}
-
-// Sync flushes any buffered rows and, when a Syncer is registered, fsyncs
-// them to stable storage. Callers invoke it before reporting a shard or
-// cell range complete; without a registered Syncer it degrades to a flush.
-func (s *JSONLSink) Sync() error {
-	if s.fl != nil {
-		if err := s.fl.Flush(); err != nil {
-			return err
-		}
-	}
-	if s.sync != nil {
-		return s.sync.Sync()
 	}
 	return nil
 }

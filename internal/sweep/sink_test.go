@@ -7,86 +7,121 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// syncSpy records the flush/sync traffic a JSONLSink drives through its
-// destination.
-type syncSpy struct {
+// flushSpy counts the flushes a JSONLSink drives through its destination.
+type flushSpy struct {
 	bytes.Buffer
-	flushes, syncs int
+	flushes int
 }
 
-func (s *syncSpy) Flush() error { s.flushes++; return nil }
-func (s *syncSpy) Sync() error  { s.syncs++; return nil }
+func (s *flushSpy) Flush() error { s.flushes++; return nil }
 
-// TestJSONLSinkSyncBoundary: Emit flushes every row but NEVER fsyncs —
-// durability is paid at completion boundaries, not per row — and Sync
-// flushes then fsyncs exactly once. Without a registered Syncer, Sync
-// degrades to a flush instead of failing.
+// fileSpy stands in for an Output's file, logging writes, fsyncs and the
+// close in the order they happen.
+type fileSpy struct {
+	bytes.Buffer
+	events []string
+}
+
+func (s *fileSpy) Write(p []byte) (int, error) {
+	s.events = append(s.events, "write")
+	return s.Buffer.Write(p)
+}
+func (s *fileSpy) Sync() error  { s.events = append(s.events, "sync"); return nil }
+func (s *fileSpy) Close() error { s.events = append(s.events, "close"); return nil }
+
+// TestJSONLSinkSyncBoundary: through an Output, Emit flushes each row to
+// the file but NEVER fsyncs — durability is paid once, not per row — and
+// Close flushes what is buffered before it fsyncs, then closes.
 func TestJSONLSinkSyncBoundary(t *testing.T) {
-	spy := &syncSpy{}
-	sink := NewJSONLSink(spy).WithSync(spy)
+	spy := &fileSpy{}
+	o := &Output{f: spy, bw: bufio.NewWriter(spy)}
+	sink := NewJSONLSink(o)
 	rows := collect(t, Config{Grids: []string{"path:n=8..16,k=2"}, Seed: 1})
 	for i := range rows {
 		if err := sink.Emit(&rows[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if spy.flushes != len(rows) {
-		t.Errorf("%d flushes for %d rows — Emit must flush each row", spy.flushes, len(rows))
+	want := make([]string, len(rows))
+	for i := range want {
+		want[i] = "write"
 	}
-	if spy.syncs != 0 {
-		t.Errorf("Emit fsynced %d times — per-row fsync would serialise the sweep on the disk", spy.syncs)
+	if !reflect.DeepEqual(spy.events, want) {
+		t.Fatalf("%d rows drove %v — Emit must flush each row and never fsync", len(rows), spy.events)
 	}
-	if err := sink.Sync(); err != nil {
+	if n := bytes.Count(spy.Bytes(), []byte("\n")); n != len(rows) {
+		t.Fatalf("the file holds %d rows, want %d", n, len(rows))
+	}
+	if _, err := o.Write([]byte("tail\n")); err != nil {
 		t.Fatal(err)
 	}
-	if spy.syncs != 1 {
-		t.Errorf("Sync fsynced %d times, want 1", spy.syncs)
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if spy.flushes != len(rows)+1 {
-		t.Errorf("Sync did not flush before fsyncing (%d flushes)", spy.flushes)
+	if got := spy.events[len(rows):]; !reflect.DeepEqual(got, []string{"write", "sync", "close"}) {
+		t.Errorf("Close drove %v, want the buffered write, then the fsync, then the close", got)
 	}
+}
 
-	// No Syncer registered: Sync still flushes, still succeeds.
-	bare := &syncSpy{}
-	s2 := NewJSONLSink(bare)
-	if err := s2.Sync(); err != nil {
-		t.Fatalf("Sync without a Syncer failed: %v", err)
+// TestOutputFlushClose: on a real file, Flush hands buffered bytes to the
+// file, and Close writes whatever is still buffered.
+func TestOutputFlushClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	o, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bare.flushes != 1 || bare.syncs != 0 {
-		t.Errorf("degraded Sync: %d flushes, %d syncs, want 1, 0", bare.flushes, bare.syncs)
+	read := func() string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if _, err := o.Write([]byte("row\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "row\n" {
+		t.Fatalf("after Flush the file holds %q", got)
+	}
+	if _, err := o.Write([]byte("tail\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "row\ntail\n" {
+		t.Fatalf("after Close the file holds %q", got)
 	}
 }
 
 // TestResumeAfterMidRowTruncation: the power-loss scenario the fsync
-// boundary exists for. A synced sweep file truncated mid-row (bytes past
-// the last durable row vanish with the page cache) is recovered by
-// ReadCompleted — complete rows kept, the torn row cut — and a resumed run
-// over it reproduces the uninterrupted file byte for byte.
+// boundary exists for. A closed sweep file truncated mid-row (bytes past
+// the last durable row vanish with the page cache) is resumed — complete
+// rows kept, the torn row cut — to the uninterrupted file byte for byte.
 func TestResumeAfterMidRowTruncation(t *testing.T) {
 	cfg := Config{
 		Grids: []string{"path:n=8..64,k=2"},
 		Algos: []string{"greedy", "proposal"},
 		Seed:  5,
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.jsonl")
-	f, err := os.Create(path)
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	o, err := Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(f)
-	sink := NewJSONLSink(bw).WithSync(f)
-	if _, err := Stream(context.Background(), cfg, sink); err != nil {
+	if _, err := Stream(context.Background(), cfg, NewJSONLSink(o)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
@@ -100,40 +135,12 @@ func TestResumeAfterMidRowTruncation(t *testing.T) {
 	if err := os.Truncate(path, int64(keep)); err != nil {
 		t.Fatal(err)
 	}
-
-	tf, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	got, stats, err := resumeFile(t, cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := ReadCompleted(tf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.Rows != len(lines)-2 {
-		t.Fatalf("recovered %d rows from the truncated file, want %d", state.Rows, len(lines)-2)
-	}
-	if err := tf.Truncate(state.ValidSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tf.Seek(state.ValidSize, 0); err != nil {
-		t.Fatal(err)
-	}
-	rcfg := cfg
-	state.Configure(&rcfg)
-	rbw := bufio.NewWriter(tf)
-	rsink := NewJSONLSink(rbw).WithSync(tf)
-	if _, err := Stream(context.Background(), rcfg, rsink); err != nil {
-		t.Fatal(err)
-	}
-	if err := rsink.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if stats.SkippedResume != len(lines)-2 {
+		t.Fatalf("resumed over %d rows of the truncated file, want %d", stats.SkippedResume, len(lines)-2)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed file differs from the uninterrupted run")
@@ -156,7 +163,7 @@ func TestMultiSinkErrorPropagation(t *testing.T) {
 	boom := errors.New("downstream sink failure")
 	const failAt = 3 // rows 0,1,2 succeed; row 3 fails
 
-	var jsonlBuf syncSpy
+	var jsonlBuf flushSpy
 	jsonl := NewJSONLSink(&jsonlBuf)
 	var vio ViolationsSink
 	rows := 0
@@ -181,7 +188,7 @@ func TestMultiSinkErrorPropagation(t *testing.T) {
 	// The JSONL prefix: the failing row reached the sinks BEFORE the
 	// failing one, so the destination holds failAt+1 complete flushed rows
 	// and nothing after.
-	state, err := ReadCompleted(bytes.NewReader(jsonlBuf.Buffer.Bytes()))
+	state, err := ScanRows(bytes.NewReader(jsonlBuf.Buffer.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,11 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	goruntime "runtime"
-	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/gen"
 	"repro/internal/obs"
 )
 
@@ -29,8 +28,8 @@ func DefaultReorderWindow(cellWorkers int) int {
 type StreamStats struct {
 	// Emitted counts the rows delivered to the sink this run.
 	Emitted int
-	// SkippedResume counts cells skipped because Config.Completed already
-	// held their IDs — not built, not run, not emitted.
+	// SkippedResume counts cells skipped because their rows were already
+	// on disk (Config.Done) — not built, not run, not emitted.
 	SkippedResume int
 	// PeakBuffered is the largest number of completed results the reorder
 	// window held at once. It is bounded by the window size, NEVER by the
@@ -49,12 +48,12 @@ type StreamStats struct {
 // is returned to a pool the moment its Emit returns, so the steady state
 // allocates nothing per cell beyond what the sink keeps.
 //
-// Cells whose Result.ID is present in Config.Completed (a set reconstructed
-// from an earlier run's JSONL by ReadCompleted) are skipped entirely:
+// The first Config.Done cells of the run's range are skipped entirely:
 // because emission is in-order, an interrupted streaming run always leaves
-// a clean prefix of rows, and re-running with that prefix loaded appends
-// exactly the missing suffix — the resumed file is byte-identical to an
-// uninterrupted run (pinned by test).
+// a clean prefix of rows, and re-running with Done set to its row count
+// (Resume verifies the prefix and sets it) appends exactly the missing
+// suffix — the resumed file is byte-identical to an uninterrupted run
+// (pinned by test). Done past the end of the range is refused.
 //
 // On the first cell failure (instance build or execution error, in cell
 // order) or sink error the stream aborts fail-fast: rows before the
@@ -63,58 +62,15 @@ type StreamStats struct {
 // between cells with ctx.Err(). Contract violations are NOT failures —
 // they are data in the rows.
 func Stream(ctx context.Context, cfg Config, sink Sink) (StreamStats, error) {
-	cells, err := expand(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	if cfg.Shard != nil {
-		// A shard runs one contiguous slice of the canonical order; the
-		// slice is a pure function of (cell count, shard count), so every
-		// shard of a Config computes the same partition independently.
-		if err := cfg.Shard.validate(); err != nil {
-			return StreamStats{}, err
-		}
-		r := gen.SplitCells(len(cells), cfg.Shard.Count)[cfg.Shard.Index]
-		cells = cells[r.Lo:r.Hi]
-		if len(cells) == 0 {
-			return StreamStats{}, ctx.Err() // an empty shard is a valid no-op
-		}
+	if cfg.Done < 0 || cfg.Done > len(cells) {
+		return StreamStats{}, fmt.Errorf("sweep: Done = %d is outside the run's %d cells", cfg.Done, len(cells))
 	}
-	var stats StreamStats
-	jobs := cells
-	if len(cfg.Completed) > 0 {
-		jobs = make([]cell, 0, len(cells))
-		for _, c := range cells {
-			if cfg.Completed[c.id()] {
-				stats.SkippedResume++
-				continue
-			}
-			jobs = append(jobs, c)
-		}
-	}
-	// A resumed run must derive the same per-cell seeds the original rows
-	// were produced with; CompletedSeeds (recorded by ReadCompleted)
-	// catches a -seed mismatch before any mixed-universe row is appended.
-	// This must run even when every cell is already complete — a fully
-	// finished file from the wrong seed universe is still a mismatch, not a
-	// success.
-	if cfg.CompletedSeeds != nil {
-		for _, c := range cells {
-			want, ok := cfg.CompletedSeeds[c.id()]
-			if !ok || !cfg.Completed[c.id()] {
-				continue
-			}
-			if got := cellSeed(cfg, c); got != want {
-				return StreamStats{}, &MismatchError{
-					Field:  "seed",
-					Cell:   c.id(),
-					Offset: cfg.CompletedOffsets[c.id()],
-					Want:   strconv.FormatInt(want, 10),
-					Got:    strconv.FormatInt(got, 10),
-				}
-			}
-		}
-	}
+	jobs := cells[cfg.Done:]
+	stats := StreamStats{SkippedResume: cfg.Done}
 	cfg.Metrics.recordPlan(len(jobs), stats.SkippedResume)
 	if len(jobs) == 0 {
 		return stats, ctx.Err()

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -101,8 +102,8 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 // TestStreamResumeByteIdentical is the resume acceptance test: a sweep
 // killed halfway (a cancelled context, the library-level stand-in for
 // SIGKILL between rows) leaves a clean prefix; re-running with -resume
-// semantics — ReadCompleted over the partial output, completed cells
-// skipped, new rows appended — produces a final file byte-identical to an
+// semantics — ScanPlan verifying the partial output, Config.Done skipping
+// its rows, new rows appended — produces a final file byte-identical to an
 // uninterrupted run.
 func TestStreamResumeByteIdentical(t *testing.T) {
 	cfg := Config{
@@ -145,16 +146,20 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 		t.Fatal("interrupted output is not a prefix of the clean run")
 	}
 
-	// Resume: reconstruct the completed set, skip those cells, append.
-	state, err := ReadCompleted(bytes.NewReader(partial.Bytes()))
+	// Resume: verify the prefix, skip its cells, append.
+	plan, err := CellPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := ScanPlan(bytes.NewReader(partial.Bytes()), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state.Rows != stats.Emitted || int64(partial.Len()) != state.ValidSize {
-		t.Fatalf("ReadCompleted saw %d rows / %d bytes, emitted %d / %d", state.Rows, state.ValidSize, stats.Emitted, partial.Len())
+		t.Fatalf("ScanPlan saw %d rows / %d bytes, emitted %d / %d", state.Rows, state.ValidSize, stats.Emitted, partial.Len())
 	}
 	resumed := cfg
-	resumed.Completed = state.Completed
+	resumed.Done = state.Rows
 	rstats, err := streamJSONL(t, context.Background(), resumed, &partial)
 	if err != nil {
 		t.Fatal(err)
@@ -167,46 +172,51 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resuming a complete file is a no-op that emits nothing.
-	done, err := ReadCompleted(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Completed = done.Completed
+	resumed.Done = total
 	var empty bytes.Buffer
 	nstats, err := streamJSONL(t, context.Background(), resumed, &empty)
 	if err != nil || nstats.Emitted != 0 || nstats.SkippedResume != total || empty.Len() != 0 {
 		t.Fatalf("fully-resumed sweep not a no-op: stats=%+v err=%v", nstats, err)
 	}
+	// Done past the end of the run is refused.
+	resumed.Done = total + 1
+	if _, err := streamJSONL(t, context.Background(), resumed, &empty); err == nil || empty.Len() != 0 {
+		t.Fatalf("Done past the run's end not refused: err=%v", err)
+	}
 }
 
 // TestStreamResumeSeedMismatch: resuming under a different base seed must
-// refuse before emitting anything — the old prefix and the new suffix
-// would otherwise describe different instance universes in one file.
+// be refused before anything is emitted — the old prefix and the new
+// suffix would otherwise describe different instance universes in one
+// file. ScanPlan refuses at the first row; under the matching seed the
+// same prefix resumes to the full file.
 func TestStreamResumeSeedMismatch(t *testing.T) {
 	cfg := Config{Grids: []string{"path:n=8..32,k=2"}, Seed: 1}
 	full := runJSONL(t, cfg)
-	state, err := ReadCompleted(bytes.NewReader(full[:len(full)/2]))
+	prefix := full[:len(full)/2]
+	bad := cfg
+	bad.Seed = 2
+	badPlan, err := CellPlan(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mm *MismatchError
+	if _, err := ScanPlan(bytes.NewReader(prefix), badPlan, nil); !errors.As(err, &mm) || mm.Field != "seed" || mm.Offset != 0 {
+		t.Fatalf("seed mismatch not refused at the first row: err=%v", err)
+	}
+	plan, err := CellPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := ScanPlan(bytes.NewReader(prefix), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state.Rows == 0 {
 		t.Fatal("no rows recovered from the prefix")
 	}
-	bad := cfg
-	bad.Seed = 2
-	bad.Completed = state.Completed
-	bad.CompletedSeeds = state.Seeds
-	var buf bytes.Buffer
-	if _, err := streamJSONL(t, context.Background(), bad, &buf); err == nil || !strings.Contains(err.Error(), "seed") {
-		t.Fatalf("seed mismatch not refused: err=%v", err)
-	}
-	if buf.Len() != 0 {
-		t.Error("rows were emitted despite the refusal")
-	}
-	// The same state under the matching seed resumes cleanly.
 	good := cfg
-	good.Completed = state.Completed
-	good.CompletedSeeds = state.Seeds
+	good.Done = state.Rows
 	var tail bytes.Buffer
 	if _, err := streamJSONL(t, context.Background(), good, &tail); err != nil {
 		t.Fatal(err)

@@ -41,28 +41,18 @@ type Config struct {
 	// ahead of the emission frontier (0 = DefaultReorderWindow). It is the
 	// streaming driver's entire per-cell memory ceiling.
 	ReorderWindow int
-	// Completed holds the canonical IDs (Result.ID) of cells an earlier
-	// run already emitted; Stream skips them without building or running
-	// anything. ReadCompleted reconstructs the set from existing JSONL.
-	Completed map[string]bool
-	// CompletedSeeds optionally maps those IDs to the seeds their rows
-	// recorded (ResumeState.Seeds). When set, Stream verifies every
-	// skipped cell would re-derive the same seed under this Config and
-	// refuses to resume across a base-seed mismatch — otherwise the old
-	// prefix and the new suffix would describe different instances.
-	CompletedSeeds map[string]int64
-	// CompletedOffsets optionally maps those IDs to their rows' byte
-	// offsets (ResumeState.Offsets), so a seed-mismatch refusal can point
-	// at the offending row in the file.
-	CompletedOffsets map[string]int64
+	// Done is the number of cells at the start of the run's range (the
+	// Shard slice when Shard is set) whose rows are already on disk;
+	// Stream skips them without building or running anything and appends
+	// the rest. Resume verifies the file and sets it.
+	Done int
 	// Shard, when non-nil, restricts the run to one contiguous slice of
 	// the canonical cell order: shard Index of Count, the range computed
 	// by gen.SplitCells over the expanded grid. The Count shards of a
 	// Config partition its cells exactly, each emitting its rows in
 	// canonical order, so concatenating the shard outputs in index order
 	// reproduces the single-process file byte for byte (shard.Merge
-	// verifies exactly that). Completed/CompletedSeeds compose with Shard:
-	// resume filtering applies within the shard's range.
+	// verifies exactly that). Done counts within the shard's range.
 	Shard *ShardSpec
 	// Instances names fixed, provider-resolved instances to sweep in
 	// addition to (or instead of) the generated Grids: each ref crosses
@@ -120,13 +110,12 @@ type CellInfo struct {
 	Seed int64
 }
 
-// CellPlan expands cfg and returns every cell's identity in canonical
-// order, ignoring Shard/Completed filtering — the full single-process row
-// order a sharded sweep's merge must reproduce, with the expected per-cell
-// seeds so merge verification can refuse rows from a different seed
-// universe.
+// CellPlan returns the identity of every cell of cfg's run in canonical
+// order — the Shard slice when Shard is set, Done ignored: the row order
+// the run's output file must hold, with the per-cell seeds, which is what
+// ScanPlan verifies a file against.
 func CellPlan(cfg Config) ([]CellInfo, error) {
-	cells, err := expand(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +160,12 @@ type Result struct {
 }
 
 // ID names the cell, for error messages and logs.
-func (r *Result) ID() string {
-	return fmt.Sprintf("%s:%s/%s/rep%d", r.Scenario, r.Params, r.Algo, r.Rep)
+func (r *Result) ID() string { return cellID(r.Scenario, r.Params, r.Algo, r.Rep) }
+
+// cellID is the canonical cell identity every row, cell and plan entry is
+// named by.
+func cellID(scenario, params, algo string, rep int) string {
+	return fmt.Sprintf("%s:%s/%s/rep%d", scenario, params, algo, rep)
 }
 
 // cell is one unit of work in the expanded grid. It names its instance by
@@ -187,10 +180,8 @@ type cell struct {
 }
 
 // id is the cell's canonical identity — identical to the Result.ID of its
-// row, which is how resume matches existing JSONL rows back to cells.
-func (c cell) id() string {
-	return fmt.Sprintf("%s:%s/%s/rep%d", c.scenario, c.params.String(), c.algo.Name, c.rep)
-}
+// row, which is how ScanPlan matches existing JSONL rows back to cells.
+func (c cell) id() string { return cellID(c.scenario, c.params.String(), c.algo.Name, c.rep) }
 
 // Expand resolves a Config into its cell list without running anything:
 // grids expand through gen.ParseGrid, and the cells are ordered grid by
@@ -199,6 +190,22 @@ func (c cell) id() string {
 func Expand(cfg Config) (int, error) {
 	cells, err := expand(cfg)
 	return len(cells), err
+}
+
+// runCells expands cfg and returns the cells of its run: the contiguous
+// slice gen.SplitCells assigns to Shard when it is set, else all of them.
+// The slice is a pure function of (cell count, shard count), so every
+// shard of a Config computes the same partition independently.
+func runCells(cfg Config) ([]cell, error) {
+	cells, err := expand(cfg)
+	if err != nil || cfg.Shard == nil {
+		return cells, err
+	}
+	if err := cfg.Shard.validate(); err != nil {
+		return nil, err
+	}
+	r := gen.SplitCells(len(cells), cfg.Shard.Count)[cfg.Shard.Index]
+	return cells[r.Lo:r.Hi], nil
 }
 
 func expand(cfg Config) ([]cell, error) {
