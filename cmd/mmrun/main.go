@@ -177,8 +177,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 func printPerRound(w io.Writer, st *runtime.Stats) {
 	fmt.Fprintln(w, "per-round traffic:")
 	fmt.Fprintf(w, "  %5s  %9s  %10s\n", "round", "messages", "bytes")
-	for r, t := range st.PerRound {
-		fmt.Fprintf(w, "  %5d  %9d  %10d\n", r+1, t.Messages, t.Bytes)
+	for _, t := range st.PerRound() {
+		fmt.Fprintf(w, "  %5d  %9d  %10d\n", t.Round, t.Messages, t.Bytes)
 	}
 }
 

@@ -231,7 +231,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var o *sweep.Output
 		var err error
 		if *resume {
-			o, err = sweep.Resume(*out, &cfg)
+			if o, err = sweep.Resume(*out, &cfg); err != nil {
+				err = fmt.Errorf("resume: %w", err)
+			}
 		} else {
 			o, err = sweep.Create(*out)
 		}

@@ -126,6 +126,76 @@ func TestRunMergeMissingShard(t *testing.T) {
 	}
 }
 
+// TestRunMergeRefusalKeepsOut: a merge refused for a garbage shard (exit
+// 1) or for a shard holding another sweep's cells (exit 2, after the first
+// shard merged) leaves an existing -out byte-identical and no temporary
+// file behind, and the error names the merge, not a resume.
+func TestRunMergeRefusalKeepsOut(t *testing.T) {
+	grid := []string{"-grid", "path:n=8..64"}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, out string)
+		n     string
+		code  int
+		want  string
+	}{
+		{"garbage shard", func(t *testing.T, out string) {
+			if err := os.WriteFile(out+".shard0of1", []byte("garbage\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "1", cli.ExitFailure, "invalid JSONL row"},
+		{"wrong-cell shard", func(t *testing.T, out string) {
+			for _, args := range [][]string{
+				append(grid, "-shard", "0/2", "-out", out),
+				{"-grid", "cycle:n=8..64", "-shard", "1/2", "-out", out},
+			} {
+				if _, stderr, code := runArgs(args...); code != cli.ExitOK {
+					t.Fatalf("%v: exit %d:\n%s", args, code, stderr)
+				}
+			}
+		}, "2", cli.ExitMismatch, "cell mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out := filepath.Join(dir, "m.jsonl")
+			tc.setup(t, out)
+			precious := []byte("precious\n")
+			if err := os.WriteFile(out, precious, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stderr, code := runArgs(append(grid, "-merge", tc.n, "-out", out)...)
+			if code != tc.code || !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "merge:") {
+				t.Fatalf("exit %d, want %d with %q:\n%s", code, tc.code, tc.want, stderr)
+			}
+			if strings.Contains(stderr, "resume") {
+				t.Errorf("merge error names resume:\n%s", stderr)
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, precious) {
+				t.Errorf("-out = %q (%v), want it untouched", got, err)
+			}
+			after, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(names(after), names(before)) {
+				t.Errorf("directory holds %v after the merge, want %v", names(after), names(before))
+			}
+		})
+	}
+}
+
+func names(entries []os.DirEntry) []string {
+	var s []string
+	for _, e := range entries {
+		s = append(s, e.Name())
+	}
+	return s
+}
+
 // TestRunResumeMidRowCut: a clean sweep file cut in the middle of a row
 // resumes to bytes identical to the clean file.
 func TestRunResumeMidRowCut(t *testing.T) {

@@ -107,9 +107,12 @@ func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time
 // runMerge stitches the n shard files back into -out as one verified,
 // byte-identical artefact, then replays it through the aggregate and
 // violations sinks so a supervised run reports exactly what a
-// single-process run would have.
+// single-process run would have. The merge is written beside -out and
+// renamed over it only once every shard verified and the file is durable,
+// so a refused or failed merge leaves -out as it was.
 func runMerge(cfg sweep.Config, out string, n int, stdout, stderr io.Writer) int {
-	o, err := sweep.Create(out)
+	tmp := out + ".merging"
+	o, err := sweep.Create(tmp)
 	if err != nil {
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitFailure
@@ -120,7 +123,11 @@ func runMerge(cfg sweep.Config, out string, n int, stdout, stderr io.Writer) int
 	if cerr := o.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, out)
+	}
 	if err != nil {
+		os.Remove(tmp)
 		fmt.Fprintf(stderr, "mmsweep: merge: %v\n", err)
 		return cli.Classify(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/group"
 	"repro/internal/mm"
 	"repro/internal/runtime"
 )
@@ -69,29 +70,39 @@ func checkRoundLoopAllocFree(t *testing.T, short, long *graph.Graph) {
 	}
 }
 
-// TestWorkersLargePaletteAllocBounded pins that no engine buffer grows with
-// the palette: greedy on two nodes joined by one colour-2 edge at k = 2^30
-// runs one real round, and must cost what any two-node run costs. A buffer
-// of k+1 messages per worker would be 16 GiB here.
+// TestWorkersLargePaletteAllocBounded pins that no engine buffer and no
+// statistic grows with the palette. Greedy on two nodes joined by one edge
+// of colour c at k = 2^30 runs c−1 rounds, of which only the last carries
+// a message, and must cost what any two-node run costs: a buffer of k+1
+// messages per worker would be 16 GiB, and a dense per-round record at
+// c = 2^30 about 100 GB.
 func TestWorkersLargePaletteAllocBounded(t *testing.T) {
-	b := graph.NewCSRBuilder(2, 1<<30)
-	if err := b.AddEdge(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Build()
-	for _, workers := range []int{1, 2} {
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), workers)
-		goruntime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, c := range []int{2, 1 << 30} {
+		b := graph.NewCSRBuilder(2, 1<<30)
+		if err := b.AddEdge(0, 1, group.Color(c)); err != nil {
+			t.Fatal(err)
 		}
-		if stats.Rounds != 1 || outs[0] != mm.Matched(2) || outs[1] != mm.Matched(2) {
-			t.Fatalf("workers=%d: rounds %d, outputs %v; want one round matching the colour-2 edge", workers, stats.Rounds, outs)
-		}
-		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
-			t.Errorf("workers=%d: the run allocated %d bytes, want < 1 MiB", workers, d)
+		g := b.Build()
+		for _, workers := range []int{1, 2} {
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), workers)
+			goruntime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("c=%d workers=%d: %v", c, workers, err)
+			}
+			want := mm.Matched(group.Color(c))
+			if stats.Rounds != c-1 || outs[0] != want || outs[1] != want {
+				t.Fatalf("c=%d workers=%d: rounds %d, outputs %v; want %d rounds matching the colour-%d edge",
+					c, workers, stats.Rounds, outs, c-1, c)
+			}
+			if len(stats.Traffic) != 1 || stats.Traffic[0].Round != c-1 || stats.Traffic[0].Messages != stats.Messages || stats.Messages == 0 {
+				t.Errorf("c=%d workers=%d: traffic record %v (%d messages), want one entry for round %d",
+					c, workers, stats.Traffic, stats.Messages, c-1)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("c=%d workers=%d: the run allocated %d bytes, want < 1 MiB", c, workers, d)
+			}
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // one byte and the arena's slab traffic is roughly 8× smaller than a
 // []group.Color copy. WireBytes is still 8 bytes per colour: packing is an
 // engine-internal storage optimisation, not a change to the model's wire
-// vocabulary, so the traffic histograms — and the paper's communication
-// bounds checked against them — are unaffected.
+// vocabulary, so the traffic record — and the paper's communication
+// bounds checked against it — are unaffected.
 type ColorList struct {
 	packed []byte
 	count  int
@@ -29,7 +29,7 @@ type ColorList struct {
 // Len is the number of colours in the list.
 func (l *ColorList) Len() int { return l.count }
 
-// WireBytes implements Sizer for the traffic histograms: a colour list
+// WireBytes implements Sizer for the traffic record: a colour list
 // costs one machine word per colour on the wire, however it is stored.
 func (l *ColorList) WireBytes() int { return 8 * l.count }
 

@@ -103,8 +103,8 @@
 // during the send phase. Receive-phase chunks are disjoint word ranges,
 // so a claimant exclusively owns its nodes' frontier words — and with
 // them the incoming slots it empties, the next-frontier writes, halt-time
-// entries and live-count decrements; the per-round traffic rows are
-// integer sums merged across workers at the barrier. Every claim
+// entries and live-count decrements; each round's traffic is an integer
+// sum of the workers' shares, taken once at the barrier. Every claim
 // interleaving therefore produces byte-identical outputs and Stats, which
 // the steal-interleaving tests pin by shrinking chunks to one word and
 // yielding between claims.
@@ -134,7 +134,7 @@
 // a round is a set of nodes fixed by those decisions, merged under the
 // barrier lock, so no claim schedule can change it. Fast-forwarded rounds
 // are real rounds in which nothing is sent: they count towards Rounds and
-// maxRounds and get empty PerRound rows, exactly as in RunReference, which
+// maxRounds and leave no traffic entry, exactly as in RunReference, which
 // never calls Sleep and so simulates every idle round. A message sent to a
 // sleeping node is a broken promise that RunReference would have delivered
 // and counted, so the engine fails the run when that node wakes rather
@@ -144,10 +144,10 @@
 // # Statistics
 //
 // Stats reports rounds, delivered messages, per-node halt times and
-// Stats.PerRound, the per-round message/byte histogram
-// (bytes via the optional Sizer interface; bare control words count one
-// byte). The histogram is what internal/sweep holds against the paper's
-// communication contracts: greedy delivers at most one message per live
-// node per round, the reduction phases at most one colour list per
-// directed edge per round.
+// Stats.Traffic, the messages and bytes (via the optional Sizer interface;
+// a bare control word is one byte) of each round that delivered a message,
+// so the record does not grow with the highest colour; Stats.PerRound
+// expands it to every round. internal/sweep holds it against the paper's
+// contracts: greedy delivers at most one message per live node per round,
+// the reduction phases at most one colour list per directed edge per round.
 package runtime

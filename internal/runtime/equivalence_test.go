@@ -68,17 +68,17 @@ func checkAgree(t *testing.T, name string, g *graph.Graph, labels []int, newSour
 					stats.HaltTimes[v], refStats.HaltTimes[v])
 			}
 		}
-		if len(stats.PerRound) != len(refStats.PerRound) {
+		if len(stats.PerRound()) != len(refStats.PerRound()) {
 			t.Fatalf("%s/%s: %d per-round entries, reference %d", name, e.name,
-				len(stats.PerRound), len(refStats.PerRound))
+				len(stats.PerRound()), len(refStats.PerRound()))
 		}
 		total := 0
-		for r := range stats.PerRound {
-			if stats.PerRound[r] != refStats.PerRound[r] {
+		for r := range stats.PerRound() {
+			if stats.PerRound()[r] != refStats.PerRound()[r] {
 				t.Fatalf("%s/%s round %d: traffic %+v, reference %+v", name, e.name, r+1,
-					stats.PerRound[r], refStats.PerRound[r])
+					stats.PerRound()[r], refStats.PerRound()[r])
 			}
-			total += stats.PerRound[r].Messages
+			total += stats.PerRound()[r].Messages
 		}
 		if total != stats.Messages {
 			t.Fatalf("%s/%s: per-round messages sum to %d, Messages = %d", name, e.name,

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/group"
@@ -53,14 +54,14 @@ func checkAgainstReference(t *testing.T, name string, g *graph.Graph, newSource 
 					name, workers, v, stats.HaltTimes[v], refStats.HaltTimes[v])
 			}
 		}
-		if len(stats.PerRound) != len(refStats.PerRound) {
+		if len(stats.PerRound()) != len(refStats.PerRound()) {
 			t.Fatalf("%s/workers=%d: %d per-round rows, reference %d",
-				name, workers, len(stats.PerRound), len(refStats.PerRound))
+				name, workers, len(stats.PerRound()), len(refStats.PerRound()))
 		}
-		for r := range stats.PerRound {
-			if stats.PerRound[r] != refStats.PerRound[r] {
+		for r := range stats.PerRound() {
+			if stats.PerRound()[r] != refStats.PerRound()[r] {
 				t.Fatalf("%s/workers=%d round %d: %+v, reference %+v",
-					name, workers, r+1, stats.PerRound[r], refStats.PerRound[r])
+					name, workers, r+1, stats.PerRound()[r], refStats.PerRound()[r])
 			}
 		}
 	}
@@ -149,6 +150,28 @@ func TestWorkersStateFitZeroesFrontier(t *testing.T) {
 	for i := range st.cur {
 		if st.cur[i] != 0 || st.next[i] != 0 {
 			t.Fatalf("word %d not zeroed on reuse: cur=%x next=%x", i, st.cur[i], st.next[i])
+		}
+	}
+}
+
+// TestWorkersStateSendBuffersApart: every worker writes its send buffer on
+// every send, so fit must leave at least 128 bytes, a cache line pair,
+// between any two workers' buffers, when it grows them and when it reuses
+// them.
+func TestWorkersStateSendBuffersApart(t *testing.T) {
+	st := &workersState{}
+	for _, c := range []struct{ workers, maxDeg int }{{2, 3}, {4, 1}, {3, 17}, {2, 5}} {
+		st.fit(64, c.workers, c.maxDeg)
+		for w := 0; w < c.workers; w++ {
+			if len(st.outBufs[w]) != c.maxDeg {
+				t.Fatalf("%+v: worker %d buffer length %d", c, w, len(st.outBufs[w]))
+			}
+		}
+		for w := 1; w < c.workers; w++ {
+			end := uintptr(unsafe.Pointer(&st.outBufs[w-1][0])) + uintptr(c.maxDeg)*unsafe.Sizeof(Message(nil))
+			if gap := int(uintptr(unsafe.Pointer(&st.outBufs[w][0]))) - int(end); gap < 128 {
+				t.Errorf("%+v: %d bytes between the buffers of workers %d and %d, want ≥ 128", c, gap, w-1, w)
+			}
 		}
 	}
 }

@@ -97,7 +97,8 @@ func TestEnginesAgreeOnRandomProtocols(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: outputs differ from the reference — message histories diverged", trial, workers)
 			}
 			if stats.Rounds != refStats.Rounds || stats.Messages != refStats.Messages ||
-				!slices.Equal(stats.HaltTimes, refStats.HaltTimes) || !slices.Equal(stats.PerRound, refStats.PerRound) {
+				!slices.Equal(stats.HaltTimes, refStats.HaltTimes) || !slices.Equal(stats.PerRound(), refStats.PerRound()) ||
+				!slices.Equal(stats.Traffic, refStats.Traffic) {
 				t.Fatalf("trial %d workers=%d: stats %+v, reference %+v", trial, workers, stats, refStats)
 			}
 		}

@@ -44,7 +44,7 @@ func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm
 				m.Send(sent[v], &arena)
 			}
 		}
-		var rt RoundTraffic
+		rt := RoundTraffic{Round: round}
 		for v, m := range ms {
 			if !live[v] {
 				continue
@@ -69,7 +69,9 @@ func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm
 		}
 		st.Rounds = round
 		st.Messages += rt.Messages
-		st.PerRound = append(st.PerRound, rt)
+		if rt.Messages > 0 {
+			st.Traffic = append(st.Traffic, rt)
+		}
 	}
 	outs := make([]mm.Output, n)
 	for v, m := range ms {

@@ -26,14 +26,14 @@ type NodeInfo struct {
 }
 
 // Sizer is an optional interface for messages that want accurate byte
-// accounting in the per-round traffic histograms: WireBytes reports the
+// accounting in the per-round traffic record: WireBytes reports the
 // payload size in bytes. Messages without it count as one byte (a control
 // word), which is exact for the wire vocabulary of the dist machines.
 type Sizer interface {
 	WireBytes() int
 }
 
-// messageBytes is the histogram size of one message.
+// messageBytes is the recorded size of one message.
 func messageBytes(m Message) int {
 	if s, ok := m.(Sizer); ok {
 		return s.WireBytes()
@@ -108,6 +108,8 @@ type Source interface {
 // when it is sent to a node that is live in that round, so it reaches a
 // Receive call; a message sent to a halted node is not counted.
 type RoundTraffic struct {
+	// Round is the 1-based round the entry describes.
+	Round int
 	// Messages counts edge-messages delivered in the round.
 	Messages int
 	// Bytes is the total payload size of those messages: WireBytes for
@@ -125,12 +127,27 @@ type Stats struct {
 	Messages int
 	// HaltTimes records, per node, the round after which it halted.
 	HaltTimes []int
-	// PerRound is the per-round message/byte histogram; PerRound[r-1]
-	// describes round r, and the message counts sum to Messages. Compare
-	// against the paper's communication bounds: greedy delivers at most one
-	// message per node per round, the reduction phases one colour list per
-	// directed edge.
-	PerRound []RoundTraffic
+	// Traffic has one entry per round that delivered a message, in round
+	// order, so its message counts sum to Messages; silent rounds (nearly
+	// all of greedy's k−1 when k ≫ Δ) leave no entry.
+	Traffic []RoundTraffic
+}
+
+// PerRound expands Traffic to the dense histogram, entry r-1 for round r
+// in 1…Rounds (nil when no round ran). It allocates Rounds entries, so
+// only callers that need every round (sweep rows, mmrun -stats) use it.
+func (s *Stats) PerRound() []RoundTraffic {
+	if s.Rounds == 0 {
+		return nil
+	}
+	per := make([]RoundTraffic, s.Rounds)
+	for r := range per {
+		per[r].Round = r + 1
+	}
+	for _, t := range s.Traffic {
+		per[t.Round-1] = t
+	}
+	return per
 }
 
 // DefaultMaxRounds bounds executions to catch non-terminating protocols.

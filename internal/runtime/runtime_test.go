@@ -92,9 +92,9 @@ func TestHaltAtTimeZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 3 || stats.Rounds != 0 || stats.Messages != 0 || stats.PerRound != nil {
+	if len(outs) != 3 || stats.Rounds != 0 || stats.Messages != 0 || stats.PerRound() != nil {
 		t.Errorf("outs=%d rounds=%d messages=%d per-round=%v, want 3/0/0/nil",
-			len(outs), stats.Rounds, stats.Messages, stats.PerRound)
+			len(outs), stats.Rounds, stats.Messages, stats.PerRound())
 	}
 }
 
@@ -122,9 +122,15 @@ func TestStaggeredHalting(t *testing.T) {
 	// Path 0−1−2−3 with halts after rounds 1,3,2,4: an edge carries two
 	// one-byte messages a round while both ends run, so rounds 1…4 deliver
 	// 6, 4, 0 and 0 (from round 3 the live nodes 1 and 3 are not adjacent).
-	want := []RoundTraffic{{6, 6}, {4, 4}, {0, 0}, {0, 0}}
-	if !slices.Equal(stats.PerRound, want) {
-		t.Errorf("per-round traffic = %v, want %v", stats.PerRound, want)
+	// The sparse record keeps the two rounds that carried a message; the
+	// dense expansion restores the silent ones.
+	sparse := []RoundTraffic{{1, 6, 6}, {2, 4, 4}}
+	if !slices.Equal(stats.Traffic, sparse) {
+		t.Errorf("traffic record = %v, want %v", stats.Traffic, sparse)
+	}
+	dense := []RoundTraffic{{1, 6, 6}, {2, 4, 4}, {3, 0, 0}, {4, 0, 0}}
+	if !slices.Equal(stats.PerRound(), dense) {
+		t.Errorf("per-round traffic = %v, want %v", stats.PerRound(), dense)
 	}
 }
 

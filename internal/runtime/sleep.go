@@ -9,7 +9,7 @@ import "fmt"
 // those lists into one min-heap and sets the bits of the nodes that run
 // next round. When every live node sleeps, the hook fast-forwards to the
 // earliest wakeup; the skipped rounds are real rounds in which nothing is
-// sent, so they get empty PerRound rows.
+// sent, so they leave no entry in Stats.Traffic.
 
 // wakeup is one sleeping node and the round in which it runs next.
 type wakeup struct{ round, node int }

@@ -150,7 +150,7 @@ func TestSleepyProtocolMatchesReference(t *testing.T) {
 		if ref.Messages == 0 {
 			t.Fatalf("seed %d: no traffic; the protocol is degenerate", seed)
 		}
-		for _, rt := range ref.PerRound {
+		for _, rt := range ref.PerRound() {
 			if rt.Messages == 0 {
 				skipped++
 			}
@@ -271,8 +271,8 @@ func TestSleepFastForward(t *testing.T) {
 		})
 	}
 	st := checkAgainstReference(t, "fast-forward", g, newSource, 20)
-	if st.Rounds != 12 || len(st.PerRound) != 12 {
-		t.Fatalf("rounds/rows = %d/%d, want 12/12", st.Rounds, len(st.PerRound))
+	if st.Rounds != 12 || len(st.PerRound()) != 12 {
+		t.Fatalf("rounds/rows = %d/%d, want 12/12", st.Rounds, len(st.PerRound()))
 	}
 	// Beyond maxRounds the fast-forward must report non-termination, not
 	// skip past the budget.

@@ -42,7 +42,7 @@ func TestSleepingGreedyTrafficMatchesReference(t *testing.T) {
 				t.Fatalf("%s: messages/rounds %d/%d, reference %d/%d",
 					name, got.Messages, got.Rounds, ref.Messages, ref.Rounds)
 			}
-			if !slices.Equal(got.PerRound, ref.PerRound) {
+			if !slices.Equal(got.PerRound(), ref.PerRound()) {
 				t.Fatalf("%s: per-round traffic differs from the reference", name)
 			}
 			if !slices.Equal(got.HaltTimes, ref.HaltTimes) {

@@ -19,8 +19,8 @@ type atomicCursor = atomic.Int64
 // claiming worker, receive-phase chunks are disjoint word ranges so each
 // claimant exclusively owns the frontier words (and hence the incoming
 // slots, next-frontier writes, halt times and alive decrements) of its
-// nodes, and the per-round traffic rows are integer sums merged across
-// workers — every interleaving of chunk claims therefore produces
+// nodes, and each round's traffic is an integer sum of the workers'
+// shares taken at the barrier — every interleaving of chunk claims therefore produces
 // byte-identical outputs and Stats.
 
 // stealChunkWords is the minimum claim granularity in frontier words (64

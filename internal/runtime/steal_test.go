@@ -44,14 +44,14 @@ func pinAgainstReference(t *testing.T, name string, g *graph.Graph, newSource fu
 						name, workers, rep, v, stats.HaltTimes[v], refStats.HaltTimes[v])
 				}
 			}
-			if len(stats.PerRound) != len(refStats.PerRound) {
+			if len(stats.PerRound()) != len(refStats.PerRound()) {
 				t.Fatalf("%s/workers=%d rep %d: %d per-round rows, reference %d",
-					name, workers, rep, len(stats.PerRound), len(refStats.PerRound))
+					name, workers, rep, len(stats.PerRound()), len(refStats.PerRound()))
 			}
-			for r := range stats.PerRound {
-				if stats.PerRound[r] != refStats.PerRound[r] {
+			for r := range stats.PerRound() {
+				if stats.PerRound()[r] != refStats.PerRound()[r] {
 					t.Fatalf("%s/workers=%d rep %d round %d: traffic %+v, reference %+v",
-						name, workers, rep, r+1, stats.PerRound[r], refStats.PerRound[r])
+						name, workers, rep, r+1, stats.PerRound()[r], refStats.PerRound()[r])
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,13 +122,13 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	// cursor since every claim loop drained, so neither reset races a claim.
 	sendCursor, recvCursor := &st.sendCursor, &st.recvCursor
 	// endRound runs in the last worker to reach the end-of-round barrier,
-	// under the barrier lock: it merges the per-worker live-word bounds
-	// published just before the barrier, rewinds the phase cursors and
-	// wakes the nodes due next round, if any. Everything it writes is
-	// read only after the barrier releases, so the barrier's mutex orders
-	// the round handoff.
+	// under the barrier lock: it merges the per-worker live-word bounds and
+	// traffic published before the barrier, records a round that delivered
+	// a message, rewinds the phase cursors and wakes the nodes due next
+	// round. The barrier's mutex orders everything it writes.
 	endRound := func() {
 		lo, hi := words, 0
+		rt := RoundTraffic{Round: st.round}
 		for w := 0; w < workers; w++ {
 			if st.wmin[w] < lo {
 				lo = st.wmin[w]
@@ -135,6 +136,11 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			if st.wmax[w]+1 > hi {
 				hi = st.wmax[w] + 1
 			}
+			rt.Messages += st.wtraffic[w].Messages
+			rt.Bytes += st.wtraffic[w].Bytes
+		}
+		if rt.Messages > 0 {
+			st.record = append(st.record, rt)
 		}
 		sendCursor.Store(0)
 		recvCursor.Store(0)
@@ -150,10 +156,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		cur, next := cur, next
 		arena := &st.arenas[w]
 		outBuf := st.outBufs[w]
-		// traffic[r-1] is this worker's delivered share of round r; the
-		// slice is pooled in the workers state, so steady-state runs
-		// record the histogram without allocating.
-		traffic := st.traffic[w][:0]
 		for {
 			// alive, wakeErr and the round state are stable between the
 			// receive barrier and the next send barrier, so every worker
@@ -165,11 +167,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			if round > maxRounds {
 				errs[w] = fmt.Errorf("runtime: no termination within %d rounds", maxRounds)
 				break
-			}
-			// Rounds fast-forwarded past, in which every live node slept,
-			// deliver nothing.
-			for len(traffic) < round-1 {
-				traffic = append(traffic, RoundTraffic{})
 			}
 			// The previous round's receive phase ended behind the last
 			// barrier, so its arena payloads are no longer referenced by
@@ -184,7 +181,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			// round, that is when its frontier bit is set inside the
 			// scanned window (words outside it can keep stale bits; see
 			// wake).
-			var rt RoundTraffic
+			var msgs, nbytes int
 			for {
 				wlo, whi, ok := claimChunk(sendCursor, base, limit, chunkWords)
 				if !ok {
@@ -203,8 +200,8 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 								out[p] = nil
 								u := halves[i].Peer
 								if uw := u >> 6; uw >= base && uw < limit && cur[uw]&(1<<uint(u&63)) != 0 {
-									rt.Messages++
-									rt.Bytes += messageBytes(msg)
+									msgs++
+									nbytes += messageBytes(msg)
 								}
 							}
 						}
@@ -219,8 +216,8 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			// frontier (halted bits dropped by one AND-NOT each).
 			//
 			// wmin/wmax track the nonzero next-frontier words this worker
-			// wrote and sleeps the nodes it put to sleep; all three are
-			// published to the per-worker slots before the barrier.
+			// wrote and sleeps the nodes it put to sleep; they and the send
+			// phase's traffic go to the per-worker slots before the barrier.
 			wmin, wmax := words, -1
 			sleeps := st.sleeps[w]
 			for {
@@ -260,14 +257,12 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 					}
 				}
 			}
-			st.wmin[w], st.wmax[w], st.sleeps[w] = wmin, wmax, sleeps
-			traffic = append(traffic, rt)
+			st.wmin[w], st.wmax[w], st.sleeps[w], st.wtraffic[w] = wmin, wmax, sleeps, RoundTraffic{Messages: msgs, Bytes: nbytes}
 			bar.wait(endRound)
 			// Every worker swaps its local view in lockstep behind the
 			// barrier, so all of round r+1 reads the frontier round r built.
 			cur, next = next, cur
 		}
-		st.traffic[w] = traffic
 	}
 	if workers == 1 {
 		work(0)
@@ -292,24 +287,9 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		}
 	}
 	stats := &Stats{HaltTimes: haltTimes}
-	// Merge the per-worker round histograms: every worker crosses the same
-	// barriers, so all slices have one entry per executed round.
-	executed := 0
-	for w := 0; w < workers; w++ {
-		if len(st.traffic[w]) > executed {
-			executed = len(st.traffic[w])
-		}
-	}
-	if executed > 0 {
-		per := make([]RoundTraffic, executed)
-		for w := 0; w < workers; w++ {
-			for r, t := range st.traffic[w] {
-				per[r].Messages += t.Messages
-				per[r].Bytes += t.Bytes
-			}
-		}
-		stats.PerRound = per
-		for _, t := range per {
+	if len(st.record) > 0 {
+		stats.Traffic = slices.Clone(st.record)
+		for _, t := range st.record {
 			stats.Messages += t.Messages
 		}
 	}
@@ -344,15 +324,12 @@ type workersState struct {
 	// node's degree, all-nil between nodes by the send contract); pooling
 	// them removes one allocation per worker per run.
 	outBufs [][]Message
-	// traffic[w] is worker w's per-round message/byte counts; the inner
-	// slices keep their capacity across runs so the histogram is free at
-	// steady state.
-	traffic [][]RoundTraffic
 	// wmin/wmax are the per-worker nonzero next-frontier word bounds of the
-	// current round; scanLo/scanHi the merged live window the next round
-	// scans and round its number. All are handed across rounds under the
-	// barrier lock.
+	// current round and wtraffic the per-worker delivered traffic;
+	// scanLo/scanHi the merged live window the next round scans and round
+	// its number. All are handed across rounds under the barrier lock.
 	wmin, wmax     []int
+	wtraffic       []RoundTraffic
 	scanLo, scanHi int
 	round          int
 	// sleeps[w] is the wakeups worker w recorded this round; wake merges
@@ -363,6 +340,9 @@ type workersState struct {
 	sleeps [][]wakeup
 	heap   wakeHeap
 	woken  []int
+	// record is the run's Stats.Traffic, appended by the end-of-round hook;
+	// it keeps its capacity across runs.
+	record []RoundTraffic
 	// front is the frontier buffer the round being ended wrote (round 1's
 	// before the loop starts), spare the other; wake swaps them in step
 	// with the workers' double buffer. wakeErr is the error wake reported,
@@ -399,15 +379,12 @@ func (st *workersState) fit(n, workers, maxDeg int) {
 		copy(arenas, st.arenas) // keep already-grown slabs
 		st.arenas = arenas
 	}
-	if len(st.traffic) < workers {
-		traffic := make([][]RoundTraffic, workers)
-		copy(traffic, st.traffic) // keep already-grown round slices
-		st.traffic = traffic
-	}
 	if len(st.wmin) < workers {
 		st.wmin = make([]int, workers)
 		st.wmax = make([]int, workers)
+		st.wtraffic = make([]RoundTraffic, workers)
 	}
+	st.record = st.record[:0]
 	// An errored run can leave wakeups behind; a stale one would wake a
 	// node of the next run.
 	if len(st.sleeps) < workers {
@@ -420,18 +397,21 @@ func (st *workersState) fit(n, workers, maxDeg int) {
 	}
 	st.heap = st.heap[:0]
 	st.wakeErr = nil
-	if len(st.outBufs) < workers {
-		outBufs := make([][]Message, workers)
-		copy(outBufs, st.outBufs)
-		st.outBufs = outBufs
+	// One array holds every send buffer, each followed by 8 unused
+	// Messages (128 bytes), so no two share a cache line or a prefetch
+	// pair: workers write them on every send, and a shared line would
+	// bounce between the cores.
+	if len(st.outBufs) < workers || cap(st.outBufs[0]) < maxDeg {
+		stride := maxDeg + 8
+		buf := make([]Message, workers*stride)
+		st.outBufs = make([][]Message, workers)
+		for w := range st.outBufs {
+			st.outBufs[w] = buf[w*stride : w*stride+maxDeg : w*stride+maxDeg]
+		}
 	}
 	for w := 0; w < workers; w++ {
-		if cap(st.outBufs[w]) < maxDeg {
-			st.outBufs[w] = make([]Message, maxDeg)
-		} else {
-			st.outBufs[w] = st.outBufs[w][:maxDeg]
-			clear(st.outBufs[w])
-		}
+		st.outBufs[w] = st.outBufs[w][:maxDeg]
+		clear(st.outBufs[w])
 	}
 	st.sendCursor.Store(0)
 	st.recvCursor.Store(0)

@@ -18,6 +18,10 @@
 //	GET  /metrics          the obs registry, Prometheus text format
 //
 // Both POST bodies decode strictly: an unknown field is a 400 naming it.
+// A sweep that runs greedy (named, or by default) on a stored graph whose
+// highest colour is above maxGreedySweepColor is a 422 naming the graph,
+// its highest colour and the limit: greedy runs one round per colour, and
+// a sweep row still carries one per_round entry per round.
 //
 // # Concurrency
 //

@@ -47,7 +47,7 @@ func newServerMetrics(s *Server, tracer *obs.Tracer) *serverMetrics {
 		slotsCapacity: r.Gauge("mmserve_sweep_slots_capacity", "Total sweep slots (-max-sweeps)."),
 		refused: func(reason string) *obs.Counter {
 			return r.Counter("mmserve_sweeps_refused_total",
-				"Sweep requests refused with 503, by reason (saturated, draining).",
+				"Sweep requests refused before streaming, by reason (saturated, draining: 503; palette: 422).",
 				obs.L("reason", reason))
 		},
 		activeSweeps: r.GaugeFunc("mmserve_active_sweeps", "Sweep responses currently streaming.",

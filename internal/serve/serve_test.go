@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -542,6 +543,51 @@ func TestStrictRequestBodies(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", name, body, tc.field)
 			}
 		}
+	}
+}
+
+// TestSweepRefusesGreedyOverPalette: greedy on a stored graph whose
+// highest colour is above maxGreedySweepColor would run that many rounds
+// into one dense row, so the request is a 422 naming the graph, its
+// highest colour and the limit, before any 200 or engine work, and it is
+// counted as a palette refusal. Greedy is requested when named and when
+// algos is empty; the other algorithms sweep the same graph.
+func TestSweepRefusesGreedyOverPalette(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var gr GraphResponse
+	body := readAll(t, postJSON(t, ts.URL+"/v1/graphs", GraphRequest{N: 2, K: maxGraphColors, Edges: [][3]int{{0, 1, maxGraphColors}}}))
+	if err := json.Unmarshal(body, &gr); err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	for _, algos := range [][]string{nil, {"reduced", "greedy"}} {
+		resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Graphs: []string{gr.ID}, Algos: algos})
+		msg := string(readAll(t, resp))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("algos %v: status = %d, want 422: %s", algos, resp.StatusCode, msg)
+		}
+		for _, want := range []string{gr.ID, strconv.Itoa(maxGraphColors), strconv.Itoa(maxGreedySweepColor)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("algos %v: refusal %q does not name %s", algos, msg, want)
+			}
+		}
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if got := m[`mmserve_sweeps_refused_total{reason="palette"}`]; got != 2 {
+		t.Errorf("palette refusals = %v, want 2", got)
+	}
+	if got := m["sweep_cells_planned_total"]; got != 0 {
+		t.Errorf("cells planned = %v, want 0: a refused sweep must not start", got)
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Graphs: []string{gr.ID}, Algos: []string{"reduced", "proposal"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-greedy sweep status = %d: %s", resp.StatusCode, readAll(t, resp))
+	}
+	if _, trailer := ndjson(t, readAll(t, resp)); trailer == nil || !trailer.Done || trailer.Rows != 2 {
+		t.Fatalf("non-greedy trailer = %+v", trailer)
+	}
+	if got := scrapeMetrics(t, ts.URL)["sweep_cells_planned_total"]; got != 2 {
+		t.Errorf("cells planned after the non-greedy sweep = %v, want 2", got)
 	}
 }
 

@@ -27,6 +27,14 @@ const maxGraphNodes = maxGraphBody / 4
 // overflow, and every colour fits the builder's 32-bit colour key.
 const maxGraphColors = math.MaxInt32
 
+// maxGreedySweepColor is the highest colour a stored graph may use for a
+// greedy sweep. Greedy runs (highest colour − 1) rounds, and a sweep row
+// still carries one per_round pair per round: about 46 bytes a round in
+// the row and the dense histograms behind it, 3 MB at this limit and about
+// 100 GB at maxGraphColors. The engine's own record is sparse; the limit
+// goes once rows are too.
+const maxGreedySweepColor = 1 << 16
+
 // StoredGraph is one client-submitted instance: its content address, its
 // observable shape (what sweep rows record), and the built CSR instance.
 type StoredGraph struct {
@@ -36,7 +44,10 @@ type StoredGraph struct {
 	Edges     int    `json:"edges"`
 	MaxDegree int    `json:"max_degree"`
 
-	inst *gen.Instance
+	// maxColor is the highest colour an edge uses (0 without edges). It
+	// stays out of the JSON so graph responses keep their shape.
+	maxColor int
+	inst     *gen.Instance
 }
 
 // Params returns the identity parameters sweep rows carry for this graph.
@@ -94,10 +105,12 @@ func (st *GraphStore) Put(n, k int, edges [][3]int) (*StoredGraph, bool, error) 
 	// losing racer's duplicate build is harmless (identical content).
 	b := graph.NewCSRBuilder(n, k)
 	b.Grow(len(edges))
+	maxColor := 0
 	for _, e := range edges {
 		if err := b.AddEdge(e[0], e[1], group.Color(e[2])); err != nil {
 			return nil, false, err
 		}
+		maxColor = max(maxColor, e[2])
 	}
 	g := b.Build()
 	sg = &StoredGraph{
@@ -106,6 +119,7 @@ func (st *GraphStore) Put(n, k int, edges [][3]int) (*StoredGraph, bool, error) 
 		K:         g.K(),
 		Edges:     g.NumEdges(),
 		MaxDegree: g.MaxDegree(),
+		maxColor:  maxColor,
 		inst:      &gen.Instance{G: g},
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/gen"
@@ -118,10 +119,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Metrics:       s.sweepMetrics,
 		Tracer:        s.tracer,
 	}
+	greedy := len(req.Algos) == 0 || slices.Contains(req.Algos, "greedy")
 	for _, id := range req.Graphs {
 		sg, ok := s.store.Get(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("graph %s is not in the store (submit it via POST /v1/graphs first)", id))
+			return
+		}
+		if greedy && sg.maxColor > maxGreedySweepColor {
+			s.metrics.refuse("palette")
+			writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+				"graph %s uses colours up to %d, over the greedy sweep limit of %d (a row holds one per_round entry per greedy round); sweep it without greedy",
+				id, sg.maxColor, maxGreedySweepColor))
 			return
 		}
 		cfg.Instances = append(cfg.Instances, sweep.InstanceRef{ID: sg.ID, Params: sg.Params()})

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/runtime"
@@ -33,12 +35,14 @@ func (v Violation) String() string {
 // Check holds an execution's statistics against a machine's communication
 // contract and returns every breach (nil when the contract holds).
 // directedEdges is the instance's directed edge count (2|E|); st must
-// carry the per-round histogram the engine records — a nil
-// PerRound with a nonzero message count cannot be checked and is reported
-// as a "msgs-per-node" violation of limit 0 so silently unverifiable runs
+// carry the sparse traffic record the engine keeps — a nil Traffic with a
+// nonzero message count cannot be checked and is reported as a
+// "msgs-per-node" violation of limit 0 so silently unverifiable runs
 // cannot pass.
 //
-// The per-node rule compares a round's delivered messages against
+// Only the recorded rounds are checked: a round that delivered no message
+// cannot exceed any per-round limit, since every limit is ≥ 0. The
+// per-node rule compares a round's delivered messages against
 // MsgsPerNodeRound × (nodes still live that round), reconstructed from
 // Stats.HaltTimes: a node that halts in round r still sends in round r, so
 // it counts as live there. Delivered counts are what the engine records —
@@ -49,44 +53,42 @@ func Check(c dist.Contract, directedEdges int, st *runtime.Stats) []Violation {
 	if c.MaxRounds > 0 && st.Rounds > c.MaxRounds {
 		out = append(out, Violation{Rule: "rounds", Got: st.Rounds, Limit: c.MaxRounds})
 	}
-	if st.PerRound == nil {
+	tr := st.Traffic
+	if tr == nil {
 		if st.Messages > 0 {
 			out = append(out, Violation{Rule: "msgs-per-node", Got: st.Messages, Limit: 0})
 		}
 		return out
 	}
-	// alive[r-1] is the number of nodes that send in round r: those whose
-	// halt time is ≥ r (HaltTimes[v] = 0 means halted at time 0, never
-	// sending). Computed as a suffix sum of the halt-time histogram.
-	rounds := len(st.PerRound)
-	haltAt := make([]int, rounds+1)
+	// live[i] is the number of nodes that send in round tr[i].Round: those
+	// whose halt time is ≥ it. A node halting at h is live in the j
+	// recorded rounds up to h (none when HaltTimes[v] = 0, halted at time
+	// 0), so it is counted at the last of them and live becomes a suffix
+	// sum.
+	live := make([]int, len(tr))
 	for _, h := range st.HaltTimes {
-		if h > rounds {
-			h = rounds
-		}
-		if h > 0 {
-			haltAt[h]++
+		j, _ := slices.BinarySearchFunc(tr, h+1, func(t runtime.RoundTraffic, r int) int { return cmp.Compare(t.Round, r) })
+		if j > 0 {
+			live[j-1]++
 		}
 	}
-	alive := make([]int, rounds+1)
-	for r := rounds; r >= 1; r-- {
-		alive[r-1] = alive[r] + haltAt[r]
+	for i := len(live) - 2; i >= 0; i-- {
+		live[i] += live[i+1]
 	}
-	for r1, t := range st.PerRound {
-		r := r1 + 1
+	for i, t := range tr {
 		if c.MsgsPerNodeRound > 0 {
-			if limit := c.MsgsPerNodeRound * alive[r-1]; t.Messages > limit {
-				out = append(out, Violation{Rule: "msgs-per-node", Round: r, Got: t.Messages, Limit: limit})
+			if limit := c.MsgsPerNodeRound * live[i]; t.Messages > limit {
+				out = append(out, Violation{Rule: "msgs-per-node", Round: t.Round, Got: t.Messages, Limit: limit})
 			}
 		}
 		if c.MsgsPerEdgeRound > 0 {
 			if limit := c.MsgsPerEdgeRound * directedEdges; t.Messages > limit {
-				out = append(out, Violation{Rule: "msgs-per-edge", Round: r, Got: t.Messages, Limit: limit})
+				out = append(out, Violation{Rule: "msgs-per-edge", Round: t.Round, Got: t.Messages, Limit: limit})
 			}
 		}
 		if c.MaxMessageBytes > 0 {
 			if limit := c.MaxMessageBytes * t.Messages; t.Bytes > limit {
-				out = append(out, Violation{Rule: "bytes-per-msg", Round: r, Got: t.Bytes, Limit: limit})
+				out = append(out, Violation{Rule: "bytes-per-msg", Round: t.Round, Got: t.Bytes, Limit: limit})
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func checkOracles(t *testing.T, g *graph.Graph, labels []int) {
 				continue
 			}
 			if !slices.Equal(outs, first) || st.Rounds != firstStats.Rounds ||
-				!slices.Equal(st.PerRound, firstStats.PerRound) {
+				!slices.Equal(st.PerRound(), firstStats.PerRound()) {
 				t.Fatalf("%s: workers=%d disagrees with workers=1", a.Name, workers)
 			}
 		}

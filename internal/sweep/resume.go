@@ -93,7 +93,7 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 	for {
 		line, err := readRow(br)
 		if err == errRowTooLong {
-			return ResumeState{}, fmt.Errorf("sweep: resume: row at offset %d exceeds %d bytes", state.ValidSize, maxRowBytes)
+			return ResumeState{}, fmt.Errorf("sweep: row at offset %d exceeds %d bytes", state.ValidSize, maxRowBytes)
 		}
 		complete := err == nil // a line without its \n is a torn final write
 		if len(bytes.TrimSpace(line)) > 0 {
@@ -108,12 +108,12 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 			}
 			if jsonErr := json.Unmarshal(line, &row); jsonErr != nil {
 				if complete {
-					return ResumeState{}, fmt.Errorf("sweep: resume: invalid JSONL row at offset %d: %w", state.ValidSize, jsonErr)
+					return ResumeState{}, fmt.Errorf("sweep: invalid JSONL row at offset %d: %w", state.ValidSize, jsonErr)
 				}
 				return state, nil // torn trailing fragment: stop before it
 			}
 			if row.Scenario == "" || row.Params == "" || row.Algo == "" {
-				return ResumeState{}, fmt.Errorf("sweep: resume: row at offset %d is not a sweep result (missing identity fields)", state.ValidSize)
+				return ResumeState{}, fmt.Errorf("sweep: row at offset %d is not a sweep result (missing identity fields)", state.ValidSize)
 			}
 			if !complete {
 				// A full JSON object but no terminating newline: the write
@@ -151,7 +151,7 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 			return state, nil
 		}
 		if err != nil {
-			return ResumeState{}, fmt.Errorf("sweep: resume: %w", err)
+			return ResumeState{}, fmt.Errorf("sweep: %w", err)
 		}
 		state.ValidSize += int64(len(line))
 	}

@@ -343,7 +343,7 @@ func runCell(cfg Config, c cell) (Result, error) {
 	}
 	res.Matched /= 2 // two endpoints per matched edge
 	pr, _ := perRoundPool.Get().([][2]int)
-	for _, t := range st.PerRound {
+	for _, t := range st.PerRound() {
 		pr = append(pr, [2]int{t.Messages, t.Bytes})
 		res.Bytes += t.Bytes
 	}
