@@ -340,8 +340,8 @@ func BenchmarkGenBoundedDegree(b *testing.B) {
 
 // BenchmarkSweepStream times the streaming pipeline on a grid big enough
 // for the reorder window to matter. The interesting number is allocs/op:
-// the stream holds a bounded window and recycles per-round histogram
-// buffers, so its footprint is flat in the cell count.
+// the stream holds a bounded window, so its footprint is flat in the cell
+// count.
 func BenchmarkSweepStream(b *testing.B) {
 	cfg := sweep.Config{
 		Grids:       []string{"matching-union:n=256..1024,k=2|4"},

@@ -37,14 +37,15 @@
 //	mmsweep -grid all -algo greedy -merge 4 -out sweep.jsonl
 //
 // -supervise N fork/execs N workers of this same binary, each streaming
-// its range into <out>.shard<i>of<N>; a lease per shard (renewed by pipe
-// heartbeats and shard-file growth) detects crashed and hung workers,
-// which are killed and restarted with exponential backoff — restarts
-// resume the shard file, so a SIGKILL costs exactly the torn row it
-// interrupted. On success the shards are merged into -out, verified
-// byte-identical to an uninterrupted single-process run. -shard i/N runs
-// one worker by hand; -merge N re-runs just the merge. Chaos builds
-// (-tags chaos) add -chaos kill=P,hang=P for seeded fault injection.
+// its range into <out>.shard<i>of<N>; a lease per shard (renewed whenever
+// the shard file changes size, as it does with every flushed row) detects
+// crashed and hung workers, which are killed and restarted with
+// exponential backoff — restarts resume the shard file, so a SIGKILL costs
+// exactly the torn row it interrupted. On success the shards are merged
+// into -out, verified byte-identical to an uninterrupted single-process
+// run. -shard i/N runs one worker by hand; -merge N re-runs just the
+// merge. Chaos builds (-tags chaos) add -chaos kill=P,hang=P for seeded
+// fault injection.
 //
 // An aggregate per-(family, algorithm) table goes to stdout (stderr when
 // the JSONL itself goes to stdout). Exit codes are a contract: 0 success,
@@ -93,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	window := fs.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
 	shardSpec := fs.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")
 	attempt := fs.Int("attempt", 0, "restart count of this shard attempt (set by -supervise; feeds fault-injection derivation)")
-	livenessFD := fs.Int("liveness-fd", -1, "inherited pipe fd to heartbeat one byte per row on (set by -supervise)")
 	supervise := fs.Int("supervise", 0, "fork/exec N supervised shard workers of this binary, restart crashed/hung ones, then merge into -out")
 	mergeN := fs.Int("merge", 0, "merge N existing shard files of this sweep into -out, verifying canonical order")
 	leaseTimeout := fs.Duration("lease-timeout", shard.DefaultLeaseTimeout, "kill a supervised worker making no visible progress for this long")
@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *progress > 0 && cfg.Metrics != nil {
 			defer cfg.Metrics.StartProgress(stderr, *progress)()
 		}
-		return finish(runShard(cfg, *out, *shardSpec, *attempt, *livenessFD, chaos, stderr))
+		return finish(runShard(cfg, *out, *shardSpec, *attempt, chaos, stderr))
 	case *supervise > 0:
 		// The supervisor itself streams nothing; its registry records the
 		// shard fault history (restarts, lease expiries, backoff).

@@ -11,6 +11,17 @@ import (
 	"repro/internal/cli"
 )
 
+// TestMain lets the test binary stand in for mmsweep: with
+// MMSWEEP_TEST_AS_MAIN=1 it runs the command on its arguments instead of
+// the tests. -supervise fork/execs its workers from this same executable,
+// and they inherit the variable, so the supervised path runs under go test.
+func TestMain(m *testing.M) {
+	if os.Getenv("MMSWEEP_TEST_AS_MAIN") == "1" {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
 // builderRow is a complete row tagged by the retired sharded instance
 // builder, which every resuming, restarting or merging reader refuses.
 const builderRow = `{"scenario":"path","params":"k=2,n=8","algo":"greedy","rep":0,"seed":1,"builder":"sharded"}` + "\n"
@@ -223,6 +234,62 @@ func TestRunResumeMidRowCut(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed file differs from the clean run")
+	}
+}
+
+// superviseGrid is the sweep the -supervise tests split two ways.
+var superviseGrid = []string{"-grid", "path:n=16", "-grid", "cycle:n=12", "-algo", "greedy,reduced", "-seeds", "3"}
+
+// TestRunSupervise: -supervise 2 runs two fork/exec'd workers and merges
+// their shard files into -out, byte-identical to the unsharded run.
+func TestRunSupervise(t *testing.T) {
+	t.Setenv("MMSWEEP_TEST_AS_MAIN", "1")
+	dir := t.TempDir()
+	single, supervised := filepath.Join(dir, "single.jsonl"), filepath.Join(dir, "supervised.jsonl")
+	if _, stderr, code := runArgs(append(superviseGrid, "-out", single)...); code != cli.ExitOK {
+		t.Fatalf("unsharded run exit %d:\n%s", code, stderr)
+	}
+	if _, stderr, code := runArgs(append(superviseGrid, "-supervise", "2", "-out", supervised)...); code != cli.ExitOK {
+		t.Fatalf("supervised run exit %d:\n%s", code, stderr)
+	}
+	want, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(supervised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("supervised -out differs from the unsharded run")
+	}
+}
+
+// TestRunSuperviseForeignShard: a shard file holding rows of another -seed
+// makes its worker exit 2, which the supervisor does not retry: it exits 2
+// itself, merges nothing, and leaves the shard file as it found it.
+func TestRunSuperviseForeignShard(t *testing.T) {
+	t.Setenv("MMSWEEP_TEST_AS_MAIN", "1")
+	out := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if _, stderr, code := runArgs(append(superviseGrid, "-seed", "2", "-shard", "0/2", "-out", out)...); code != cli.ExitOK {
+		t.Fatalf("seed-2 shard exit %d:\n%s", code, stderr)
+	}
+	foreign, err := os.ReadFile(out + ".shard0of2")
+	if err != nil || len(foreign) == 0 {
+		t.Fatalf("seed-2 shard file: %d bytes, err %v", len(foreign), err)
+	}
+	_, stderr, code := runArgs(append(superviseGrid, "-supervise", "2", "-out", out)...)
+	if code != cli.ExitMismatch || !strings.Contains(stderr, "permanent worker failure") {
+		t.Fatalf("exit %d, want %d with a permanent worker failure:\n%s", code, cli.ExitMismatch, stderr)
+	}
+	if strings.Contains(stderr, "attempt 1") {
+		t.Errorf("the refusing worker was restarted:\n%s", stderr)
+	}
+	if got, err := os.ReadFile(out + ".shard0of2"); err != nil || !bytes.Equal(got, foreign) {
+		t.Errorf("the refused shard file was modified (err %v)", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("-out exists after a refused supervised run (stat err %v)", err)
 	}
 }
 

@@ -23,21 +23,13 @@ type chaosFlag func(baseSeed int64) (*shard.FaultInjector, error)
 // partitioned len-ways by the spec, and this process streams its contiguous
 // slice into the derived shard file with resume semantics — restarting over
 // a crashed attempt's file costs exactly the torn row it died writing.
-func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int, chaos chaosFlag, stderr io.Writer) int {
+func runShard(cfg sweep.Config, out, spec string, attempt int, chaos chaosFlag, stderr io.Writer) int {
 	sp, err := shard.ParseSpec(spec)
 	if err != nil {
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
 		return cli.ExitMismatch
 	}
 	cfg.Shard = &sp
-	var beat func()
-	if livenessFD > 2 {
-		lf := os.NewFile(uintptr(livenessFD), "liveness")
-		if lf != nil {
-			defer lf.Close()
-			beat = func() { lf.Write([]byte{'.'}) } // any byte renews the lease
-		}
-	}
 	inj, err := chaos(cfg.Seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
@@ -46,7 +38,6 @@ func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int, chaos
 	path := shard.Path(out, sp.Index, sp.Count)
 	stats, err := shard.RunWorker(context.Background(), cfg, path, shard.WorkerOptions{
 		Attempt:  attempt,
-		Beat:     beat,
 		Injector: inj,
 	})
 	if err != nil {
@@ -59,8 +50,8 @@ func runShard(cfg sweep.Config, out, spec string, attempt, livenessFD int, chaos
 }
 
 // runSupervise fork/execs n shard workers of this same binary and keeps
-// them alive: a lease per shard renewed by pipe heartbeats and shard-file
-// growth, crashed or hung workers restarted with backed-off jittered
+// them alive: a lease per shard renewed whenever its shard file changes
+// size, crashed or hung workers restarted with backed-off jittered
 // delays, configuration mismatches (exit 2) treated as permanent. On
 // success the shard files are merged into -out and verified byte-identical
 // to the canonical order.
@@ -75,21 +66,20 @@ func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time
 	// so injected faults land in workers, not the supervisor. The obs flags
 	// stay with the supervisor too — N workers sharing one -trace or
 	// -metrics-out file would clobber each other.
-	base := stripFlags(args, "supervise", "merge", "shard", "attempt", "liveness-fd",
+	base := stripFlags(args, "supervise", "merge", "shard", "attempt",
 		"progress", "trace", "metrics-out")
 	ec := shard.ExecConfig{
 		Bin: bin,
 		Args: func(shardIdx, attempt int) []string {
 			return append(append([]string{}, base...),
 				"-shard", fmt.Sprintf("%d/%d", shardIdx, n),
-				"-attempt", strconv.Itoa(attempt),
-				"-liveness-fd", strconv.Itoa(shard.LivenessFD))
+				"-attempt", strconv.Itoa(attempt))
 		},
 	}
 	sup := &shard.Supervisor{
 		Count:        n,
 		Launch:       ec.Launcher(),
-		ShardFile:    func(i int) string { return shard.Path(out, i, n) },
+		Out:          out,
 		LeaseTimeout: lease,
 		MaxAttempts:  maxAttempts,
 		Seed:         cfg.Seed,

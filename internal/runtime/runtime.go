@@ -135,7 +135,7 @@ type Stats struct {
 
 // PerRound expands Traffic to the dense histogram, entry r-1 for round r
 // in 1…Rounds (nil when no round ran). It allocates Rounds entries, so
-// only callers that need every round (sweep rows, mmrun -stats) use it.
+// only callers that need every round (mmrun -stats, tests) use it.
 func (s *Stats) PerRound() []RoundTraffic {
 	if s.Rounds == 0 {
 		return nil

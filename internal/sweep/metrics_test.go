@@ -165,16 +165,14 @@ func TestRunCellAllocParity(t *testing.T) {
 	instrumented := base
 	instrumented.Metrics = NewMetrics(obs.NewRegistry())
 	run := func(cfg Config) {
-		res, err := runCell(cfg, cells[0])
-		if err != nil {
+		if _, err := runCell(cfg, cells[0]); err != nil {
 			t.Fatal(err)
 		}
-		releasePerRound(&res)
 	}
-	run(base) // warm the engine state and the per-round pool
+	run(base) // warm the engine state
 	run(instrumented)
-	// The engine state, the per-round rows and fmt's printers (used by
-	// Params.String) live in sync.Pools. A GC empties a pool, and under the
+	// The engine state and fmt's printers (used by Params.String) live in
+	// sync.Pools. A GC empties a pool, and under the
 	// race detector Put drops a random quarter of its items, so any single
 	// run may refill scratch it would otherwise reuse. A dropped item only
 	// ever adds allocations, so the fewest allocations over many

@@ -83,13 +83,6 @@ func TestHelperShardWorker(t *testing.T) {
 	if os.Getenv("REPRO_SHARD_FOREIGN") == "1" {
 		cfg.Seed++ // misconfigured worker: wrong seed universe
 	}
-
-	liveness := os.NewFile(uintptr(LivenessFD), "liveness")
-	beat := func() {
-		if liveness != nil {
-			liveness.Write([]byte{'.'})
-		}
-	}
 	var inj *FaultInjector
 	if os.Getenv("REPRO_SHARD_CHAOS") == "1" {
 		inj = &FaultInjector{
@@ -102,7 +95,6 @@ func TestHelperShardWorker(t *testing.T) {
 	}
 	_, err = RunWorker(context.Background(), cfg, os.Getenv("REPRO_SHARD_PATH"), WorkerOptions{
 		Attempt:  attempt,
-		Beat:     beat,
 		Injector: inj,
 	})
 	if err != nil {
@@ -178,7 +170,7 @@ func TestChaosSupervisedByteIdentical(t *testing.T) {
 	sup := &Supervisor{
 		Count:        n,
 		Launch:       execConfigFor(t, out, n, "REPRO_SHARD_CHAOS=1").Launcher(),
-		ShardFile:    func(i int) string { return Path(out, i, n) },
+		Out:          out,
 		LeaseTimeout: 2 * time.Second,
 		PollInterval: 100 * time.Millisecond,
 		MaxAttempts:  maxAttempts,
@@ -227,6 +219,7 @@ func TestExecWorkerPermanentExitCode(t *testing.T) {
 	sup := &Supervisor{
 		Count:        1,
 		Launch:       execConfigFor(t, out, 1, "REPRO_SHARD_FOREIGN=1").Launcher(),
+		Out:          out,
 		LeaseTimeout: 5 * time.Second,
 		MaxAttempts:  4,
 		BackoffBase:  10 * time.Millisecond,

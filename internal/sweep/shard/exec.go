@@ -8,12 +8,6 @@ import (
 	"os/exec"
 )
 
-// LivenessFD is the file descriptor a fork/exec worker inherits its
-// liveness pipe's write end on (the first ExtraFiles slot after
-// stdin/stdout/stderr). Workers pass it to mmsweep's -liveness-fd flag;
-// every byte written renews the supervisor's lease.
-const LivenessFD = 3
-
 // ExecConfig builds a Launcher that fork/execs one OS process per worker
 // attempt — the production topology, where a SIGKILL (from chaos, the
 // kernel OOM killer, or the supervisor's own lease enforcement) really
@@ -25,8 +19,8 @@ type ExecConfig struct {
 	// Bin is the worker executable (typically os.Executable()).
 	Bin string
 	// Args builds the attempt's argv (without the program name). It must
-	// route the worker to its shard — e.g. -shard i/N plus
-	// "-liveness-fd 3" so the worker heartbeats the inherited pipe.
+	// route the worker to its shard — e.g. -shard i/N — so that it writes
+	// the file the supervisor watches, Path(Supervisor.Out, i, N).
 	Args func(shardIdx, attempt int) []string
 	// Env, when non-nil, appends attempt-specific variables to the
 	// inherited environment.
@@ -38,32 +32,19 @@ type ExecConfig struct {
 // Launcher returns the fork/exec Launcher.
 func (c ExecConfig) Launcher() Launcher {
 	return func(ctx context.Context, shardIdx, attempt int) (Handle, error) {
-		r, w, err := os.Pipe()
-		if err != nil {
-			return nil, err
-		}
 		cmd := exec.Command(c.Bin, c.Args(shardIdx, attempt)...)
 		stderr := c.Stderr
 		if stderr == nil {
 			stderr = os.Stderr
 		}
 		cmd.Stdout, cmd.Stderr = stderr, stderr
-		cmd.ExtraFiles = []*os.File{w} // becomes LivenessFD in the child
 		if c.Env != nil {
 			cmd.Env = append(os.Environ(), c.Env(shardIdx, attempt)...)
 		}
 		if err := cmd.Start(); err != nil {
-			r.Close()
-			w.Close()
 			return nil, err
 		}
-		w.Close() // child holds the write end now; EOF on r = child gone
-		h := &execHandle{
-			cmd:   cmd,
-			beats: make(chan struct{}, 1),
-			done:  make(chan error, 1),
-		}
-		go h.readBeats(r)
+		h := &execHandle{cmd: cmd, done: make(chan error, 1)}
 		go h.wait()
 		return h, nil
 	}
@@ -71,25 +52,8 @@ func (c ExecConfig) Launcher() Launcher {
 
 // execHandle supervises one child process.
 type execHandle struct {
-	cmd   *exec.Cmd
-	beats chan struct{}
-	done  chan error
-}
-
-// readBeats forwards pipe bytes as lease renewals until the child closes
-// its end (exit or SIGKILL).
-func (h *execHandle) readBeats(r *os.File) {
-	defer r.Close()
-	buf := make([]byte, 64)
-	for {
-		if _, err := r.Read(buf); err != nil {
-			return
-		}
-		select {
-		case h.beats <- struct{}{}:
-		default:
-		}
-	}
+	cmd  *exec.Cmd
+	done chan error
 }
 
 // wait classifies the child's exit: 0 = shard complete, 2 = permanent
@@ -104,6 +68,5 @@ func (h *execHandle) wait() {
 	h.done <- err
 }
 
-func (h *execHandle) Beats() <-chan struct{} { return h.beats }
-func (h *execHandle) Done() <-chan error     { return h.done }
-func (h *execHandle) Kill()                  { _ = h.cmd.Process.Kill() }
+func (h *execHandle) Done() <-chan error { return h.done }
+func (h *execHandle) Kill()              { _ = h.cmd.Process.Kill() }

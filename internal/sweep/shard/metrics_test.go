@@ -14,7 +14,7 @@ import (
 // the registry records exactly that: restarts, lease expiries, completed
 // backoff waits, and the per-shard attempt ordinals.
 func TestSupervisorMetricsFaultHistory(t *testing.T) {
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		switch {
 		case shardIdx == 0 && attempt < 2:
 			return fmt.Errorf("simulated crash on attempt %d", attempt)
@@ -22,11 +22,10 @@ func TestSupervisorMetricsFaultHistory(t *testing.T) {
 			<-ctx.Done() // hang until the lease kill
 			return ctx.Err()
 		}
-		beat()
 		return nil
 	})
 	reg := obs.NewRegistry()
-	sup := quickSupervisor(2, launch)
+	sup := quickSupervisor(t, 2, launch)
 	sup.Metrics = NewMetrics(reg)
 	if err := sup.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -70,12 +69,11 @@ func TestSupervisorMetricsFaultHistory(t *testing.T) {
 // no faults still exposes every family, at zero — an absent series and a
 // zero series mean different things to a scraper.
 func TestSupervisorMetricsFaultFreeZeroes(t *testing.T) {
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
-		beat()
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		return nil
 	})
 	reg := obs.NewRegistry()
-	sup := quickSupervisor(1, launch)
+	sup := quickSupervisor(t, 1, launch)
 	sup.Metrics = NewMetrics(reg)
 	if err := sup.Run(context.Background()); err != nil {
 		t.Fatal(err)

@@ -7,14 +7,14 @@
 // one range through the ordinary streaming pipeline into its own JSONL
 // shard file, always opening with resume semantics: scan complete rows,
 // truncate a torn tail, skip finished cells, append the missing suffix,
-// fsync before reporting complete. A Supervisor fork/execs (or, for tests
-// and the harness, runs in-process) the N workers and holds a lease per
-// shard — renewed by pipe-delivered heartbeats and by observed shard-file
-// growth — killing a worker whose lease expires, and restarting crashed or
-// hung workers with exponentially backed-off, deterministically jittered
-// delays. Because restarts resume through the same machinery a -resume run
-// uses, a worker SIGKILLed mid-row costs exactly the torn row it was
-// writing; nothing else re-runs.
+// fsync before reporting complete. A Supervisor fork/execs (or, in tests,
+// runs in-process) the N workers and holds a lease per shard, renewed
+// whenever the shard file's size changes: a worker flushes every row, so
+// its file is its progress. It kills a worker whose lease expires and
+// restarts crashed or hung workers with exponentially backed-off,
+// deterministically jittered delays. Because restarts resume through the
+// same machinery a -resume run uses, a worker SIGKILLed mid-row costs
+// exactly the torn row it was writing; nothing else re-runs.
 //
 // Merge stitches the shard files back together. The ranges are contiguous
 // in canonical order, so the merge is a verified concatenation: every row

@@ -55,10 +55,6 @@ func (e *errLeaseExpired) Error() string {
 
 // Handle is a running worker attempt as the supervisor sees it.
 type Handle interface {
-	// Beats delivers liveness pulses — one per emitted row for the
-	// built-in workers. The channel never closes; a silent worker simply
-	// stops delivering.
-	Beats() <-chan struct{}
 	// Done delivers the attempt's exit status exactly once: nil for a
 	// completed shard, *Permanent for a failure restarts cannot fix, any
 	// other error for a crash worth retrying.
@@ -72,10 +68,11 @@ type Handle interface {
 type Launcher func(ctx context.Context, shardIdx, attempt int) (Handle, error)
 
 // Supervisor runs the N workers of a sharded sweep and keeps them alive:
-// one lease per shard, renewed by worker heartbeats and by observed shard-
-// file growth; a worker whose lease expires is presumed hung and killed; a
-// dead worker (crashed, killed, or SIGKILLed by chaos) is relaunched after
-// an exponentially backed-off, deterministically jittered delay, resuming
+// one lease per shard, renewed whenever the shard file's size changes (a
+// worker flushes every row it emits, so the file is its progress); a
+// worker whose lease expires is presumed hung and killed; a dead worker
+// (crashed, killed, or SIGKILLed by chaos) is relaunched after an
+// exponentially backed-off, deterministically jittered delay, resuming
 // its shard file through the ordinary resume machinery. Failures that
 // restarting cannot fix (Permanent / sweep.MismatchError) stop the run
 // immediately; a shard that keeps dying is abandoned after MaxAttempts and
@@ -86,14 +83,12 @@ type Supervisor struct {
 	Count int
 	// Launch starts one worker attempt.
 	Launch Launcher
-	// ShardFile names shard i's JSONL file; when non-nil its growth
-	// renews the lease, covering workers whose beat channel is lost.
-	ShardFile func(i int) string
-	// LeaseTimeout is how long a shard may go without a heartbeat or
-	// file growth before its worker is declared hung and killed
-	// (0 = DefaultLeaseTimeout). It must comfortably exceed the longest
-	// single cell, since a worker mid-cell produces neither rows nor
-	// beats.
+	// Out is the merged output path; shard i's file is Path(Out, i, Count).
+	Out string
+	// LeaseTimeout is how long a shard file may keep its size before its
+	// worker is declared hung and killed (0 = DefaultLeaseTimeout). It
+	// must comfortably exceed the longest single cell, since a worker
+	// mid-cell writes no rows.
 	LeaseTimeout time.Duration
 	// PollInterval is the shard-file stat cadence (0 = LeaseTimeout/4).
 	PollInterval time.Duration
@@ -124,6 +119,9 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	}
 	if s.Launch == nil {
 		return fmt.Errorf("shard: supervisor needs a Launcher")
+	}
+	if s.Out == "" {
+		return fmt.Errorf("shard: supervisor needs Out")
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -197,9 +195,11 @@ func (s *Supervisor) superviseShard(ctx context.Context, shardIdx int) error {
 }
 
 // monitor watches one attempt until it exits or its lease expires. The
-// lease renews on every heartbeat and on every observed shard-file growth;
-// its expiry means the worker has made no externally visible progress for
-// a full timeout — hung, not slow — and the worker is killed.
+// lease renews whenever a poll finds the shard file's size changed — any
+// change, since a resume that cuts a torn tail shrinks it. At expiry the
+// file is looked at once more, so a row written since the last poll still
+// counts; only a file unchanged for a full timeout means the worker made
+// no progress — hung, not slow — and it is killed.
 func (s *Supervisor) monitor(ctx context.Context, shardIdx int, h Handle) error {
 	timeout := s.LeaseTimeout
 	if timeout <= 0 {
@@ -222,19 +222,23 @@ func (s *Supervisor) monitor(ctx context.Context, shardIdx int, h Handle) error 
 		}
 		lease.Reset(timeout)
 	}
-	lastSize := s.statShard(shardIdx)
+	path := Path(s.Out, shardIdx, s.Count)
+	lastSize := fileSize(path)
 	for {
 		select {
-		case <-h.Beats():
-			renew()
 		case <-ticker.C:
-			if sz := s.statShard(shardIdx); sz > lastSize {
+			if sz := fileSize(path); sz != lastSize {
 				lastSize = sz
 				renew()
 			}
 		case err := <-h.Done():
 			return err
 		case <-lease.C:
+			if sz := fileSize(path); sz != lastSize {
+				lastSize = sz
+				renew()
+				continue
+			}
 			s.logf("shard %d: lease expired after %s — killing hung worker", shardIdx, timeout)
 			s.Metrics.recordLeaseExpiry()
 			h.Kill()
@@ -247,12 +251,10 @@ func (s *Supervisor) monitor(ctx context.Context, shardIdx int, h Handle) error 
 	}
 }
 
-// statShard returns the shard file's current size (-1 when unknown).
-func (s *Supervisor) statShard(i int) int64 {
-	if s.ShardFile == nil {
-		return -1
-	}
-	fi, err := os.Stat(s.ShardFile(i))
+// fileSize returns the file's current size (-1 when it cannot be read, as
+// before a worker's first attempt creates it).
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
 	if err != nil {
 		return -1
 	}
@@ -293,20 +295,19 @@ func (s *Supervisor) logf(format string, args ...any) {
 }
 
 // GoLauncher adapts an in-process worker function into a Launcher — the
-// topology harness experiments and unit tests use. Each attempt runs as a
+// topology the package's tests use. Each attempt runs as a
 // goroutine under its own cancellable context; Kill cancels it, which is
 // the in-process analogue of SIGKILL: the worker's stream aborts at its
 // next cell boundary and the shard file is left a clean resumable prefix.
-func GoLauncher(run func(ctx context.Context, shardIdx, attempt int, beat func()) error) Launcher {
+func GoLauncher(run func(ctx context.Context, shardIdx, attempt int) error) Launcher {
 	return func(ctx context.Context, shardIdx, attempt int) (Handle, error) {
 		wctx, cancel := context.WithCancel(ctx)
 		h := &goHandle{
-			beats:  make(chan struct{}, 1),
 			done:   make(chan error, 1),
 			cancel: cancel,
 		}
 		go func() {
-			err := run(wctx, shardIdx, attempt, h.beat)
+			err := run(wctx, shardIdx, attempt)
 			if err != nil && !IsPermanent(err) {
 				// Keep mismatches permanent; everything else retries.
 				err = fmt.Errorf("worker: %w", err)
@@ -319,18 +320,9 @@ func GoLauncher(run func(ctx context.Context, shardIdx, attempt int, beat func()
 
 // goHandle is the in-process worker handle.
 type goHandle struct {
-	beats  chan struct{}
 	done   chan error
 	cancel context.CancelFunc
 }
 
-func (h *goHandle) beat() {
-	select {
-	case h.beats <- struct{}{}:
-	default:
-	}
-}
-
-func (h *goHandle) Beats() <-chan struct{} { return h.beats }
-func (h *goHandle) Done() <-chan error     { return h.done }
-func (h *goHandle) Kill()                  { h.cancel() }
+func (h *goHandle) Done() <-chan error { return h.done }
+func (h *goHandle) Kill()              { h.cancel() }

@@ -15,11 +15,13 @@ import (
 	"repro/internal/sweep"
 )
 
-// quickSupervisor builds a Supervisor with test-speed timings.
-func quickSupervisor(n int, launch Launcher) *Supervisor {
+// quickSupervisor builds a Supervisor with test-speed timings over shard
+// files in a fresh directory.
+func quickSupervisor(t *testing.T, n int, launch Launcher) *Supervisor {
 	return &Supervisor{
 		Count:        n,
 		Launch:       launch,
+		Out:          filepath.Join(t.TempDir(), "sweep.jsonl"),
 		LeaseTimeout: 400 * time.Millisecond,
 		PollInterval: 50 * time.Millisecond,
 		MaxAttempts:  4,
@@ -34,15 +36,14 @@ func quickSupervisor(n int, launch Launcher) *Supervisor {
 // attempt sequence is visible to the launcher.
 func TestSupervisorRestartsCrashedWorker(t *testing.T) {
 	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		atomic.AddInt32(&launches, 1)
 		if attempt < 2 {
 			return fmt.Errorf("simulated crash on attempt %d", attempt)
 		}
-		beat()
 		return nil
 	})
-	if err := quickSupervisor(1, launch).Run(context.Background()); err != nil {
+	if err := quickSupervisor(t, 1, launch).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt32(&launches); got != 3 {
@@ -50,22 +51,22 @@ func TestSupervisorRestartsCrashedWorker(t *testing.T) {
 	}
 }
 
-// TestSupervisorLeaseTimeoutKillsHungWorker: a worker that stops beating
-// and making progress is killed at lease expiry and its restart completes
+// TestSupervisorLeaseTimeoutKillsHungWorker: a worker whose shard file
+// stops changing is killed at lease expiry and its restart completes
 // the shard. The hung attempt must observe the kill (context
 // cancellation), not linger.
 func TestSupervisorLeaseTimeoutKillsHungWorker(t *testing.T) {
 	var hungSawKill atomic.Bool
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		if attempt == 0 {
-			<-ctx.Done() // hang: no beats, no progress, until killed
+			<-ctx.Done() // hang: no progress until killed
 			hungSawKill.Store(true)
 			return ctx.Err()
 		}
 		return nil
 	})
 	var log bytes.Buffer
-	sup := quickSupervisor(1, launch)
+	sup := quickSupervisor(t, 1, launch)
 	sup.Log = &log
 	start := time.Now()
 	if err := sup.Run(context.Background()); err != nil {
@@ -82,62 +83,70 @@ func TestSupervisorLeaseTimeoutKillsHungWorker(t *testing.T) {
 	}
 }
 
-// TestSupervisorBeatsRenewLease: a slow worker that keeps beating is NOT
-// killed even though it takes several lease timeouts to finish.
-func TestSupervisorBeatsRenewLease(t *testing.T) {
-	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
-		atomic.AddInt32(&launches, 1)
-		for i := 0; i < 10; i++ { // 1s of work against a 400ms lease
-			select {
-			case <-time.After(100 * time.Millisecond):
-				beat()
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	})
-	if err := quickSupervisor(1, launch).Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&launches); got != 1 {
-		t.Fatalf("beating worker was restarted (%d launches)", got)
-	}
-}
-
-// TestSupervisorFileGrowthRenewsLease: a worker whose beat channel is
-// mute but whose shard file keeps growing is alive by definition — the
-// file IS the progress — and must not be killed.
-func TestSupervisorFileGrowthRenewsLease(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s0.jsonl")
-	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
-		atomic.AddInt32(&launches, 1)
-		f, err := os.Create(path)
+// superviseSlowWriter supervises one shard whose worker appends a short
+// row to its shard file every interval, rows times, after cutting the
+// file to empty as a resume cuts a torn tail. The worker never finishes
+// within one lease, so the test fails unless the file's changes renew it:
+// exactly one launch, and no error.
+func superviseSlowWriter(t *testing.T, sup *Supervisor, rows int, every time.Duration) {
+	t.Helper()
+	var launches atomic.Int32
+	path := Path(sup.Out, 0, 1)
+	sup.Launch = GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+		launches.Add(1)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		for i := 0; i < 10; i++ { // growth every 100ms against a 400ms lease
+		for i := 0; i < rows; i++ {
 			select {
-			case <-time.After(100 * time.Millisecond):
-				fmt.Fprintln(f, "row")
+			case <-time.After(every):
 			case <-ctx.Done():
 				return ctx.Err()
+			}
+			if i == 0 {
+				if err := f.Truncate(0); err != nil {
+					return err
+				}
+			}
+			if _, err := f.WriteString("row\n"); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
-	sup := quickSupervisor(1, launch)
-	sup.ShardFile = func(int) string { return path }
-	if err := sup.Run(context.Background()); err != nil {
+	err := sup.Run(context.Background())
+	if got := launches.Load(); err != nil || got != 1 {
+		t.Fatalf("slow but progressing worker launched %d times (err %v), want once", got, err)
+	}
+}
+
+// TestSupervisorFileGrowthRenewsLease: a worker whose shard file keeps
+// growing is alive by definition — the file IS the progress — and must
+// not be killed, though it takes 1 s against a 400 ms lease.
+func TestSupervisorFileGrowthRenewsLease(t *testing.T) {
+	superviseSlowWriter(t, quickSupervisor(t, 1, nil), 10, 100*time.Millisecond)
+}
+
+// TestSupervisorLeaseExpiryStatsFile: with a poll interval longer than the
+// lease, no poll ever sees the file grow; only the look at the file when
+// the lease fires can tell the rows written since apart from a hang.
+func TestSupervisorLeaseExpiryStatsFile(t *testing.T) {
+	sup := quickSupervisor(t, 1, nil)
+	sup.PollInterval = time.Hour
+	superviseSlowWriter(t, sup, 7, 150*time.Millisecond)
+}
+
+// TestSupervisorShrinkRenewsLease: a worker that cuts a pre-seeded file
+// longer than anything it then writes makes progress the file's size shows
+// only as change, never as growth past its first size.
+func TestSupervisorShrinkRenewsLease(t *testing.T) {
+	sup := quickSupervisor(t, 1, nil)
+	if err := os.WriteFile(Path(sup.Out, 0, 1), bytes.Repeat([]byte("x"), 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&launches); got != 1 {
-		t.Fatalf("growing worker was restarted (%d launches)", got)
-	}
+	superviseSlowWriter(t, sup, 10, 100*time.Millisecond)
 }
 
 // TestSupervisorPermanentStopsRetrying: a configuration mismatch must not
@@ -145,7 +154,7 @@ func TestSupervisorFileGrowthRenewsLease(t *testing.T) {
 // cancelled rather than run to completion.
 func TestSupervisorPermanentStopsRetrying(t *testing.T) {
 	var launches0, kills1 int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		if shardIdx == 0 {
 			atomic.AddInt32(&launches0, 1)
 			return &sweep.MismatchError{Field: "seed", Cell: "x", Want: "1", Got: "2"}
@@ -154,7 +163,7 @@ func TestSupervisorPermanentStopsRetrying(t *testing.T) {
 		atomic.AddInt32(&kills1, 1)
 		return ctx.Err()
 	})
-	err := quickSupervisor(2, launch).Run(context.Background())
+	err := quickSupervisor(t, 2, launch).Run(context.Background())
 	var mm *sweep.MismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("error is not the mismatch: %v", err)
@@ -171,11 +180,11 @@ func TestSupervisorPermanentStopsRetrying(t *testing.T) {
 // abandoned with an error naming the attempt budget and the last failure.
 func TestSupervisorGivesUpAfterMaxAttempts(t *testing.T) {
 	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		atomic.AddInt32(&launches, 1)
 		return fmt.Errorf("always down")
 	})
-	err := quickSupervisor(1, launch).Run(context.Background())
+	err := quickSupervisor(t, 1, launch).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "giving up after 4 attempts") {
 		t.Fatalf("err = %v", err)
 	}
@@ -223,7 +232,7 @@ func TestSupervisorEndToEndInProcess(t *testing.T) {
 	const n = 4
 	paths := Paths(filepath.Join(dir, "sweep.jsonl"), n)
 
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int, beat func()) error {
+	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		switch {
 		case shardIdx == 1 && attempt == 0:
 			// Crash, leaving the SIGKILL debris of a torn half-row the
@@ -243,11 +252,11 @@ func TestSupervisorEndToEndInProcess(t *testing.T) {
 		}
 		scfg := cfg
 		scfg.Shard = &sweep.ShardSpec{Index: shardIdx, Count: n}
-		_, err := RunWorker(ctx, scfg, paths[shardIdx], WorkerOptions{Attempt: attempt, Beat: beat})
+		_, err := RunWorker(ctx, scfg, paths[shardIdx], WorkerOptions{Attempt: attempt})
 		return err
 	})
-	sup := quickSupervisor(n, launch)
-	sup.ShardFile = func(i int) string { return paths[i] }
+	sup := quickSupervisor(t, n, launch)
+	sup.Out = filepath.Join(dir, "sweep.jsonl")
 	var log bytes.Buffer
 	sup.Log = &log
 	if err := sup.Run(context.Background()); err != nil {

@@ -12,10 +12,6 @@ type WorkerOptions struct {
 	// Attempt is the restart count (0 on first launch); it feeds the
 	// fault injector's derivation so retries draw fresh faults.
 	Attempt int
-	// Beat, when non-nil, is invoked after every emitted row — the
-	// worker's liveness pulse. Fork/exec workers wire it to the
-	// supervisor's pipe; in-process workers to a channel.
-	Beat func()
 	// Injector, when non-nil, is consulted before every row emission.
 	Injector *FaultInjector
 }
@@ -52,9 +48,6 @@ func RunWorker(ctx context.Context, cfg sweep.Config, path string, opt WorkerOpt
 			return err
 		}
 		rows++
-		if opt.Beat != nil {
-			opt.Beat()
-		}
 		return nil
 	})
 	stats, err := sweep.Stream(ctx, cfg, sink)

@@ -38,8 +38,8 @@ func NewSidecarSink(inner Sink, w io.Writer) *SidecarSink {
 	return s
 }
 
-// Emit implements Sink. The forwarded row is a shallow copy — the driver
-// recycles the original's PerRound buffer, which must stay untouched.
+// Emit implements Sink. The forwarded row is a shallow copy, so sinks
+// beside this one in a MultiSink still see the original's PerRound.
 func (s *SidecarSink) Emit(r *Result) error {
 	if len(r.PerRound) == 0 {
 		return s.inner.Emit(r)

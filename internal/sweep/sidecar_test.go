@@ -107,9 +107,9 @@ func TestSidecarSinkSplitsRows(t *testing.T) {
 	}
 }
 
-// TestSidecarSinkLeavesOriginalIntact: the driver recycles the emitted
-// Result's PerRound buffer after Emit returns, so the sink must forward a
-// copy rather than clearing the field on the original.
+// TestSidecarSinkLeavesOriginalIntact: sinks beside the sidecar in a
+// MultiSink read the same Result, so the sink must forward a copy rather
+// than clearing the field on the original.
 func TestSidecarSinkLeavesOriginalIntact(t *testing.T) {
 	r := Result{Scenario: "s", Params: "n=8", Algo: "greedy", PerRound: [][2]int{{4, 32}, {2, 16}}}
 	var side bytes.Buffer

@@ -8,13 +8,11 @@ import (
 )
 
 // Sink consumes one Result per completed cell. Stream delivers results
-// strictly in cell order, one Emit at a time (sinks need no locking), and
-// recycles the Result's PerRound buffer as soon as Emit returns — a sink
-// that retains anything beyond the call must copy it. Implementations
-// compose: a typical CLI run stacks a JSONL writer, an aggregate
-// accumulator and a violations collector behind one MultiSink, each seeing
-// every row exactly once while the driver itself holds only the reorder
-// window.
+// strictly in cell order, one Emit at a time (sinks need no locking).
+// Implementations compose: a typical CLI run stacks a JSONL writer, an
+// aggregate accumulator and a violations collector behind one MultiSink,
+// each seeing every row exactly once while the driver itself holds only
+// the reorder window.
 type Sink interface {
 	Emit(r *Result) error
 }

@@ -169,7 +169,6 @@ func (o *orderer) deliver(i int, r *Result) {
 	o.mu.Lock()
 	if o.aborted {
 		o.mu.Unlock()
-		releasePerRound(r)
 		return
 	}
 	o.buf[i] = r
@@ -230,7 +229,6 @@ func (o *orderer) drain() {
 		if o.tracer != nil {
 			sp.End()
 		}
-		releasePerRound(r)
 		o.mu.Lock()
 		if emitErr != nil {
 			o.err = emitErr

@@ -16,8 +16,7 @@ func streamJSONL(t *testing.T, ctx context.Context, cfg Config, buf *bytes.Buffe
 
 // TestStreamMatchesRun: rows streamed through JSONLSink one at a time are
 // byte-identical to the same rows collected and encoded after the sweep
-// ends — the reorder window and the recycled PerRound buffers must not
-// change row order or content.
+// ends — the reorder window must not change row order or content.
 func TestStreamMatchesRun(t *testing.T) {
 	cfg := tinyConfig()
 	want := runJSONL(t, cfg)

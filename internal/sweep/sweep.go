@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/gen"
@@ -260,21 +259,6 @@ func expand(cfg Config) ([]cell, error) {
 	return cells, nil
 }
 
-// perRoundPool recycles Result.PerRound histogram buffers: runCell draws
-// from it, and the stream driver returns the buffer the moment the sink
-// has consumed the row — so a million-cell sweep reuses a handful of
-// buffers instead of retiring one allocation per cell.
-var perRoundPool = sync.Pool{New: func() any { return [][2]int(nil) }}
-
-// releasePerRound hands a drained row's histogram back to the pool.
-func releasePerRound(r *Result) {
-	if r.PerRound == nil {
-		return
-	}
-	perRoundPool.Put(r.PerRound[:0]) //nolint:staticcheck // slice header boxing is the cost of pooling slices
-	r.PerRound = nil
-}
-
 // cellSeed derives the cell's instance seed. It depends on the cell's
 // values, not its position: every algorithm sees the same instance for a
 // given (family, params, rep), and reordering or extending the grid never
@@ -342,12 +326,15 @@ func runCell(cfg Config, c cell) (Result, error) {
 		}
 	}
 	res.Matched /= 2 // two endpoints per matched edge
-	pr, _ := perRoundPool.Get().([][2]int)
-	for _, t := range st.PerRound() {
-		pr = append(pr, [2]int{t.Messages, t.Bytes})
+	if st.Rounds > 0 {
+		// A row that ran no round keeps a nil PerRound, as its decoded
+		// JSONL (per_round omitted) has.
+		res.PerRound = make([][2]int, st.Rounds)
+	}
+	for _, t := range st.Traffic {
+		res.PerRound[t.Round-1] = [2]int{t.Messages, t.Bytes}
 		res.Bytes += t.Bytes
 	}
-	res.PerRound = pr
 	if cfg.CheckBounds {
 		res.Violations = Check(c.algo.Contract(g), len(g.Halves()), st)
 	}
