@@ -21,17 +21,15 @@
 // the client-observed one. With -slo-p99 / -slo-errors set, the report's
 // SLO block decides the exit code: 0 when every bound holds, 1 when one
 // fails. Usage errors exit 2.
-//
-// Backends: -target drives HTTP; -sender engine runs the sweep stack
-// in-process (no network — transport-vs-engine cost isolation); -sender
-// null measures pacer overhead alone.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -44,35 +42,42 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	sender := flag.String("sender", "http", "backend: http (drive -target), engine (in-process sweep stack), null (pacer baseline)")
-	target := flag.String("target", "http://127.0.0.1:8091", "mmserve base URL for the http sender (also scraped for server-side quantiles)")
-	rate := flag.Float64("rate", 20, "peak request rate, requests/second")
-	rampUp := flag.Duration("ramp-up", 5*time.Second, "linear ramp from 0 to -rate")
-	hold := flag.Duration("hold", 30*time.Second, "time at -rate")
-	rampDown := flag.Duration("ramp-down", 5*time.Second, "linear ramp from -rate to 0")
-	maxInFlight := flag.Int("max-inflight", 8, "outstanding requests at once (0 = unbounded)")
-	queue := flag.Bool("queue", false, "when -max-inflight is reached, queue slots instead of skipping them")
+// run is mmloadgen with its arguments and output streams passed in; it
+// returns the process exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmloadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	target := fs.String("target", "http://127.0.0.1:8091", "mmserve base URL (also scraped for server-side quantiles)")
+	rate := fs.Float64("rate", 20, "peak request rate, requests/second")
+	rampUp := fs.Duration("ramp-up", 5*time.Second, "linear ramp from 0 to -rate")
+	hold := fs.Duration("hold", 30*time.Second, "time at -rate")
+	rampDown := fs.Duration("ramp-down", 5*time.Second, "linear ramp from -rate to 0")
+	maxInFlight := fs.Int("max-inflight", 8, "outstanding requests at once (0 = unbounded)")
+	queue := fs.Bool("queue", false, "when -max-inflight is reached, queue slots instead of skipping them")
 	var mixFlags cli.StringList
-	flag.Var(&mixFlags, "mix", "weighted mix entry 'spec[@weight]', repeatable (e.g. 'regular:n=256,k=4@3'); default: every family at smoke size")
-	algos := flag.String("algos", "greedy", "comma-separated algorithms crossed with the -mix specs")
-	seed := flag.Int64("seed", 1, "mix seed; the same seed+mix+profile replays the same request sequence")
-	scrape := flag.Duration("scrape", 2*time.Second, "mid-run /metrics scrape interval for the http sender (0 = final scrape only)")
-	cacheEntries := flag.Int("cache-entries", 0, "engine sender: instance-cache size (0 = default)")
-	engineWorkers := flag.Int("engine-workers", 0, "engine sender: per-cell engine workers")
-	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	sloP99 := flag.Duration("slo-p99", 0, "fail (exit 1) if client p99 exceeds this (0 = no latency SLO)")
-	sloErrors := flag.Float64("slo-errors", 0, "fail (exit 1) if errors/sent exceeds this rate (0 = no errors allowed)")
-	noSLO := flag.Bool("no-slo", false, "report only; never fail the exit code on SLO bounds")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mmloadgen: unexpected arguments %q\n", flag.Args())
+	fs.Var(&mixFlags, "mix", "weighted mix entry 'spec[@weight]', repeatable (e.g. 'regular:n=256,k=4@3'); default: every family at smoke size")
+	algos := fs.String("algos", "greedy", "comma-separated algorithms crossed with the -mix specs")
+	seed := fs.Int64("seed", 1, "mix seed; the same seed+mix+profile replays the same request sequence")
+	scrape := fs.Duration("scrape", 2*time.Second, "mid-run /metrics scrape interval (0 = final scrape only)")
+	out := fs.String("out", "", "write the JSON report here (default stdout)")
+	sloP99 := fs.Duration("slo-p99", 0, "fail (exit 1) if client p99 exceeds this (0 = no latency SLO)")
+	sloErrors := fs.Float64("slo-errors", 0, "fail (exit 1) if errors/sent exceeds this rate (0 = no errors allowed)")
+	noSLO := fs.Bool("no-slo", false, "report only; never fail the exit code on SLO bounds")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mmloadgen: unexpected arguments %q\n", fs.Args())
 		return cli.ExitMismatch
 	}
 
+	base := strings.TrimSuffix(*target, "/")
 	spec := loadgen.Spec{
 		Profile: loadgen.Profile{
 			Rate:     *rate,
@@ -80,8 +85,11 @@ func run() int {
 			Hold:     *hold,
 			RampDown: *rampDown,
 		},
-		Seed:        *seed,
-		MaxInFlight: *maxInFlight,
+		Seed:           *seed,
+		MaxInFlight:    *maxInFlight,
+		Sender:         &loadgen.HTTPSender{Base: base},
+		MetricsURL:     base + "/metrics",
+		ScrapeInterval: *scrape,
 	}
 	if *queue {
 		spec.Policy = loadgen.Queue
@@ -92,60 +100,43 @@ func run() int {
 
 	mix, err := parseMix(mixFlags, cli.SplitList(*algos))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmloadgen: %v\n", err)
+		fmt.Fprintf(stderr, "mmloadgen: %v\n", err)
 		return cli.ExitMismatch
 	}
 	// Validate up front so an unknown family/algorithm or bad weight is a
 	// usage error (exit 2), not a run failure.
 	if _, err := loadgen.NewMix(*seed, mix); err != nil {
-		fmt.Fprintf(os.Stderr, "mmloadgen: %v\n", err)
+		fmt.Fprintf(stderr, "mmloadgen: %v\n", err)
 		return cli.ExitMismatch
 	}
 	spec.Mix = mix
-
-	switch *sender {
-	case "http":
-		base := strings.TrimSuffix(*target, "/")
-		spec.Sender = &loadgen.HTTPSender{Base: base}
-		spec.MetricsURL = base + "/metrics"
-		spec.ScrapeInterval = *scrape
-	case "engine":
-		es := loadgen.NewEngineSender(*cacheEntries)
-		es.EngineWorkers = *engineWorkers
-		spec.Sender = es
-	case "null":
-		spec.Sender = loadgen.NullSender{}
-	default:
-		fmt.Fprintf(os.Stderr, "mmloadgen: unknown sender %q (http, engine, null)\n", *sender)
-		return cli.ExitMismatch
-	}
 
 	// SIGINT/SIGTERM stop pacing; in-flight requests finish and the
 	// report still covers what ran.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(os.Stderr, "mmloadgen: %d slots over %s (%s sender, %d in flight, %s policy)\n",
-		spec.Profile.Slots(), spec.Profile.Duration(), spec.Sender.Name(), spec.MaxInFlight, spec.Policy)
+	fmt.Fprintf(stderr, "mmloadgen: %d slots over %s (%d in flight, %s policy)\n",
+		spec.Profile.Slots(), spec.Profile.Duration(), spec.MaxInFlight, spec.Policy)
 	report, runErr := loadgen.Run(ctx, spec)
 	if report != nil {
 		report.Date = time.Now().UTC().Format("2006-01-02")
-		if err := writeReport(*out, report); err != nil {
-			fmt.Fprintf(os.Stderr, "mmloadgen: %v\n", err)
+		if err := writeReport(*out, stdout, report); err != nil {
+			fmt.Fprintf(stderr, "mmloadgen: %v\n", err)
 			return cli.ExitFailure
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "mmloadgen: %v\n", runErr)
+		fmt.Fprintf(stderr, "mmloadgen: %v\n", runErr)
 		return cli.ExitFailure
 	}
 	if report.SLO != nil && !report.SLO.Pass {
 		for _, f := range report.SLO.Failures {
-			fmt.Fprintf(os.Stderr, "mmloadgen: SLO: %s\n", f)
+			fmt.Fprintf(stderr, "mmloadgen: SLO: %s\n", f)
 		}
 		return cli.ExitFailure
 	}
-	fmt.Fprintf(os.Stderr, "mmloadgen: %d sent, %d ok, %d errors, %d skipped, %.1f req/s\n",
+	fmt.Fprintf(stderr, "mmloadgen: %d sent, %d ok, %d errors, %d skipped, %.1f req/s\n",
 		report.Sent, report.OK, report.Errors, report.Skipped, report.ThroughputRPS)
 	return cli.ExitOK
 }
@@ -186,14 +177,14 @@ func parseMix(specs []string, algos []string) ([]loadgen.MixEntry, error) {
 
 // writeReport encodes the report to path ("" = stdout), indented for
 // human and jq consumption alike.
-func writeReport(path string, report *loadgen.Report) error {
+func writeReport(path string, stdout io.Writer, report *loadgen.Report) error {
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
 	if path == "" {
-		_, err = os.Stdout.Write(b)
+		_, err = stdout.Write(b)
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)

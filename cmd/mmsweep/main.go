@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := fs.Bool("resume", false, "continue an interrupted sweep: verify -out's complete rows are a prefix of this sweep, skip their cells, append the rest (requires -out file)")
 	cellWorkers := fs.Int("cell-workers", 0, "concurrent cells (0 = GOMAXPROCS)")
 	engineWorkers := fs.Int("engine-workers", 0, "workers per execution (≤1 = sequential slab engine)")
-	window := fs.Int("reorder-window", 0, "max rows buffered for in-order emission (0 = 2×cell-workers)")
 	shardSpec := fs.String("shard", "", "run one worker of an i/N-sharded sweep into <out>.shard<i>of<N> (resumes automatically)")
 	attempt := fs.Int("attempt", 0, "restart count of this shard attempt (set by -supervise; feeds fault-injection derivation)")
 	supervise := fs.Int("supervise", 0, "fork/exec N supervised shard workers of this binary, restart crashed/hung ones, then merge into -out")
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		CellWorkers:   *cellWorkers,
 		EngineWorkers: *engineWorkers,
-		ReorderWindow: *window,
 		CheckBounds:   *checkBounds,
 	}
 	for _, spec := range grids {

@@ -267,7 +267,8 @@ func TestRunSupervise(t *testing.T) {
 
 // TestRunSuperviseForeignShard: a shard file holding rows of another -seed
 // makes its worker exit 2, which the supervisor does not retry: it exits 2
-// itself, merges nothing, and leaves the shard file as it found it.
+// itself, merges nothing, and leaves the shard file as it found it. The
+// worker's refusal reaches run's stderr, not the process's.
 func TestRunSuperviseForeignShard(t *testing.T) {
 	t.Setenv("MMSWEEP_TEST_AS_MAIN", "1")
 	out := filepath.Join(t.TempDir(), "sweep.jsonl")
@@ -281,6 +282,9 @@ func TestRunSuperviseForeignShard(t *testing.T) {
 	_, stderr, code := runArgs(append(superviseGrid, "-supervise", "2", "-out", out)...)
 	if code != cli.ExitMismatch || !strings.Contains(stderr, "permanent worker failure") {
 		t.Fatalf("exit %d, want %d with a permanent worker failure:\n%s", code, cli.ExitMismatch, stderr)
+	}
+	if !strings.Contains(stderr, "seed mismatch") {
+		t.Errorf("the worker's refusal is missing from stderr:\n%s", stderr)
 	}
 	if strings.Contains(stderr, "attempt 1") {
 		t.Errorf("the refusing worker was restarted:\n%s", stderr)

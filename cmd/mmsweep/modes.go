@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -56,6 +57,9 @@ func runShard(cfg sweep.Config, out, spec string, attempt int, chaos chaosFlag, 
 // success the shard files are merged into -out and verified byte-identical
 // to the canonical order.
 func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time.Duration, maxAttempts int, reg *obs.Registry, stdout, stderr io.Writer) int {
+	// The workers' output is copied into stderr from one goroutine per
+	// child, alongside the supervisor's own event lines.
+	stderr = &lockedWriter{w: stderr}
 	bin, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(stderr, "mmsweep: %v\n", err)
@@ -75,6 +79,7 @@ func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time
 				"-shard", fmt.Sprintf("%d/%d", shardIdx, n),
 				"-attempt", strconv.Itoa(attempt))
 		},
+		Stderr: stderr,
 	}
 	sup := &shard.Supervisor{
 		Count:        n,
@@ -92,6 +97,19 @@ func runSupervise(args []string, cfg sweep.Config, out string, n int, lease time
 		return cli.Classify(err)
 	}
 	return runMerge(cfg, out, n, stdout, stderr)
+}
+
+// lockedWriter serialises Writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+// Write implements io.Writer.
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // runMerge stitches the n shard files back into -out as one verified,

@@ -1,8 +1,8 @@
 // Package gen is the scenario generator subsystem: a registry of named,
 // parameterised, deterministically seeded graph families, all constructed
-// CSR-natively through the graph.CSRBuilder (re-exported here), so
-// instance construction keeps pace with the allocation-free execution
-// engines instead of dominating benchmark setup.
+// CSR-natively through graph.CSRBuilder, so instance construction keeps
+// pace with the allocation-free execution engines instead of dominating
+// benchmark setup.
 //
 // # Scenario DSL
 //

@@ -88,7 +88,7 @@ func pathScenario() Scenario {
 			if n < 2 || k < 1 || (k < 2 && n > 2) {
 				return nil, fmt.Errorf("need n ≥ 2 and k ≥ 2 (k ≥ 1 for n = 2), got n=%d k=%d", n, k)
 			}
-			b := NewCSRBuilder(n, k)
+			b := graph.NewCSRBuilder(n, k)
 			for i := 0; i+1 < n; i++ {
 				if err := b.AddEdge(i, i+1, group.Color(i%k+1)); err != nil {
 					return nil, err
@@ -113,7 +113,7 @@ func cycleScenario() Scenario {
 			if n < 3 || k < need {
 				return nil, fmt.Errorf("need n ≥ 3 and k ≥ %d for this n, got n=%d k=%d", need, n, k)
 			}
-			b := NewCSRBuilder(n, k)
+			b := graph.NewCSRBuilder(n, k)
 			for i := 0; i < n; i++ {
 				c := group.Color(i%2 + 1)
 				if i == n-1 && n%2 != 0 {
@@ -138,7 +138,7 @@ func tree() Scenario {
 			if n < 2 || k < 1 {
 				return nil, fmt.Errorf("need n ≥ 2 and k ≥ 1, got n=%d k=%d", n, k)
 			}
-			b := NewCSRBuilder(n, k)
+			b := graph.NewCSRBuilder(n, k)
 			for v := 1; v < n; v++ {
 				parent := rng.Intn(v)
 				// The child is fresh, so only the parent can be saturated;
@@ -191,7 +191,7 @@ func caterpillar() Scenario {
 					n += m
 				}
 			}
-			b := NewCSRBuilder(n, k)
+			b := graph.NewCSRBuilder(n, k)
 			for i := 0; i < k; i++ {
 				if err := b.AddEdge(i, i+1, group.Color(k-i)); err != nil {
 					return nil, err
@@ -249,7 +249,7 @@ func doubleCover() Scenario {
 			// colouring stays proper (each side of a split node sees the
 			// same colours v did) and the result is bipartite by
 			// construction, so the labels are a valid §1.1 input.
-			b := NewCSRBuilder(2*n, k)
+			b := graph.NewCSRBuilder(2*n, k)
 			b.Grow(2 * base.NumEdges())
 			for u := 0; u < n; u++ {
 				for _, h := range base.Incident(u) {

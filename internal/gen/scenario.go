@@ -12,16 +12,6 @@ import (
 	"repro/internal/graph"
 )
 
-// CSRBuilder assembles graphs directly in CSR form; it is the low-level
-// mechanism behind every scenario. The implementation lives in the graph
-// package, where it is the only way to build a Graph; gen re-exports it as
-// the generation subsystem's canonical entry point.
-type CSRBuilder = graph.CSRBuilder
-
-// NewCSRBuilder returns an empty builder for an n-node graph with colour
-// palette 1…k.
-func NewCSRBuilder(n, k int) *CSRBuilder { return graph.NewCSRBuilder(n, k) }
-
 // Params is a scenario's named numeric parameters, stored uniformly as
 // float64. A parameter whose default is integral (n, k, delta, …) only
 // accepts integral overrides — merging rejects fractional values rather

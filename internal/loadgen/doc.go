@@ -2,9 +2,9 @@
 // cmd/mmloadgen: a Pacer that emits request slots at a target rate
 // through linear ramp-up / hold / ramp-down phases under bounded
 // concurrency, a deterministic TrafficMix that assigns each slot a
-// weighted scenario cell, a Sender seam with swappable backends (HTTP
-// against a live mmserve, in-process engine, null), and a Recorder that
-// keeps client-observed latencies in an obs.Histogram while scraping the
+// weighted scenario cell, a Sender seam (HTTPSender against a live
+// mmserve; NullSender for tests), and a Recorder that keeps
+// client-observed latencies in an obs.Histogram while scraping the
 // target's /metrics so the final report places server-side p50/p99/p999
 // next to the client-side ones.
 //

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"net/http"
 	goruntime "runtime"
 	"sync"
 	"time"
@@ -76,8 +75,8 @@ func (r *Recorder) Observe(d time.Duration, res Result, err error) {
 
 // Scrape fetches url's /metrics once and retains the snapshot; failures
 // are counted but non-fatal (the run keeps the last good snapshot).
-func (r *Recorder) Scrape(client *http.Client, url string) {
-	snap, err := finalScrape(client, url)
+func (r *Recorder) Scrape(url string) {
+	snap, err := finalScrape(url)
 	r.scrapeMu.Lock()
 	defer r.scrapeMu.Unlock()
 	r.scrapes++

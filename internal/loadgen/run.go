@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 )
 
@@ -30,8 +29,6 @@ type Spec struct {
 	// the complete run.
 	MetricsURL     string
 	ScrapeInterval time.Duration
-	// ScrapeClient issues the scrapes (nil = http.DefaultClient).
-	ScrapeClient *http.Client
 	// Clock paces the run (nil = WallClock; tests inject FakeClock).
 	Clock Clock
 	// SLO, when non-nil, is evaluated into the report; mmloadgen exits
@@ -75,7 +72,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 			for {
 				select {
 				case <-t.C:
-					rec.Scrape(spec.ScrapeClient, spec.MetricsURL)
+					rec.Scrape(spec.MetricsURL)
 				case <-scrapeCtx.Done():
 					return
 				}
@@ -106,7 +103,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	// cover exactly the requests this run sent — the accounting the e2e
 	// test pins.
 	if spec.MetricsURL != "" {
-		rec.Scrape(spec.ScrapeClient, spec.MetricsURL)
+		rec.Scrape(spec.MetricsURL)
 	}
 	return rec.report(spec, mix, stats, elapsed), runErr
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sweep"
 )
 
 // Result is one request's outcome as the client observed it.
@@ -24,18 +23,16 @@ type Result struct {
 }
 
 // Sender issues one load-generator request and blocks until the response
-// is complete — the NDJSON done-trailer for HTTP, the final emitted row
-// in-process. Implementations must be safe for concurrent Send calls;
+// is complete. Implementations must be safe for concurrent Send calls;
 // the pacer fires up to MaxInFlight at once.
 type Sender interface {
 	Send(ctx context.Context, req Request) (Result, error)
-	// Name identifies the backend in the run report ("http", "engine",
-	// "null").
+	// Name identifies the backend in the run report ("http", "null").
 	Name() string
 }
 
-// NullSender accepts every request instantly — the pacer-overhead
-// baseline: a run against it measures what the generator itself costs.
+// NullSender accepts every request instantly, so a run against it
+// exercises the pacer and recorder alone, with no server behind them.
 type NullSender struct{}
 
 // Send implements Sender.
@@ -44,45 +41,6 @@ func (NullSender) Send(context.Context, Request) (Result, error) { return Result
 // Name implements Sender.
 func (NullSender) Name() string { return "null" }
 
-// EngineSender runs each request in-process through sweep.Stream — the
-// serve path minus the network and HTTP layers, for isolating transport
-// cost from engine cost. Instances resolve through a shared caching
-// provider, mirroring mmserve's hot path.
-type EngineSender struct {
-	provider sweep.InstanceProvider
-	// EngineWorkers selects the per-cell engine exactly as the sweep
-	// request field does.
-	EngineWorkers int
-}
-
-// NewEngineSender builds an in-process sender with a cacheEntries-sized
-// instance cache (≤ 0 = sweep.DefaultCacheEntries).
-func NewEngineSender(cacheEntries int) *EngineSender {
-	return &EngineSender{provider: sweep.NewCachingProvider(sweep.RegistryProvider{}, cacheEntries)}
-}
-
-// Send implements Sender.
-func (s *EngineSender) Send(ctx context.Context, req Request) (Result, error) {
-	var res Result
-	cfg := sweep.Config{
-		Grids:         []string{req.Grid},
-		Algos:         []string{req.Algo},
-		Seed:          req.Seed,
-		CellWorkers:   1,
-		EngineWorkers: s.EngineWorkers,
-		Provider:      s.provider,
-	}
-	_, err := sweep.Stream(ctx, cfg, sweep.SinkFunc(func(row *sweep.Result) error {
-		res.Rows++
-		res.Violations += len(row.Violations)
-		return nil
-	}))
-	return res, err
-}
-
-// Name implements Sender.
-func (s *EngineSender) Name() string { return "engine" }
-
 // HTTPSender drives a live mmserve: POST /v1/sweep per request, reading
 // the NDJSON stream through to the done-trailer. A request succeeds only
 // if the body ends in a trailer whose row count matches the rows read —
@@ -90,12 +48,11 @@ func (s *EngineSender) Name() string { return "engine" }
 // the 503s a saturated or draining server sends) is a client-observed
 // error, counted by the recorder and held against the error-rate SLO.
 type HTTPSender struct {
-	// Base is the server root, e.g. "http://127.0.0.1:8091".
+	// Base is the server root, e.g. "http://127.0.0.1:8091". Requests go
+	// through http.DefaultClient, which has no overall timeout: sweep
+	// responses stream for as long as the cells take, so cancel through
+	// the context instead.
 	Base string
-	// Client is the HTTP client (nil = a client with no overall timeout —
-	// sweep responses stream for as long as the cells take; cancel through
-	// the context instead).
-	Client *http.Client
 }
 
 // Send implements Sender.
@@ -113,11 +70,7 @@ func (s *HTTPSender) Send(ctx context.Context, req Request) (Result, error) {
 		return Result{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	client := s.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return Result{}, err
 	}
@@ -185,15 +138,12 @@ func readNDJSON(r io.Reader) (Result, error) {
 // scrapeMetrics fetches and parses a Prometheus /metrics endpoint; the
 // recorder polls it to place server-side quantiles next to client-side
 // ones.
-func scrapeMetrics(ctx context.Context, client *http.Client, url string) (*obs.Snapshot, error) {
+func scrapeMetrics(ctx context.Context, url string) (*obs.Snapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +157,8 @@ func scrapeMetrics(ctx context.Context, client *http.Client, url string) (*obs.S
 // finalScrape is the post-run scrape on its own deadline: it must happen
 // even when the run context was cancelled, or a cancelled run would lose
 // its server-side half.
-func finalScrape(client *http.Client, url string) (*obs.Snapshot, error) {
+func finalScrape(url string) (*obs.Snapshot, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	return scrapeMetrics(ctx, client, url)
+	return scrapeMetrics(ctx, url)
 }

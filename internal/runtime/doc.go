@@ -145,9 +145,10 @@
 //
 // Stats reports rounds, delivered messages, per-node halt times and
 // Stats.Traffic, the messages and bytes (via the optional Sizer interface;
-// a bare control word is one byte) of each round that delivered a message,
-// so the record does not grow with the highest colour; Stats.PerRound
-// expands it to every round. internal/sweep holds it against the paper's
-// contracts: greedy delivers at most one message per live node per round,
-// the reduction phases at most one colour list per directed edge per round.
+// a bare control word is one byte) and the live-node count of each round
+// that delivered a message, so the record does not grow with the highest
+// colour; Stats.PerRound expands it to every round. internal/sweep holds
+// it against the paper's contracts: greedy delivers at most one message
+// per live node per round, the reduction phases at most one colour list
+// per directed edge per round.
 package runtime

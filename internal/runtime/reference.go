@@ -36,6 +36,12 @@ func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm
 		if round > maxRounds {
 			return nil, nil, fmt.Errorf("reference: no termination within %d rounds", maxRounds)
 		}
+		rt := RoundTraffic{Round: round}
+		for _, l := range live {
+			if l {
+				rt.Live++
+			}
+		}
 		var arena RoundArena
 		sent := make([][]Message, n) // nil for nodes that did not run this round
 		for v, m := range ms {
@@ -44,7 +50,6 @@ func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm
 				m.Send(sent[v], &arena)
 			}
 		}
-		rt := RoundTraffic{Round: round}
 		for v, m := range ms {
 			if !live[v] {
 				continue

@@ -115,6 +115,9 @@ type RoundTraffic struct {
 	// Bytes is the total payload size of those messages: WireBytes for
 	// messages implementing Sizer, one byte per bare control message.
 	Bytes int
+	// Live counts the nodes that had not halted when the round began,
+	// sleeping ones included: those whose HaltTimes entry is ≥ Round.
+	Live int
 }
 
 // Stats aggregates an execution.
@@ -134,8 +137,10 @@ type Stats struct {
 }
 
 // PerRound expands Traffic to the dense histogram, entry r-1 for round r
-// in 1…Rounds (nil when no round ran). It allocates Rounds entries, so
-// only callers that need every round (mmrun -stats, tests) use it.
+// in 1…Rounds (nil when no round ran). A silent round's entry carries only
+// its Round: Live stays 0 there, since Traffic keeps no entry for it. It
+// allocates Rounds entries, so only callers that need every round (mmrun
+// -stats, tests) use it.
 func (s *Stats) PerRound() []RoundTraffic {
 	if s.Rounds == 0 {
 		return nil

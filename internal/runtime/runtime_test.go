@@ -122,13 +122,14 @@ func TestStaggeredHalting(t *testing.T) {
 	// Path 0−1−2−3 with halts after rounds 1,3,2,4: an edge carries two
 	// one-byte messages a round while both ends run, so rounds 1…4 deliver
 	// 6, 4, 0 and 0 (from round 3 the live nodes 1 and 3 are not adjacent).
-	// The sparse record keeps the two rounds that carried a message; the
-	// dense expansion restores the silent ones.
-	sparse := []RoundTraffic{{1, 6, 6}, {2, 4, 4}}
+	// The sparse record keeps the two rounds that carried a message, with
+	// the 4 and 3 nodes that began them; the dense expansion restores the
+	// silent ones, whose Live it leaves at 0.
+	sparse := []RoundTraffic{{1, 6, 6, 4}, {2, 4, 4, 3}}
 	if !slices.Equal(stats.Traffic, sparse) {
 		t.Errorf("traffic record = %v, want %v", stats.Traffic, sparse)
 	}
-	dense := []RoundTraffic{{1, 6, 6}, {2, 4, 4}, {3, 0, 0}, {4, 0, 0}}
+	dense := []RoundTraffic{{1, 6, 6, 4}, {2, 4, 4, 3}, {3, 0, 0, 0}, {4, 0, 0, 0}}
 	if !slices.Equal(stats.PerRound(), dense) {
 		t.Errorf("per-round traffic = %v, want %v", stats.PerRound(), dense)
 	}

@@ -125,10 +125,14 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	// under the barrier lock: it merges the per-worker live-word bounds and
 	// traffic published before the barrier, records a round that delivered
 	// a message, rewinds the phase cursors and wakes the nodes due next
-	// round. The barrier's mutex orders everything it writes.
+	// round. The barrier's mutex orders everything it writes. live is the
+	// alive count taken at the previous round's end, before this round's
+	// halts; nodes halt only in a receive phase, so the rounds wake
+	// fast-forwards past leave it unchanged.
+	live := int(alive)
 	endRound := func() {
 		lo, hi := words, 0
-		rt := RoundTraffic{Round: st.round}
+		rt := RoundTraffic{Round: st.round, Live: live}
 		for w := 0; w < workers; w++ {
 			if st.wmin[w] < lo {
 				lo = st.wmin[w]
@@ -142,6 +146,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		if rt.Messages > 0 {
 			st.record = append(st.record, rt)
 		}
+		live = int(atomic.LoadInt64(&alive))
 		sendCursor.Store(0)
 		recvCursor.Store(0)
 		st.wakeErr = st.wake(lo, hi, maxRounds)

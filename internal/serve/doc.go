@@ -74,10 +74,11 @@
 // scraping never takes the handlers' locks out of order.
 //
 // GET /metrics encodes the registry in the Prometheus text exposition
-// format. /healthz reads the SAME registry handles and renders them as the
-// pre-existing JSON shape — one source, two formats, so the two endpoints
-// cannot disagree (pinned by TestHealthzAgreesWithMetrics). Options.Trace
-// adds JSONL spans per request and per sweep cell (request → sweep →
-// resolve → run → emit); cmd/mmserve exposes it as -trace and offers an
-// optional pprof listener via -pprof-addr.
+// format. /healthz reads the active-sweep count, the store size and the
+// cache stats directly, the same sources the registry's Funcs sample, so
+// the two endpoints cannot disagree (pinned by
+// TestHealthzAgreesWithMetrics) and /healthz works with metrics off too.
+// Options.Trace adds JSONL spans per request and per sweep cell (request →
+// sweep → resolve → run → emit); cmd/mmserve exposes it as -trace and
+// offers an optional pprof listener via -pprof-addr.
 package serve

@@ -9,11 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// serverMetrics holds the server's registered metric handles. Every
-// update goes through these handles and every read — GET /metrics AND
-// /healthz — reads them back, so the two endpoints cannot disagree: they
-// are two encodings of one registry. A nil *serverMetrics turns all
-// instrumentation into no-ops (the obs-off benchmark path).
+// serverMetrics holds the server's registered metric handles. The
+// gauges /healthz also reports (active sweeps, stored graphs, cache
+// stats) are registered as Funcs over the same sources /healthz reads
+// directly, so the two endpoints cannot disagree. A nil *serverMetrics
+// turns all instrumentation into no-ops (the obs-off benchmark path).
 type serverMetrics struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -26,12 +26,6 @@ type serverMetrics struct {
 	slotsInUse    *obs.Gauge
 	slotsCapacity *obs.Gauge
 	refused       func(reason string) *obs.Counter
-
-	activeSweeps *obs.Func
-	graphsStored *obs.Func
-	cacheHits    *obs.Func
-	cacheMisses  *obs.Func
-	cacheEntries *obs.Func
 }
 
 // newServerMetrics registers the serve metric families against s's
@@ -50,17 +44,17 @@ func newServerMetrics(s *Server, tracer *obs.Tracer) *serverMetrics {
 				"Sweep requests refused before streaming, by reason (saturated, draining: 503; palette: 422).",
 				obs.L("reason", reason))
 		},
-		activeSweeps: r.GaugeFunc("mmserve_active_sweeps", "Sweep responses currently streaming.",
-			func() float64 { return float64(s.active.Load()) }),
-		graphsStored: r.GaugeFunc("mmserve_graphs_stored", "Client-submitted graphs held in the store.",
-			func() float64 { return float64(s.store.Len()) }),
-		cacheHits: r.CounterFunc("mmserve_cache_hits_total", "Instance-cache hits (including joined in-flight builds).",
-			func() float64 { return float64(s.cache.Stats().Hits) }),
-		cacheMisses: r.CounterFunc("mmserve_cache_misses_total", "Instance-cache misses (builds).",
-			func() float64 { return float64(s.cache.Stats().Misses) }),
-		cacheEntries: r.GaugeFunc("mmserve_cache_entries", "Built instances currently cached.",
-			func() float64 { return float64(s.cache.Stats().Entries) }),
 	}
+	r.GaugeFunc("mmserve_active_sweeps", "Sweep responses currently streaming.",
+		func() float64 { return float64(s.ActiveSweeps()) })
+	r.GaugeFunc("mmserve_graphs_stored", "Client-submitted graphs held in the store.",
+		func() float64 { return float64(s.store.Len()) })
+	r.CounterFunc("mmserve_cache_hits_total", "Instance-cache hits (including joined in-flight builds).",
+		func() float64 { return float64(s.cache.Stats().Hits) })
+	r.CounterFunc("mmserve_cache_misses_total", "Instance-cache misses (builds).",
+		func() float64 { return float64(s.cache.Stats().Misses) })
+	r.GaugeFunc("mmserve_cache_entries", "Built instances currently cached.",
+		func() float64 { return float64(s.cache.Stats().Entries) })
 	return m
 }
 

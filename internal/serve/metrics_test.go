@@ -107,9 +107,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthzAgreesWithMetrics pins the satellite contract: /healthz is a
-// JSON rendering of the same registry handles /metrics encodes, so the two
-// endpoints report identical cache/store/sweep numbers.
+// TestHealthzAgreesWithMetrics pins the satellite contract: /healthz reads
+// the same sources the /metrics Funcs sample, so the two endpoints report
+// identical cache/store/sweep numbers.
 func TestHealthzAgreesWithMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	readAll(t, postJSON(t, ts.URL+"/v1/graphs", fourCycle()))
@@ -212,7 +212,7 @@ func TestMetricsDuringSweep(t *testing.T) {
 
 // TestMetricsDisabled covers the obs-off seam the overhead benchmark uses:
 // with noObs the server still serves every route — /metrics is an empty
-// exposition, /healthz falls back to direct reads.
+// exposition, and /healthz reads its sources as it always does.
 func TestMetricsDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Options{noObs: true})
 	readAll(t, postJSON(t, ts.URL+"/v1/graphs", fourCycle()))

@@ -128,23 +128,13 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{Status: "ok"}
-	if m := s.metrics; m != nil {
-		// /healthz is a JSON rendering of the same obs registry handles
-		// GET /metrics encodes — one source, two formats, so the two
-		// endpoints can never disagree (pinned by test). The JSON shape
-		// predates the registry and is kept backward-compatible.
-		h.ActiveSweeps = int(m.activeSweeps.Value())
-		h.GraphsStored = int(m.graphsStored.Value())
-		h.Cache = sweep.CacheStats{
-			Hits:    int64(m.cacheHits.Value()),
-			Misses:  int64(m.cacheMisses.Value()),
-			Entries: int(m.cacheEntries.Value()),
-		}
-	} else {
-		h.ActiveSweeps = s.ActiveSweeps()
-		h.GraphsStored = s.store.Len()
-		h.Cache = s.cache.Stats()
+	// /metrics registers Funcs over these same three sources, so the two
+	// endpoints cannot disagree.
+	h := Health{
+		Status:       "ok",
+		ActiveSweeps: s.ActiveSweeps(),
+		GraphsStored: s.store.Len(),
+		Cache:        s.cache.Stats(),
 	}
 	if s.Draining() {
 		h.Status = "draining"

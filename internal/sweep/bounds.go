@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/runtime"
@@ -43,8 +41,8 @@ func (v Violation) String() string {
 // Only the recorded rounds are checked: a round that delivered no message
 // cannot exceed any per-round limit, since every limit is ≥ 0. The
 // per-node rule compares a round's delivered messages against
-// MsgsPerNodeRound × (nodes still live that round), reconstructed from
-// Stats.HaltTimes: a node that halts in round r still sends in round r, so
+// MsgsPerNodeRound × RoundTraffic.Live, the nodes that had not halted when
+// the round began: a node that halts in round r still sends in round r, so
 // it counts as live there. Delivered counts are what the engine records —
 // a message sent to a peer that halted in an earlier round is dropped
 // unread and uncounted — so delivered ≤ sent and the checks are sound.
@@ -53,31 +51,15 @@ func Check(c dist.Contract, directedEdges int, st *runtime.Stats) []Violation {
 	if c.MaxRounds > 0 && st.Rounds > c.MaxRounds {
 		out = append(out, Violation{Rule: "rounds", Got: st.Rounds, Limit: c.MaxRounds})
 	}
-	tr := st.Traffic
-	if tr == nil {
+	if st.Traffic == nil {
 		if st.Messages > 0 {
 			out = append(out, Violation{Rule: "msgs-per-node", Got: st.Messages, Limit: 0})
 		}
 		return out
 	}
-	// live[i] is the number of nodes that send in round tr[i].Round: those
-	// whose halt time is ≥ it. A node halting at h is live in the j
-	// recorded rounds up to h (none when HaltTimes[v] = 0, halted at time
-	// 0), so it is counted at the last of them and live becomes a suffix
-	// sum.
-	live := make([]int, len(tr))
-	for _, h := range st.HaltTimes {
-		j, _ := slices.BinarySearchFunc(tr, h+1, func(t runtime.RoundTraffic, r int) int { return cmp.Compare(t.Round, r) })
-		if j > 0 {
-			live[j-1]++
-		}
-	}
-	for i := len(live) - 2; i >= 0; i-- {
-		live[i] += live[i+1]
-	}
-	for i, t := range tr {
+	for _, t := range st.Traffic {
 		if c.MsgsPerNodeRound > 0 {
-			if limit := c.MsgsPerNodeRound * live[i]; t.Messages > limit {
+			if limit := c.MsgsPerNodeRound * t.Live; t.Messages > limit {
 				out = append(out, Violation{Rule: "msgs-per-node", Round: t.Round, Got: t.Messages, Limit: limit})
 			}
 		}

@@ -26,9 +26,9 @@
 // reorder window keyed by cell index that restores grid order — a worker
 // may not start cell i until the emission frontier is within
 // Config.ReorderWindow of it, so the driver never buffers more than a
-// window of rows NO MATTER how many cells the grid expands to, and each
-// row's per-round histogram buffer returns to a pool the moment its sink
-// call returns. That is the bounded-memory guarantee: driver-side memory
+// window of rows NO MATTER how many cells the grid expands to, and the
+// driver drops each row the moment its sink call returns. That is the
+// bounded-memory guarantee: driver-side memory
 // is window × row size, independent of cell count and instance size
 // (tests pin PeakBuffered ≤ window with a regular:n=1048576 cell in the
 // grid). Sinks compose via MultiSink: JSONLSink writes and flushes one

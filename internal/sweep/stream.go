@@ -10,11 +10,11 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultReorderWindow bounds how many completed cells the stream driver
+// defaultReorderWindow bounds how many completed cells the stream driver
 // may hold ahead of the emission frontier when Config.ReorderWindow is 0:
 // twice the cell-worker count (at least 4), enough that workers rarely
 // stall on a straggler without ever buffering more than a handful of rows.
-func DefaultReorderWindow(cellWorkers int) int {
+func defaultReorderWindow(cellWorkers int) int {
 	if cellWorkers <= 0 {
 		cellWorkers = goruntime.GOMAXPROCS(0)
 	}
@@ -44,9 +44,9 @@ type StreamStats struct {
 // index (Config.ReorderWindow) restores deterministic order — a worker may
 // not start cell i until the emission frontier is within the window, so
 // driver-side memory is bounded by the window size regardless of how many
-// cells the grid expands to. Each emitted row's per-round histogram buffer
-// is returned to a pool the moment its Emit returns, so the steady state
-// allocates nothing per cell beyond what the sink keeps.
+// cells the grid expands to. The driver holds no reference to a row once
+// its Emit returns, so a row outlives its emission only if the sink keeps
+// it.
 //
 // The first Config.Done cells of the run's range are skipped entirely:
 // because emission is in-order, an interrupted streaming run always leaves
@@ -85,7 +85,7 @@ func Stream(ctx context.Context, cfg Config, sink Sink) (StreamStats, error) {
 	}
 	window := cfg.ReorderWindow
 	if window <= 0 {
-		window = DefaultReorderWindow(workers)
+		window = defaultReorderWindow(workers)
 	}
 
 	o := &orderer{sink: sink, window: window, buf: map[int]*Result{}, errAt: map[int]error{},

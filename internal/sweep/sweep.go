@@ -37,7 +37,7 @@ type Config struct {
 	// dist.Contract and records violations in the results.
 	CheckBounds bool
 	// ReorderWindow bounds how many completed cells Stream may buffer
-	// ahead of the emission frontier (0 = DefaultReorderWindow). It is the
+	// ahead of the emission frontier (0 = twice the cell workers, at least 4). It is the
 	// streaming driver's entire per-cell memory ceiling.
 	ReorderWindow int
 	// Done is the number of cells at the start of the run's range (the
