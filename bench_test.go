@@ -119,10 +119,10 @@ func BenchmarkGreedyMachineEngines(b *testing.B) {
 
 // BenchmarkReducedPipelineEngines measures the full ReducedGreedyMachine
 // pipeline (Linial reduction + recolouring + greedy) on one worker vs
-// GOMAXPROCS workers. Both share one pooled machine arena; with the
-// per-worker RoundArena the round loop performs no allocations even though
-// every reduction round sends a colour list per node (BENCH_pr2.json
-// records a baseline).
+// GOMAXPROCS workers. Both share one pooled machine arena; the round loop
+// performs no allocations even though every reduction round sends a colour
+// list per node, because each node sends a pointer to the list it keeps
+// published on its machine (BENCH_pr2.json records a baseline).
 func BenchmarkReducedPipelineEngines(b *testing.B) {
 	const delta = 3
 	for _, p := range []struct{ n, k int }{{4096, 256}, {65536, 1024}} {

@@ -9,14 +9,15 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestReducedPipelineRoundLoopAllocFree pins the arena-batched workers
-// engine's allocation behaviour: once the machine pool, the engine scratch
-// and the round arenas are warm, a full reduced-greedy run allocates only
-// its per-run outputs — nothing per node per round. The old colour-list
-// path allocated ≥ n payloads every reduction round (n·rounds ≈ 50k allocs
-// on the large palette below), so the absolute bound fails loudly on any
-// per-round regression, and the small-vs-large comparison catches costs
-// that scale with the round count.
+// TestReducedPipelineRoundLoopAllocFree pins the workers engine's
+// allocation behaviour on the reduced pipeline: once the machine pool and
+// the engine scratch are warm — each machine's published colour list has
+// reached its capacity — a full reduced-greedy run allocates only its
+// per-run outputs, nothing per node per round. A colour-list path that
+// allocated a payload per node per reduction round would cost n·rounds ≈
+// 50k allocs on the large palette below, so the absolute bound fails
+// loudly on any per-round regression, and the small-vs-large comparison
+// catches costs that scale with the round count.
 func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 	const (
 		n     = 1024
@@ -34,7 +35,7 @@ func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm every pooled layer (machines, engine scratch, arenas) for both
+	// Warm every pooled layer (machines, engine scratch) for both
 	// shapes before measuring.
 	run(gSmall)
 	run(gBig)

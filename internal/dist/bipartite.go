@@ -77,7 +77,7 @@ func (m *BipartiteMachine) untried() int {
 }
 
 // Send implements runtime.Machine.
-func (m *BipartiteMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
+func (m *BipartiteMachine) Send(out []runtime.Message) {
 	odd := m.round%2 == 0 // the round being sent is round+1
 	special := -1
 	var specialMsg runtime.Message

@@ -99,7 +99,7 @@ func (m *GreedyMachine) decideColor() (group.Color, bool) {
 
 // Send implements runtime.Machine: a free node sends "free" only on the
 // edge whose class is decided this round — one port at most.
-func (m *GreedyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
+func (m *GreedyMachine) Send(out []runtime.Message) {
 	if _, ok := m.decideColor(); ok {
 		out[m.pos] = msgFree
 	}

@@ -31,7 +31,7 @@
 // # Wire discipline and contracts
 //
 // The machines share a one-byte control vocabulary (free/propose/accept)
-// plus the *runtime.ColorList payload of the reduction phases, and follow
+// plus the colour-list payload of the reduction phases, and follow
 // a strict communication discipline the paper's bounds rest on: greedy
 // speaks on at most ONE edge per round, the reduction phases send at most
 // one colour list (≤ Δ entries) per directed edge per round, and every
@@ -45,9 +45,9 @@
 // All machines implement runtime.Machine — send and receive buffers with
 // one port per incident edge in colour order, so each machine addresses an
 // edge by its position in NodeInfo.Colors, with ReducedGreedyMachine's
-// colour lists packed into the round arena — and all are deterministic:
-// the engine produces identical outputs and statistics at every worker
-// count. Each machine has one Source constructor, New*MachinePool, a
+// colour list published once per change and sent by pointer — and all are
+// deterministic: the engine produces identical outputs and statistics at
+// every worker count. Each machine has one Source constructor, New*MachinePool, a
 // runtime.Pool whose fixed arena of machines makes repeated runs
 // allocation-free; it is the only way to obtain machines for the engine.
 package dist

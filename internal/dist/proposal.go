@@ -58,7 +58,7 @@ func (m *ProposalMachine) target() int {
 
 // Send implements runtime.Machine: a proposal on the target edge, "free"
 // beacons on every other live edge.
-func (m *ProposalMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
+func (m *ProposalMachine) Send(out []runtime.Message) {
 	m.prop = m.target()
 	for i, ok := range m.live {
 		if !ok {

@@ -36,10 +36,11 @@ type ReducedGreedyMachine struct {
 	delta   int
 	colors  []group.Color // original incident colours (ascending); the output vocabulary
 	cur     []group.Color // current reduced colour per position
+	sent    colorList     // the list the last Send published; see Send
+	dirty   bool          // cur has changed since sent was last written
 	shared  *sharedSchedule
 	sched   []Step        // this run's schedule, read-only and shared by the source's machines
 	next    []group.Color // phase-1 scratch: colours after the current step
-	peer    []group.Color // receive scratch: the last decoded peer list
 	blocked []int         // scratch for blockedFor, reused across rounds
 	sRounds int           // phase-1 rounds (= len(sched))
 	rRounds int           // phase-2 rounds (= fixed-point palette − (2Δ−1), if positive)
@@ -50,6 +51,17 @@ type ReducedGreedyMachine struct {
 	halted  bool
 	out     mm.Output
 }
+
+// colorList is the message of the reduction rounds: the sender's current
+// incident edge colours, in port order. A machine sends a pointer to its
+// own published list, so boxing it into the Message interface stores one
+// word and never allocates.
+type colorList struct {
+	colors []group.Color
+}
+
+// WireBytes implements runtime.Sizer: one machine word per colour.
+func (l *colorList) WireBytes() int { return 8 * len(l.colors) }
 
 // sharedSchedule is the reduction schedule every machine of one source
 // reads. The schedule is a pure function of (k, d) that each anonymous node
@@ -125,6 +137,7 @@ func (m *ReducedGreedyMachine) Init(info runtime.NodeInfo) {
 		m.rRounds = m.qstar - m.target
 	}
 	m.cur = append(m.cur[:0], m.colors...)
+	m.dirty = true
 	if m.sRounds+m.rRounds == 0 {
 		m.greedyStart()
 	}
@@ -158,15 +171,23 @@ func (m *ReducedGreedyMachine) greedyPos(r int) int {
 }
 
 // Send implements runtime.Machine. In the reduction phases the node's
-// current edge colours go out on every edge as one *ColorList, packed into
-// the worker's round arena (the same payload on every edge: receivers only
-// read it); boxing the pointer into the Message interface stores one word,
-// so the send allocates nothing. In the greedy phase a free node sends
-// "free" on the edge whose reduced class is decided this round.
-func (m *ReducedGreedyMachine) Send(out []runtime.Message, arena *runtime.RoundArena) {
+// current edge colours go out on every edge as &m.sent, the same payload
+// on every edge. sent is rewritten here and only here, and only when cur
+// has changed since the last Send: in phase 2 a node's list changes in at
+// most Δ of its rounds. Receivers read a payload only inside the Receive
+// call that delivered it, and every Receive of a round ends before any
+// Send of the next (the engine's round barrier; RunReference's send-all,
+// then receive-all rounds), so no peer is reading sent while it changes.
+// In the greedy phase a free node sends "free" on the edge whose reduced
+// class is decided this round.
+func (m *ReducedGreedyMachine) Send(out []runtime.Message) {
 	r := m.round + 1
 	if r <= m.sRounds+m.rRounds {
-		msg := runtime.Message(arena.Pack(m.cur))
+		if m.dirty {
+			m.sent.colors = append(m.sent.colors[:0], m.cur...)
+			m.dirty = false
+		}
+		msg := runtime.Message(&m.sent)
 		for i := range out {
 			out[i] = msg
 		}
@@ -178,11 +199,11 @@ func (m *ReducedGreedyMachine) Send(out []runtime.Message, arena *runtime.RoundA
 }
 
 // blockedFor collects the colours of all edges adjacent to position i: the
-// node's other edges plus the peer's other edges. peerList contains the
-// peer's full list, so exactly one entry — the shared edge's own colour —
-// is dropped. The result aliases the machine's reusable scratch buffer and
-// is valid until the next call.
-func (m *ReducedGreedyMachine) blockedFor(i int, peerList []group.Color) []int {
+// node's other edges plus the peer's other edges. peer is the peer's full
+// list, so exactly one entry — the shared edge's own colour — is dropped.
+// The result aliases the machine's reusable scratch buffer and is valid
+// until the next call.
+func (m *ReducedGreedyMachine) blockedFor(i int, peer []group.Color) []int {
 	blocked := m.blocked[:0]
 	for j, c := range m.cur {
 		if j != i {
@@ -191,7 +212,7 @@ func (m *ReducedGreedyMachine) blockedFor(i int, peerList []group.Color) []int {
 	}
 	own := m.cur[i]
 	dropped := false
-	for _, c := range peerList {
+	for _, c := range peer {
 		if !dropped && c == own {
 			dropped = true
 			continue
@@ -217,14 +238,14 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 		}
 		next := m.next[:len(m.cur)]
 		for i := range m.cur {
-			peerList := m.peerList(in, i)
-			nc, ok := stepColor(st, int(m.cur[i]), m.blockedFor(i, peerList))
+			nc, ok := stepColor(st, int(m.cur[i]), m.blockedFor(i, peerList(in, i)))
 			if !ok {
 				panic(fmt.Sprintf("dist: reduction step found no free evaluation point; instance degree exceeds Δ = %d", m.delta))
 			}
 			next[i] = group.Color(nc)
 		}
 		copy(m.cur, next)
+		m.dirty = true
 	case r <= m.sRounds+m.rRounds:
 		// Phase 2: the edges of one class — a matching — recolour into the
 		// 2Δ−1 palette.
@@ -233,12 +254,12 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 			if m.cur[i] != class {
 				continue
 			}
-			peerList := m.peerList(in, i)
-			nc, ok := freeColor(m.target, m.blockedFor(i, peerList))
+			nc, ok := freeColor(m.target, m.blockedFor(i, peerList(in, i)))
 			if !ok {
 				panic(fmt.Sprintf("dist: recolouring found no free colour below 2Δ−1; instance degree exceeds Δ = %d", m.delta))
 			}
 			m.cur[i] = group.Color(nc)
+			m.dirty = true
 		}
 	default:
 		// Phase 3: greedy on the reduced palette.
@@ -259,22 +280,21 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 	}
 }
 
-// peerList extracts the colour list the peer behind position i sent this
-// round. During the reduction phases every non-isolated node is live, so a
-// missing or malformed message is a protocol violation, not a halt signal.
-// The list decodes into the machine's reusable scratch (valid until the
-// next call), so receiving allocates nothing at steady state.
-func (m *ReducedGreedyMachine) peerList(in []runtime.Message, i int) []group.Color {
+// peerList returns the colour list the peer behind position i published
+// this round: the peer's own slice, read in place and valid until this
+// Receive returns. During the reduction phases every non-isolated node is
+// live, so a missing or malformed message is a protocol violation, not a
+// halt signal.
+func peerList(in []runtime.Message, i int) []group.Color {
 	msg := in[i]
 	if msg == nil {
 		panic("dist: reduction round missing a neighbour's colour list")
 	}
-	list, ok := msg.(*runtime.ColorList)
+	list, ok := msg.(*colorList)
 	if !ok {
 		panic("dist: reduction round received a non-colour-list message")
 	}
-	m.peer = list.AppendTo(m.peer[:0])
-	return m.peer
+	return list.colors
 }
 
 // Halted implements runtime.Machine.

@@ -29,12 +29,14 @@
 // send buffer is Δ entries long, receive reads each node's incoming slab
 // slots in place, and no buffer grows with the palette k.
 //
-// Variable-length payloads (colour lists) are bump-allocated from the
-// per-worker RoundArena passed to Send. Payloads live exactly as long as
-// the round's messages are in flight: the engine resets the arena only
-// after a barrier guarantees every receiver is done. Receivers must not
-// retain a payload — or any slice into it — past the Receive call that
-// delivered it.
+// Variable-length payloads (colour lists) belong to the sender, which
+// sends a pointer to them. A payload must stay unchanged from the Send
+// that sent it until that machine's next Send, and a receiver may read it
+// only inside the Receive call that delivered it, never retaining it or
+// any slice into it. Every round's receives end before the next round's
+// sends begin — RunWorkersN's send/receive barrier, RunReference's
+// send-all-then-receive-all rounds — so a machine may rewrite its payload
+// in Send, and only there, without any receiver seeing it change.
 //
 // # The slab message protocol
 //
@@ -52,7 +54,7 @@
 // stale message; a halted node never reads again, so they are harmless.
 //
 // Traffic is counted at send time, while the payload the sender just
-// packed is still in cache: a message counts as delivered when its
+// wrote is still in cache: a message counts as delivered when its
 // receiver runs that round, meaning its bit is set in the round's
 // frontier and its word lies inside the round's scan window. The window
 // test is needed because words outside the window are not rewritten
@@ -66,10 +68,9 @@
 //
 // RunWorkersN is the engine: a fixed worker pool with a round barrier, live
 // nodes tracked in a shared bitset frontier, work distributed by chunk
-// stealing (below), messages in the dense slab, per-worker RoundArenas for
-// payloads. It is also the only way to start a run: one worker runs the
-// round loop on the calling goroutine, and callers that want every core
-// pass GOMAXPROCS. Machines come from a Source, which every caller builds
+// stealing (below), messages in the dense slab. It is also the only way
+// to start a run: one worker runs the round loop on the calling
+// goroutine, and callers that want every core pass GOMAXPROCS. Machines come from a Source, which every caller builds
 // as a Pool of one machine type, so repeated runs reuse one arena. Outputs
 // and Stats are identical at every worker count.
 //

@@ -37,7 +37,7 @@ func (m *chatterMachine) Init(info NodeInfo) {
 	m.halted = m.target == 0
 }
 
-func (m *chatterMachine) Send(out []Message, _ *RoundArena) {
+func (m *chatterMachine) Send(out []Message) {
 	for i, c := range m.colors {
 		// Send on a pseudo-random subset of edges.
 		if m.rng.Intn(2) == 0 {
@@ -123,7 +123,7 @@ func (m *portMachine) Init(info NodeInfo) {
 	m.wrong = 0
 }
 
-func (m *portMachine) Send(out []Message, _ *RoundArena) {
+func (m *portMachine) Send(out []Message) {
 	if len(out) != len(m.colors) {
 		m.wrong++
 	}

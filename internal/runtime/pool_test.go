@@ -15,11 +15,11 @@ type poolProbe struct {
 	inited int
 }
 
-func (m *poolProbe) Init(info NodeInfo)          { m.inited++ }
-func (m *poolProbe) Send([]Message, *RoundArena) {}
-func (m *poolProbe) Receive([]Message)           {}
-func (m *poolProbe) Halted() bool                { return true }
-func (m *poolProbe) Output() mm.Output           { return mm.Bottom }
+func (m *poolProbe) Init(info NodeInfo) { m.inited++ }
+func (m *poolProbe) Send([]Message)     {}
+func (m *poolProbe) Receive([]Message)  {}
+func (m *poolProbe) Halted() bool       { return true }
+func (m *poolProbe) Output() mm.Output  { return mm.Bottom }
 
 // TestPoolReusesMachinesAcrossRuns checks the Source contract of Pool: the
 // same backing machines and the same boxed slice are handed out run after

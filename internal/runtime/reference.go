@@ -42,12 +42,11 @@ func RunReference(g *graph.Graph, labels []int, src Source, maxRounds int) ([]mm
 				rt.Live++
 			}
 		}
-		var arena RoundArena
 		sent := make([][]Message, n) // nil for nodes that did not run this round
 		for v, m := range ms {
 			if live[v] {
 				sent[v] = make([]Message, g.Degree(v))
-				m.Send(sent[v], &arena)
+				m.Send(sent[v])
 			}
 		}
 		for v, m := range ms {

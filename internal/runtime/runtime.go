@@ -49,7 +49,7 @@ func messageBytes(m Message) int {
 //
 //	Init(info)                          // time 0; may already halt
 //	for !Halted():
-//	    Send(out, arena)                // round r begins
+//	    Send(out)                       // round r begins
 //	    Receive(in)                     // messages from non-halted peers
 //
 // Output must be valid once Halted reports true. Machines are used by one
@@ -59,11 +59,11 @@ type Machine interface {
 	Init(info NodeInfo)
 	// Send writes this round's outgoing messages into out (length
 	// len(Colors), all-nil on entry): out[i] travels along the edge of
-	// colour Colors[i], and nil means "send nothing". Variable-length
-	// payloads are allocated from arena (see RoundArena for their
-	// lifetime). The engine owns both; machines must not retain them
-	// across calls.
-	Send(out []Message, arena *RoundArena)
+	// colour Colors[i], and nil means "send nothing". The engine owns
+	// out; machines must not retain it across calls. A payload a message
+	// points to must stay unchanged until the sender's next Send (see the
+	// package doc on payload lifetime).
+	Send(out []Message)
 	// Receive delivers this round's incoming messages, in[i] holding the
 	// message received along the edge of colour Colors[i] — nil when the
 	// peer sent nothing or has halted — and lets the machine update its

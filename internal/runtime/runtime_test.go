@@ -25,7 +25,7 @@ func (m *echoMachine) Init(info NodeInfo) {
 	m.halted = m.target == 0
 }
 
-func (m *echoMachine) Send(out []Message, _ *RoundArena) {
+func (m *echoMachine) Send(out []Message) {
 	for i := range out {
 		out[i] = m.selfName
 	}

@@ -64,7 +64,7 @@ func (m *sleepyMachine) active(r int) bool {
 	return false
 }
 
-func (m *sleepyMachine) Send(out []Message, _ *RoundArena) {
+func (m *sleepyMachine) Send(out []Message) {
 	for i, c := range m.colors {
 		if edgeActive(c, m.round+1, m.seed) {
 			out[i] = &sleepyMsg{v: m.acc + uint64(c)}
@@ -172,7 +172,7 @@ type sendToSleeper struct {
 
 func (m *sendToSleeper) Init(NodeInfo) { m.round = 0 }
 
-func (m *sendToSleeper) Send(out []Message, _ *RoundArena) {
+func (m *sendToSleeper) Send(out []Message) {
 	if !m.even {
 		for i := range out {
 			out[i] = "hello"

@@ -83,9 +83,10 @@ func TestWorkersStealInterleavings(t *testing.T) {
 	pinAgainstReference(t, "sleeping-greedy", sparse, dist.NewGreedyMachinePool,
 		runtime.DefaultMaxRounds(sparse), reps)
 
-	// The reduced machine exercises the arena path: colour-list payloads are
-	// packed by whichever worker claims the sender, so the pin also proves
-	// payload contents are schedule-independent.
+	// The reduced machine exercises the payload path: each node sends a
+	// pointer to the colour list it publishes in Send, read by whichever
+	// worker claims the receiver, so the pin also proves payload contents
+	// are schedule-independent.
 	bd := graph.RandomBoundedDegree(200, 128, 3, 1000, rng)
 	pinAgainstReference(t, "reduced", bd, reducedPool(3),
 		dist.TotalRounds(128, 3)+8, reps)

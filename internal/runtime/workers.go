@@ -159,7 +159,6 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 		// end-of-round barrier, so the swap must be goroutine-local:
 		// shadow the shared headers rather than reassigning them.
 		cur, next := cur, next
-		arena := &st.arenas[w]
 		outBuf := st.outBufs[w]
 		for {
 			// alive, wakeErr and the round state are stable between the
@@ -173,15 +172,11 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 				errs[w] = fmt.Errorf("runtime: no termination within %d rounds", maxRounds)
 				break
 			}
-			// The previous round's receive phase ended behind the last
-			// barrier, so its arena payloads are no longer referenced by
-			// any live reader and the slabs can be recycled.
-			arena.Reset()
 			// Send phase: claim frontier chunks; each live node's
 			// outgoing message on port p, its half lo+p, lands in slot
 			// mates[lo+p], the receiving half's own, so the claim schedule
 			// cannot change what any slot holds. Traffic is counted here,
-			// while the payload Pack just wrote is still in cache: a
+			// while the payload the sender wrote is still in cache: a
 			// message counts as delivered when its receiver runs this
 			// round, that is when its frontier bit is set inside the
 			// scanned window (words outside it can keep stale bits; see
@@ -197,7 +192,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 						v := wi<<6 + bits.TrailingZeros64(word)
 						lo := offsets[v]
 						out := outBuf[:offsets[v+1]-lo]
-						machines[v].Send(out, arena)
+						machines[v].Send(out)
 						for p, msg := range out {
 							if msg != nil {
 								i := lo + p
@@ -324,7 +319,6 @@ type workersState struct {
 	cur, next []uint64
 	offsets   []int
 	slab      []Message
-	arenas    []RoundArena
 	// outBufs are the per-worker send buffers (length Δ, resliced to each
 	// node's degree, all-nil between nodes by the send contract); pooling
 	// them removes one allocation per worker per run.
@@ -363,11 +357,9 @@ var workersStatePool = sync.Pool{New: func() any { return &workersState{} }}
 
 // fit resizes the scratch for n nodes, the given worker count and maximum
 // degree. The frontier words must be all-zero and the send buffers
-// all-nil, and a previous run
-// can leave stale state in either (an error path abandons the frontier
-// mid-round), so both are cleared here rather than trusted. Arenas keep
-// their slabs across runs — that is the point of pooling them — because
-// payload contents carry no cross-run meaning.
+// all-nil, and a previous run can leave stale state in either (an error
+// path abandons the frontier mid-round), so both are cleared here rather
+// than trusted.
 func (st *workersState) fit(n, workers, maxDeg int) {
 	words := frontierWords(n)
 	if cap(st.cur) < words {
@@ -378,11 +370,6 @@ func (st *workersState) fit(n, workers, maxDeg int) {
 		st.next = st.next[:words]
 		clear(st.cur)
 		clear(st.next)
-	}
-	if len(st.arenas) < workers {
-		arenas := make([]RoundArena, workers)
-		copy(arenas, st.arenas) // keep already-grown slabs
-		st.arenas = arenas
 	}
 	if len(st.wmin) < workers {
 		st.wmin = make([]int, workers)

@@ -30,7 +30,7 @@ func (m *chattyMachine) Init(info runtime.NodeInfo) {
 	m.halted = len(info.Colors) == 0
 }
 
-func (m *chattyMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
+func (m *chattyMachine) Send(out []runtime.Message) {
 	for i := range out {
 		out[i] = fatMessage{}
 	}
@@ -235,7 +235,7 @@ func (m *burstMachine) Init(info runtime.NodeInfo) {
 	m.halted = len(info.Colors) == 0 || m.target == 0
 }
 
-func (m *burstMachine) Send(out []runtime.Message, _ *runtime.RoundArena) {
+func (m *burstMachine) Send(out []runtime.Message) {
 	if (uint64(m.round+1)*0x9e3779b97f4a7c15^m.trial)%3 != 0 {
 		return
 	}

@@ -100,8 +100,7 @@ func ReadSidecar(rd io.Reader) (map[string][][2]int, error) {
 
 // packPerRound encodes the histogram as interleaved zigzag-varint deltas:
 // for each round, delta(messages) then delta(bytes) against the previous
-// round. The same codec the engine uses for colour-list payloads
-// (runtime.RoundArena.Pack), applied to the reporting side.
+// round.
 func packPerRound(h [][2]int) []byte {
 	buf := make([]byte, 0, 3*len(h))
 	var tmp [binary.MaxVarintLen64]byte
