@@ -70,9 +70,10 @@
 // nodes tracked in a shared bitset frontier, work distributed by chunk
 // stealing (below), messages in the dense slab. It is also the only way
 // to start a run: one worker runs the round loop on the calling
-// goroutine, and callers that want every core pass GOMAXPROCS. Machines come from a Source, which every caller builds
-// as a Pool of one machine type, so repeated runs reuse one arena. Outputs
-// and Stats are identical at every worker count.
+// goroutine, and callers that want every core pass GOMAXPROCS. Machines
+// come from a Source, which every caller builds as a Pool of one machine
+// type, so repeated runs reuse one arena. Outputs and Stats are identical
+// at every worker count.
 //
 // Because every worker count runs the same code, the equivalence tests pin
 // the engine against witnesses outside it: a naive simulator written
