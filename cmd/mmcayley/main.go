@@ -1,5 +1,6 @@
 // Command mmcayley renders windows of Cayley-graph colour systems — Γ_k,
 // the Figure 2 example, bi-infinite paths, or the adversary's U and V —
+// and the Figure 1 instance (graph.Figure1; -k and -radius do not apply)
 // as Graphviz DOT, optionally with the greedy matching in bold.
 //
 // Usage:
@@ -7,14 +8,21 @@
 //	mmcayley -system full -k 3 -radius 3 | dot -Tpng > gamma3.png
 //	mmcayley -system figure2
 //	mmcayley -system adversary-u -k 4 -radius 3 -matching
+//	mmcayley -system figure1 -matching
+//
+// Exit codes (internal/cli): 0 success, 1 a failed render, 2 bad usage
+// (an unknown system, -k < 1, -radius < 0 or a positional argument).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/algo"
+	"repro/internal/cli"
 	"repro/internal/colsys"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -23,22 +31,63 @@ import (
 )
 
 func main() {
-	system := flag.String("system", "full", "system: full, figure2, path, adversary-u, adversary-v")
-	k := flag.Int("k", 3, "number of colours")
-	radius := flag.Int("radius", 3, "window radius")
-	matching := flag.Bool("matching", false, "highlight the greedy matching")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is mmcayley with its arguments and output streams passed in; it
+// returns the process exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmcayley", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	system := fs.String("system", "full", "system: full, figure1, figure2, path, adversary-u, adversary-v")
+	k := fs.Int("k", 3, "number of colours (≥ 1)")
+	radius := fs.Int("radius", 3, "window radius (≥ 0)")
+	matching := fs.Bool("matching", false, "highlight the greedy matching")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "mmcayley: unexpected argument %q\n", fs.Arg(0))
+		return cli.ExitMismatch
+	case *k < 1:
+		fmt.Fprintf(stderr, "mmcayley: -k must be at least 1, got %d\n", *k)
+		return cli.ExitMismatch
+	case *radius < 0:
+		fmt.Fprintf(stderr, "mmcayley: -radius must be at least 0, got %d\n", *radius)
+		return cli.ExitMismatch
+	}
+
+	if *system == "figure1" {
+		g, err := graph.Figure1()
+		if err != nil {
+			fmt.Fprintf(stderr, "mmcayley: %v\n", err)
+			return cli.ExitFailure
+		}
+		var highlight []graph.Edge
+		if *matching {
+			highlight = graph.MatchingEdges(g, graph.SequentialGreedy(g, nil))
+		}
+		if err := g.DOT(stdout, nil, highlight); err != nil {
+			fmt.Fprintf(stderr, "mmcayley: %v\n", err)
+			return cli.ExitFailure
+		}
+		return cli.ExitOK
+	}
 
 	sys, err := buildSystem(*system, *k)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmcayley: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mmcayley: %v\n", err)
+		return cli.ExitMismatch
 	}
 
 	g, index, err := graph.FromSystem(sys, *radius)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmcayley: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mmcayley: %v\n", err)
+		return cli.ExitFailure
 	}
 	names := make([]string, g.N())
 	for key, id := range index {
@@ -60,11 +109,11 @@ func main() {
 			}
 		}
 	}
-
-	if err := g.DOT(os.Stdout, func(v int) string { return names[v] }, highlight); err != nil {
-		fmt.Fprintf(os.Stderr, "mmcayley: %v\n", err)
-		os.Exit(1)
+	if err := g.DOT(stdout, func(v int) string { return names[v] }, highlight); err != nil {
+		fmt.Fprintf(stderr, "mmcayley: %v\n", err)
+		return cli.ExitFailure
 	}
+	return cli.ExitOK
 }
 
 func buildSystem(name string, k int) (colsys.System, error) {

@@ -1,7 +1,8 @@
 // Package cli is the shared plumbing of the cmd/ binaries: the exit-code
 // contract, repeatable list flags and scenario-registry listing. mmrun,
-// mmsweep and mmserve all speak through it, so the conventions stay
-// identical across tools. (The durable sweep output file is sweep.Output.)
+// mmsweep, mmserve, mmloadgen, mmcayley and mmexperiments all speak
+// through it, so the conventions stay identical across tools. (The
+// durable sweep output file is sweep.Output.)
 //
 // The exit-code contract is load-bearing for supervisors (human and
 // programmatic): 0 is success, 1 is a failure that a retry or -resume may
