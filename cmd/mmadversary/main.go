@@ -17,11 +17,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/cli"
 	"repro/internal/colsys"
 	"repro/internal/core"
 	"repro/internal/group"
@@ -29,23 +31,41 @@ import (
 )
 
 func main() {
-	k := flag.Int("k", 4, "number of edge colours (k ≥ 3)")
-	algName := flag.String("algo", "greedy", "algorithm: greedy, greedy-reverse, restricted:<r>, unmatched, first-color")
-	verbose := flag.Bool("v", false, "trace construction steps")
-	paranoia := flag.Int("paranoia", -1, "re-verify intermediates on windows of this radius (-1 = off)")
-	show := flag.Int("show", 0, "print U and V up to this norm")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is mmadversary with its arguments and output streams passed in; it
+// returns the process exit code (see internal/cli). A caught incorrect
+// algorithm is a result, not a failure: it exits 0.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmadversary", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	k := fs.Int("k", 4, "number of edge colours (k ≥ 3)")
+	algName := fs.String("algo", "greedy", "algorithm: greedy, greedy-reverse, restricted:<r>, unmatched, first-color")
+	verbose := fs.Bool("v", false, "trace construction steps")
+	paranoia := fs.Int("paranoia", -1, "re-verify intermediates on windows of this radius (-1 = off)")
+	show := fs.Int("show", 0, "print U and V up to this norm")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mmadversary: unexpected argument %q\n", fs.Arg(0))
+		return cli.ExitMismatch
+	}
 
 	alg, err := pickAlgorithm(*algName, *k)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmadversary: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mmadversary: %v\n", err)
+		return cli.ExitMismatch
 	}
 
 	opts := []core.Option{}
 	if *verbose {
 		opts = append(opts, core.WithTrace(func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
+			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		}))
 	}
 	if *paranoia >= 0 {
@@ -54,32 +74,32 @@ func main() {
 
 	adv, err := core.New(alg, *k, opts...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmadversary: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mmadversary: %v\n", err)
+		return cli.ExitMismatch
 	}
 
-	fmt.Printf("running the Theorem 5 adversary against %q with k = %d (d = %d)\n",
+	fmt.Fprintf(stdout, "running the Theorem 5 adversary against %q with k = %d (d = %d)\n",
 		alg.Name(), *k, *k-1)
 	start := time.Now()
 	res, err := adv.Run()
 	if err != nil {
 		var inc *core.IncorrectnessError
 		if errors.As(err, &inc) {
-			fmt.Printf("\nalgorithm caught violating the maximal-matching properties:\n")
-			fmt.Printf("  stage:    %s\n", inc.Stage)
-			fmt.Printf("  detail:   %s\n", inc.Detail)
+			fmt.Fprintf(stdout, "\nalgorithm caught violating the maximal-matching properties:\n")
+			fmt.Fprintf(stdout, "  stage:    %s\n", inc.Stage)
+			fmt.Fprintf(stdout, "  detail:   %s\n", inc.Detail)
 			if inc.Evidence != nil {
-				fmt.Printf("  evidence: property %s fails at node %v (output %v): %s\n",
+				fmt.Fprintf(stdout, "  evidence: property %s fails at node %v (output %v): %s\n",
 					inc.Evidence.Property, inc.Evidence.Node, inc.Evidence.Output, inc.Evidence.Detail)
 			}
-			fmt.Println("\nTheorem 2 survives: the algorithm is either slow or wrong.")
-			return
+			fmt.Fprintln(stdout, "\nTheorem 2 survives: the algorithm is either slow or wrong.")
+			return cli.ExitOK
 		}
-		fmt.Fprintf(os.Stderr, "mmadversary: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mmadversary: %v\n", err)
+		return cli.ExitFailure
 	}
 
-	fmt.Printf("\nconstruction complete in %v:\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\nconstruction complete in %v:\n", time.Since(start).Round(time.Millisecond))
 	for _, pair := range res.Pairs {
 		suffix := ""
 		if pair.H > 1 {
@@ -89,21 +109,22 @@ func main() {
 			}
 			suffix = fmt.Sprintf("  (χ = %v, y = %v ∈ %s)", pair.Chi, pair.Y, side)
 		}
-		fmt.Printf("  level h = %d: critical pair constructed%s\n", pair.H, suffix)
+		fmt.Fprintf(stdout, "  level h = %d: critical pair constructed%s\n", pair.H, suffix)
 	}
-	fmt.Printf("\nresult: U[d] = V[d] for d = %d, yet A(U, e) = %v while A(V, e) = %v\n",
+	fmt.Fprintf(stdout, "\nresult: U[d] = V[d] for d = %d, yet A(U, e) = %v while A(V, e) = %v\n",
 		res.D, res.OutU, res.OutV)
 	if err := res.Verify(adv); err != nil {
-		fmt.Fprintf(os.Stderr, "mmadversary: verification failed: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mmadversary: verification failed: %v\n", err)
+		return cli.ExitFailure
 	}
-	fmt.Printf("verified: %q needs at least %d communication rounds on k = %d colours.\n",
+	fmt.Fprintf(stdout, "verified: %q needs at least %d communication rounds on k = %d colours.\n",
 		alg.Name(), res.D, res.K)
 
 	if *show > 0 {
-		fmt.Printf("\nU up to norm %d: %s\n", *show, window(res.U.System(), *show))
-		fmt.Printf("V up to norm %d: %s\n", *show, window(res.V.System(), *show))
+		fmt.Fprintf(stdout, "\nU up to norm %d: %s\n", *show, window(res.U.System(), *show))
+		fmt.Fprintf(stdout, "V up to norm %d: %s\n", *show, window(res.V.System(), *show))
 	}
+	return cli.ExitOK
 }
 
 func pickAlgorithm(name string, k int) (mm.Algorithm, error) {

@@ -52,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return cli.ExitMismatch
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mmrun: unexpected argument %q (give the instance with -scenario)\n", fs.Arg(0))
+		return cli.ExitMismatch
+	}
 
 	if *scenario == "list" {
 		cli.PrintScenarios(stdout)
@@ -83,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitFailure
 	}
 
+	if err := graph.CheckMatching(g, outs); err != nil {
+		fmt.Fprintf(stderr, "mmrun: INVALID OUTPUT: %v\n", err)
+		return cli.ExitFailure
+	}
 	matching := graph.MatchingEdges(g, outs)
 	if *dot {
 		if err := g.DOT(stdout, nil, matching); err != nil {
@@ -100,10 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "matching:  %d edges\n", len(matching))
 	if *stats {
 		printPerRound(stdout, st)
-	}
-	if err := graph.CheckMatching(g, outs); err != nil {
-		fmt.Fprintf(stderr, "mmrun: INVALID OUTPUT: %v\n", err)
-		return cli.ExitFailure
 	}
 	fmt.Fprintln(stdout, "validated: maximal matching (M1–M3 hold)")
 	return cli.ExitOK

@@ -29,6 +29,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"reduced on a tree", []string{"-scenario", "tree:n=64,k=8", "-algo", "reduced"}, cli.ExitOK, "algorithm: reduced"},
 		{"bipartite", []string{"-scenario", "double-cover:n=16", "-algo", "bipartite"}, cli.ExitOK, "algorithm: bipartite"},
 		{"list", []string{"-scenario", "list"}, cli.ExitOK, "double-cover"},
+		{"dot", []string{"-scenario", "path:n=4", "-dot"}, cli.ExitOK, "graph G {"},
 		// Instances are gen specs only: -graph, -n and -delta are not flags.
 		{"unknown graph", []string{"-graph", "nope"}, cli.ExitMismatch, "flag provided but not defined: -graph"},
 		{"-n with -scenario", []string{"-scenario", "path:n=4", "-n", "5"}, cli.ExitMismatch, "flag provided but not defined: -n"},
@@ -37,6 +38,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad param", []string{"-scenario", "path:m=4"}, cli.ExitMismatch, `"m"`},
 		{"unknown algo", []string{"-algo", "nope"}, cli.ExitMismatch, `unknown algorithm "nope"`},
 		{"bipartite unlabelled", []string{"-algo", "bipartite"}, cli.ExitMismatch, "needs a labelled instance"},
+		{"positional", []string{"path:n=8"}, cli.ExitMismatch, `unexpected argument "path:n=8"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -47,7 +49,7 @@ func TestRunExitCodes(t *testing.T) {
 			out := stderr.String()
 			if code == cli.ExitOK {
 				out = stdout.String()
-				if !slices.Contains(tc.args, "list") && !strings.Contains(out, "validated: maximal matching") {
+				if !slices.Contains(tc.args, "list") && !slices.Contains(tc.args, "-dot") && !strings.Contains(out, "validated: maximal matching") {
 					t.Errorf("stdout lacks the validation line:\n%s", out)
 				}
 			}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -54,7 +55,7 @@ const (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // newHTTPServer wraps the API handler in an http.Server with the
@@ -68,21 +69,31 @@ func newHTTPServer(h http.Handler, logger *log.Logger) *http.Server {
 	}
 }
 
-func run() int {
-	addr := flag.String("addr", "127.0.0.1:8091", "listen address")
-	maxSweeps := flag.Int("max-sweeps", 0, "concurrent sweep requests; extra requests get 503 (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", sweep.DefaultCacheEntries, "built instances kept in the shared LRU cache")
-	maxGraphs := flag.Int("max-graphs", serve.DefaultMaxGraphs, "submitted graphs held in the store (hard cap, not an eviction)")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "on SIGTERM, wait this long for in-flight sweeps to finish streaming")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty = off)")
-	traceFile := flag.String("trace", "", "write one JSON span line per request and sweep-cell step to this file")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mmserve: unexpected arguments %q\n", flag.Args())
+// run is mmserve with its arguments and output streams passed in; it
+// returns the process exit code (see internal/cli). The daemon writes only
+// its log, to stderr; stdout keeps the signature every command shares.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8091", "listen address")
+	maxSweeps := fs.Int("max-sweeps", 0, "concurrent sweep requests; extra requests get 503 (0 = GOMAXPROCS)")
+	cacheEntries := fs.Int("cache-entries", sweep.DefaultCacheEntries, "built instances kept in the shared LRU cache")
+	maxGraphs := fs.Int("max-graphs", serve.DefaultMaxGraphs, "submitted graphs held in the store (hard cap, not an eviction)")
+	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "on SIGTERM, wait this long for in-flight sweeps to finish streaming")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty = off)")
+	traceFile := fs.String("trace", "", "write one JSON span line per request and sweep-cell step to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitMismatch
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mmserve: unexpected arguments %q\n", fs.Args())
 		return cli.ExitMismatch
 	}
 
-	logger := log.New(os.Stderr, "mmserve: ", log.LstdFlags)
+	logger := log.New(stderr, "mmserve: ", log.LstdFlags)
 	var tracer *obs.Tracer
 	if *traceFile != "" {
 		tf, err := os.Create(*traceFile)

@@ -1,7 +1,7 @@
 // Package cli is the shared plumbing of the cmd/ binaries: the exit-code
 // contract, repeatable list flags and scenario-registry listing. mmrun,
-// mmsweep, mmserve, mmloadgen, mmcayley and mmexperiments all speak
-// through it, so the conventions stay identical across tools. (The
+// mmsweep, mmserve, mmloadgen, mmcayley, mmexperiments and mmadversary all
+// speak through it, so the conventions stay identical across tools. (The
 // durable sweep output file is sweep.Output.)
 //
 // The exit-code contract is load-bearing for supervisors (human and

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/group"
 )
@@ -103,29 +102,6 @@ func Nodes(v System, maxNorm int) []group.Word {
 	var out []group.Word
 	Walk(v, maxNorm, func(w group.Word) bool {
 		out = append(out, w)
-		return true
-	})
-	return out
-}
-
-// Edge is an edge {Pred, V} ∈ E(V) of the tree Γ_k(V); its colour is
-// V.Tail().
-type Edge struct {
-	Pred group.Word // the endpoint closer to e
-	V    group.Word // the endpoint farther from e
-}
-
-// Color returns the edge's colour.
-func (e Edge) Color() group.Color { return e.V.Tail() }
-
-// Edges returns E(V) restricted to nodes of norm ≤ maxNorm, in shortlex
-// order of the deeper endpoint.
-func Edges(v System, maxNorm int) []Edge {
-	var out []Edge
-	Walk(v, maxNorm, func(w group.Word) bool {
-		if !w.IsIdentity() {
-			out = append(out, Edge{Pred: w.Pred(), V: w})
-		}
 		return true
 	})
 	return out
@@ -359,45 +335,6 @@ func (u *union) K() int { return u.k }
 
 func (u *union) Contains(w group.Word) bool {
 	return u.a.Contains(w) || u.b.Contains(w)
-}
-
-// Cached wraps a system with a memoising membership cache. Useful for the
-// deeply nested lazy systems built by the lower-bound adversary, where a
-// single membership probe can cascade through many layers.
-func Cached(v System) System {
-	if _, ok := v.(*cached); ok {
-		return v
-	}
-	if _, ok := v.(*Finite); ok {
-		return v
-	}
-	return &cached{inner: v}
-}
-
-type cached struct {
-	inner System
-	mu    sync.Mutex
-	memo  map[string]bool
-}
-
-func (c *cached) K() int { return c.inner.K() }
-
-func (c *cached) Contains(w group.Word) bool {
-	key := w.Key()
-	c.mu.Lock()
-	if c.memo == nil {
-		c.memo = make(map[string]bool)
-	}
-	if v, ok := c.memo[key]; ok {
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := c.inner.Contains(w)
-	c.mu.Lock()
-	c.memo[key] = v
-	c.mu.Unlock()
-	return v
 }
 
 // Ball materialises (v̄V)[h] — the radius-h view of V from v ∈ V, which is

@@ -176,7 +176,7 @@ func TestNodesRespectsMaxNorm(t *testing.T) {
 
 func TestEdges(t *testing.T) {
 	v := figure2V(t)
-	edges := Edges(v, 3)
+	edges := treeEdges(v, 3)
 	if len(edges) != 6 {
 		t.Fatalf("len(E(V)) = %d, want 6", len(edges))
 	}
@@ -328,7 +328,7 @@ func TestUnion(t *testing.T) {
 
 func TestCached(t *testing.T) {
 	inner := &countingSystem{sys: Full(3)}
-	c := Cached(inner)
+	c := withCache(inner)
 	w := mustWord(t, "1·2·3")
 	for i := 0; i < 10; i++ {
 		if !c.Contains(w) {
@@ -338,18 +338,18 @@ func TestCached(t *testing.T) {
 	if inner.calls != 1 {
 		t.Errorf("inner called %d times, want 1", inner.calls)
 	}
-	// Cached of Cached or of Finite is a no-op wrapper.
-	if Cached(c) != c {
-		t.Error("Cached(Cached(x)) allocated a new wrapper")
+	// withCache of withCache or of Finite is a no-op wrapper.
+	if withCache(c) != c {
+		t.Error("withCache(withCache(x)) allocated a new wrapper")
 	}
 	f := mustFinite(t, 3, "e, 1")
-	if Cached(f) != System(f) {
-		t.Error("Cached(Finite) should return the finite system itself")
+	if withCache(f) != System(f) {
+		t.Error("withCache(Finite) should return the finite system itself")
 	}
 }
 
 func TestCachedConcurrent(t *testing.T) {
-	c := Cached(&countingSystem{sys: Full(4)})
+	c := withCache(&countingSystem{sys: Full(4)})
 	words := group.Ball(4, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -494,4 +494,66 @@ func BenchmarkTranslatedContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.Contains(w)
 	}
+}
+
+// treeEdge is an edge {Pred, V} ∈ E(V) of the tree Γ_k(V); its colour is
+// V.Tail().
+type treeEdge struct {
+	Pred group.Word // the endpoint closer to e
+	V    group.Word // the endpoint farther from e
+}
+
+// Color returns the edge's colour.
+func (e treeEdge) Color() group.Color { return e.V.Tail() }
+
+// treeEdges returns E(V) restricted to nodes of norm ≤ maxNorm, in shortlex
+// order of the deeper endpoint.
+func treeEdges(v System, maxNorm int) []treeEdge {
+	var out []treeEdge
+	Walk(v, maxNorm, func(w group.Word) bool {
+		if !w.IsIdentity() {
+			out = append(out, treeEdge{Pred: w.Pred(), V: w})
+		}
+		return true
+	})
+	return out
+}
+
+// withCache wraps a system with a memoising membership cache. Useful for the
+// deeply nested lazy systems built by the lower-bound adversary, where a
+// single membership probe can cascade through many layers.
+func withCache(v System) System {
+	if _, ok := v.(*cached); ok {
+		return v
+	}
+	if _, ok := v.(*Finite); ok {
+		return v
+	}
+	return &cached{inner: v}
+}
+
+type cached struct {
+	inner System
+	mu    sync.Mutex
+	memo  map[string]bool
+}
+
+func (c *cached) K() int { return c.inner.K() }
+
+func (c *cached) Contains(w group.Word) bool {
+	key := w.Key()
+	c.mu.Lock()
+	if c.memo == nil {
+		c.memo = make(map[string]bool)
+	}
+	if v, ok := c.memo[key]; ok {
+		c.mu.Unlock()
+		return v
+	}
+	c.mu.Unlock()
+	v := c.inner.Contains(w)
+	c.mu.Lock()
+	c.memo[key] = v
+	c.mu.Unlock()
+	return v
 }

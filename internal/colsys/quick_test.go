@@ -32,7 +32,7 @@ func TestQuickCombinatorsPreserveValidity(t *testing.T) {
 				sys = Prune(sys, group.Color(1+rng.Intn(k)))
 				desc += "→prune"
 			case 3:
-				sys = Cached(sys)
+				sys = withCache(sys)
 				desc += "→cached"
 			}
 			if err := CheckValid(sys, 4); err != nil {

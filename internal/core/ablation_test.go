@@ -11,7 +11,7 @@ import (
 // TestWitnessNormsStaySmall quantifies the Lemma 12 search: the witness y
 // is guaranteed within norm r+2, but against greedy it is found at norm ≤ 1
 // on every level — the search cost is far below its worst-case bound. This
-// is the ablation behind the default WithSearchLimit.
+// is the ablation behind the default withSearchLimit.
 func TestWitnessNormsStaySmall(t *testing.T) {
 	for k := 3; k <= 6; k++ {
 		adv := newAdversary(t, algo.NewGreedy(), k)
@@ -40,7 +40,7 @@ func TestWitnessNormsStaySmall(t *testing.T) {
 // succeeds against greedy even with the search capped at norm 1.
 func TestTightSearchLimitSuffices(t *testing.T) {
 	for k := 3; k <= 5; k++ {
-		adv := newAdversary(t, algo.NewGreedy(), k, WithSearchLimit(1))
+		adv := newAdversary(t, algo.NewGreedy(), k, withSearchLimit(1))
 		res, err := adv.Run()
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -55,7 +55,7 @@ func TestTightSearchLimitSuffices(t *testing.T) {
 // any witness yields the Lemma 12 incorrectness report, not a panic or a
 // bogus pair. (Norm 0 only reaches e, which is always matched in X.)
 func TestZeroSearchLimitFailsGracefully(t *testing.T) {
-	adv := newAdversary(t, algo.NewGreedy(), 4, WithSearchLimit(0))
+	adv := newAdversary(t, algo.NewGreedy(), 4, withSearchLimit(0))
 	_, err := adv.Run()
 	if err == nil {
 		t.Fatal("run succeeded with an empty search window")

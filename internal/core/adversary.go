@@ -56,12 +56,6 @@ type Adversary struct {
 // Option configures an Adversary.
 type Option func(*Adversary)
 
-// WithSearchLimit caps the norm of the Lemma 12 witness search. The default
-// is r + 2 where r is the algorithm's declared running time.
-func WithSearchLimit(n int) Option {
-	return func(a *Adversary) { a.searchLimit = n }
-}
-
 // WithParanoia enables re-verification of every intermediate construction
 // on windows of the given radius. Expensive; intended for tests.
 func WithParanoia(radius int) Option {

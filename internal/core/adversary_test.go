@@ -287,7 +287,7 @@ func TestAdversaryCatchesRestrictedGreedy(t *testing.T) {
 	k := 4
 	for r := 0; r < k-1; r++ {
 		alg := algo.NewRestricted(algo.NewGreedy(), r)
-		adv := newAdversary(t, alg, k, WithSearchLimit(k+2))
+		adv := newAdversary(t, alg, k, withSearchLimit(k+2))
 		res, err := adv.Run()
 		if err == nil {
 			// Construction survived; the headline claim must now fail,
@@ -430,4 +430,10 @@ func TestAdversaryDeterministic(t *testing.T) {
 	if a.OutU != b.OutU || a.OutV != b.OutV {
 		t.Error("outputs differ between runs")
 	}
+}
+
+// withSearchLimit caps the norm of the Lemma 12 witness search. The default
+// is r + 2 where r is the algorithm's declared running time.
+func withSearchLimit(n int) Option {
+	return func(a *Adversary) { a.searchLimit = n }
 }

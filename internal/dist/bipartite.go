@@ -6,16 +6,16 @@ import (
 	"repro/internal/runtime"
 )
 
-// Node sides for BipartiteMachine, passed as runtime.NodeInfo.Label. The
+// Node sides for bipartiteMachine, passed as runtime.NodeInfo.Label. The
 // zero value is white, so unlabeled runs degenerate gracefully.
 const (
-	SideWhite = 0
+	sideWhite = 0
 	SideBlack = 1
 )
 
-// BipartiteMachine is the §1.1 related-work algorithm [6]: maximal matching
+// bipartiteMachine is the §1.1 related-work algorithm [6]: maximal matching
 // on 2-coloured (bipartite) graphs in O(Δ) rounds. The bipartition is part
-// of the input (labels SideWhite/SideBlack), which breaks the symmetry the
+// of the input (labels sideWhite/SideBlack), which breaks the symmetry the
 // Theorem 5 adversary needs — rounds depend on Δ only, not on k or n.
 //
 // Rounds alternate: in odd rounds each free white proposes along its next
@@ -28,7 +28,7 @@ const (
 // silent; in both cases every neighbour is matched, so (M3) holds. Each
 // attempt costs two rounds and each side has at most Δ edges, so every node
 // halts within 2Δ+3 rounds.
-type BipartiteMachine struct {
+type bipartiteMachine struct {
 	side    int
 	colors  []group.Color
 	live    []bool
@@ -46,11 +46,11 @@ type BipartiteMachine struct {
 // NewGreedyMachinePool: Init fully resets a machine while keeping its
 // live-edge scratch.
 func NewBipartiteMachinePool(n int) runtime.Source {
-	return runtime.NewPool[BipartiteMachine](n, nil)
+	return runtime.NewPool[bipartiteMachine](n, nil)
 }
 
 // Init implements runtime.Machine.
-func (m *BipartiteMachine) Init(info runtime.NodeInfo) {
+func (m *bipartiteMachine) Init(info runtime.NodeInfo) {
 	m.side = info.Label
 	m.colors = info.Colors
 	m.live = resetLive(m.live, len(m.colors))
@@ -67,7 +67,7 @@ func (m *BipartiteMachine) Init(info runtime.NodeInfo) {
 }
 
 // untried returns the first live position ≥ next, or -1.
-func (m *BipartiteMachine) untried() int {
+func (m *bipartiteMachine) untried() int {
 	for i := m.next; i < len(m.colors); i++ {
 		if m.live[i] {
 			return i
@@ -77,11 +77,11 @@ func (m *BipartiteMachine) untried() int {
 }
 
 // Send implements runtime.Machine.
-func (m *BipartiteMachine) Send(out []runtime.Message) {
+func (m *bipartiteMachine) Send(out []runtime.Message) {
 	odd := m.round%2 == 0 // the round being sent is round+1
 	special := -1
 	var specialMsg runtime.Message
-	if m.side == SideWhite && odd {
+	if m.side == sideWhite && odd {
 		if m.cur < 0 {
 			m.cur = m.untried()
 			if m.cur >= 0 {
@@ -106,7 +106,7 @@ func (m *BipartiteMachine) Send(out []runtime.Message) {
 }
 
 // Receive implements runtime.Machine.
-func (m *BipartiteMachine) Receive(in []runtime.Message) {
+func (m *bipartiteMachine) Receive(in []runtime.Message) {
 	m.round++
 	odd := m.round%2 == 1
 	best := -1
@@ -128,7 +128,7 @@ func (m *BipartiteMachine) Receive(in []runtime.Message) {
 			if best < 0 {
 				best = i // positions are colour-sorted: first hit is least
 			}
-		case m.side == SideWhite && !odd && i == m.cur:
+		case m.side == sideWhite && !odd && i == m.cur:
 			if isWire(msg, wireAccept) {
 				m.out = mm.Matched(m.colors[i])
 				m.halted = true
@@ -157,7 +157,7 @@ func (m *BipartiteMachine) Receive(in []runtime.Message) {
 }
 
 // Halted implements runtime.Machine.
-func (m *BipartiteMachine) Halted() bool { return m.halted }
+func (m *bipartiteMachine) Halted() bool { return m.halted }
 
 // Output implements runtime.Machine.
-func (m *BipartiteMachine) Output() mm.Output { return m.out }
+func (m *bipartiteMachine) Output() mm.Output { return m.out }

@@ -16,7 +16,7 @@ type Contract struct {
 	// MsgsPerEdgeRound caps the messages crossing any directed edge in one
 	// round (so a round delivers at most MsgsPerEdgeRound × 2|E| messages).
 	MsgsPerEdgeRound int
-	// MaxMessageBytes caps one message's wire size (runtime.Sizer
+	// MaxMessageBytes caps one message's wire size (the runtime's sizer
 	// accounting: one byte per control word, 8 bytes per colour-list entry).
 	MaxMessageBytes int
 	// MaxRounds caps the whole execution's round count.
@@ -85,7 +85,7 @@ func ReducedContract(k, delta int) Contract {
 // The §1.2 two-path instance realises Θ(n) (matches peel off one per
 // round along the descending-colour chain — dist tests pin a run past
 // n/4), so the linear constant is tight up to the factor the staleness
-// argument costs. sweep.Check enforces the bound on every recorded run.
+// argument costs. The sweep checker enforces the bound on every recorded run.
 func ProposalContract(n, delta int) Contract {
 	if delta < 1 {
 		delta = 1

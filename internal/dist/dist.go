@@ -122,12 +122,13 @@ func (m *GreedyMachine) Receive(in []runtime.Message) {
 	}
 }
 
-// Sleep implements runtime.Sleeper. A round that decides a class the node
-// has no edge of is idle for it: Send writes nothing, and Receive only
-// counts the round (the halt test needs a decided class ≥ the node's
-// largest colour, which is still ahead). So the node sleeps until the round
-// that decides its next incident class, c−1 for class c. With k ≫ Δ that
-// skips all but at most Δ of greedy's k−1 rounds per node.
+// Sleep implements the runtime's optional sleeper interface. A round that
+// decides a class the node has no edge of is idle for it: Send writes
+// nothing, and Receive only counts the round (the halt test needs a
+// decided class ≥ the node's largest colour, which is still ahead). So the
+// node sleeps until the round that decides its next incident class, c−1
+// for class c. With k ≫ Δ that skips all but at most Δ of greedy's k−1
+// rounds per node.
 func (m *GreedyMachine) Sleep() int {
 	c, _ := m.decideColor()
 	// A running node's largest colour is undecided, so pos is in range.

@@ -12,17 +12,18 @@
 //     in O(log* k) rounds, a one-class-per-round recolouring reaches the
 //     classical 2Δ−1 palette, and greedy finishes on the reduced palette.
 //     TotalRounds predicts the exact round budget.
-//   - ProposalMachine — the palette-oblivious baseline contrasted in §1.3
-//     (in the spirit of Hoepman's proposal machines): free nodes repeatedly
-//     propose along their lowest-coloured live edge and match on mutual
-//     proposals. Palette-independent on random instances, Θ(n) on chains,
+//   - NewProposalMachinePool — the palette-oblivious baseline contrasted
+//     in §1.3 (in the spirit of Hoepman's proposal machines): free nodes
+//     repeatedly propose along their lowest-coloured live edge and match on
+//     mutual proposals. Palette-independent on random instances, Θ(n) on chains,
 //     and provably within n rounds on anything (ProposalContract derives
 //     the constant; the sweep checker enforces it).
-//   - BipartiteMachine — the §1.1 related-work algorithm [6] for 2-coloured
-//     graphs: with the bipartition as input (SideWhite/SideBlack labels),
-//     whites propose edge by edge and blacks accept, producing a maximal
-//     matching in O(Δ) rounds — no Θ(k) barrier, because the side bits break
-//     the symmetry the Theorem 5 adversary exploits.
+//   - NewBipartiteMachinePool — the §1.1 related-work algorithm [6] for
+//     2-coloured graphs: with the bipartition as input (SideBlack labels,
+//     white being 0), whites propose edge by edge and blacks accept,
+//     producing a maximal matching in O(Δ) rounds — no Θ(k) barrier,
+//     because the side bits break the symmetry the Theorem 5 adversary
+//     exploits.
 //
 // ReduceEdgeColoring runs the reduction pipeline on a whole graph at once
 // (the centralized mirror of ReducedGreedyMachine's first two phases),

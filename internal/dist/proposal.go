@@ -6,7 +6,7 @@ import (
 	"repro/internal/runtime"
 )
 
-// ProposalMachine is the palette-oblivious baseline of §1.3's comparison:
+// proposalMachine is the palette-oblivious baseline of §1.3's comparison:
 // every round each free node proposes along its lowest-coloured live edge
 // and keeps the remaining live edges warm with "free" beacons; an edge
 // proposed from both sides becomes matched. Silence on an edge means the
@@ -15,7 +15,7 @@ import (
 // while any two free neighbours remain — the machine terminates, but needs
 // Θ(n) rounds on adversarial chains while being palette-independent on
 // random instances (see experiment E11).
-type ProposalMachine struct {
+type proposalMachine struct {
 	colors []group.Color
 	live   []bool
 	nlive  int
@@ -29,11 +29,11 @@ type ProposalMachine struct {
 // Init fully resets a machine while keeping its live-edge scratch, so
 // repeated runs allocate nothing per node.
 func NewProposalMachinePool(n int) runtime.Source {
-	return runtime.NewPool[ProposalMachine](n, nil)
+	return runtime.NewPool[proposalMachine](n, nil)
 }
 
 // Init implements runtime.Machine. Isolated nodes halt unmatched at time 0.
-func (m *ProposalMachine) Init(info runtime.NodeInfo) {
+func (m *proposalMachine) Init(info runtime.NodeInfo) {
 	m.colors = info.Colors
 	m.live = resetLive(m.live, len(m.colors))
 	m.nlive = len(m.colors)
@@ -47,7 +47,7 @@ func (m *ProposalMachine) Init(info runtime.NodeInfo) {
 
 // target picks the proposal edge: the live position of least colour
 // (positions are colour-sorted).
-func (m *ProposalMachine) target() int {
+func (m *proposalMachine) target() int {
 	for i, ok := range m.live {
 		if ok {
 			return i
@@ -58,7 +58,7 @@ func (m *ProposalMachine) target() int {
 
 // Send implements runtime.Machine: a proposal on the target edge, "free"
 // beacons on every other live edge.
-func (m *ProposalMachine) Send(out []runtime.Message) {
+func (m *proposalMachine) Send(out []runtime.Message) {
 	m.prop = m.target()
 	for i, ok := range m.live {
 		if !ok {
@@ -73,7 +73,7 @@ func (m *ProposalMachine) Send(out []runtime.Message) {
 }
 
 // Receive implements runtime.Machine.
-func (m *ProposalMachine) Receive(in []runtime.Message) {
+func (m *proposalMachine) Receive(in []runtime.Message) {
 	matched := -1
 	for i, ok := range m.live {
 		if !ok {
@@ -102,7 +102,7 @@ func (m *ProposalMachine) Receive(in []runtime.Message) {
 }
 
 // Halted implements runtime.Machine.
-func (m *ProposalMachine) Halted() bool { return m.halted }
+func (m *proposalMachine) Halted() bool { return m.halted }
 
 // Output implements runtime.Machine.
-func (m *ProposalMachine) Output() mm.Output { return m.out }
+func (m *proposalMachine) Output() mm.Output { return m.out }

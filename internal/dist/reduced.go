@@ -60,7 +60,8 @@ type colorList struct {
 	colors []group.Color
 }
 
-// WireBytes implements runtime.Sizer: one machine word per colour.
+// WireBytes implements the runtime's sizer interface: one machine word per
+// colour.
 func (l *colorList) WireBytes() int { return 8 * len(l.colors) }
 
 // sharedSchedule is the reduction schedule every machine of one source

@@ -29,7 +29,7 @@
 // the same (spec, seed) pair names the same instance forever — tests pin
 // byte-identical CSR arrays across rebuilds. Instances carry optional
 // per-node labels (the double-cover family returns the bipartition sides
-// in the encoding of dist.SideWhite/SideBlack).
+// in dist's encoding: dist.SideBlack, white being 0).
 //
 // # Grid DSL
 //

@@ -91,7 +91,7 @@ func (p Params) String() string {
 
 // Instance is one built scenario: the graph plus optional per-node input
 // labels (nil unless the family defines them — double-cover returns the
-// bipartition in the dist.SideWhite/SideBlack encoding).
+// bipartition in dist's encoding: dist.SideBlack, white being 0).
 type Instance struct {
 	G      *graph.Graph
 	Labels []int

@@ -104,7 +104,7 @@ func goldenInstances(t *testing.T) map[string]*Graph {
 		out[fmt.Sprintf("worstcase/k=%d", k)] = wc.G
 	}
 	out["path"] = must(PathGraph(4, []group.Color{1, 2, 3, 1, 4, 2}))
-	out["cycle"] = must(CycleGraph(3, []group.Color{1, 2, 3, 1, 2, 3}))
+	out["cycle"] = must(cycleGraph(3, []group.Color{1, 2, 3, 1, 2, 3}))
 	out["figure1"] = must(Figure1())
 	cayley, _, err := FromSystem(colsys.Full(3), 4)
 	out["from-system/full(3)/r=4"] = must(cayley, err)

@@ -261,9 +261,9 @@ func (g *Graph) NodeAt(v int, w group.Word) (int, bool) {
 
 // --- Matching validation ----------------------------------------------------
 
-// MatchingError reports a violation of the finite-graph analogue of
+// matchingError reports a violation of the finite-graph analogue of
 // (M1)–(M3) at a specific node.
-type MatchingError struct {
+type matchingError struct {
 	Property mm.Property
 	Node     int
 	Output   mm.Output
@@ -271,7 +271,7 @@ type MatchingError struct {
 }
 
 // Error implements the error interface.
-func (e *MatchingError) Error() string {
+func (e *matchingError) Error() string {
 	return fmt.Sprintf("graph: property %s violated at node %d (output %v): %s",
 		e.Property, e.Node, e.Output, e.Detail)
 }
@@ -288,7 +288,7 @@ func CheckMatching(g *Graph, outs []mm.Output) error {
 		if !out.IsMatched() {
 			for _, half := range g.Incident(v) {
 				if !outs[half.Peer].IsMatched() {
-					return &MatchingError{
+					return &matchingError{
 						Property: mm.M3, Node: v, Output: out,
 						Detail: fmt.Sprintf("nodes %d and %d are adjacent (colour %v) and both unmatched",
 							v, half.Peer, half.Color),
@@ -299,13 +299,13 @@ func CheckMatching(g *Graph, outs []mm.Output) error {
 		}
 		peer, ok := g.Neighbor(v, out.Color)
 		if !ok {
-			return &MatchingError{
+			return &matchingError{
 				Property: mm.M1, Node: v, Output: out,
 				Detail: fmt.Sprintf("node %d outputs colour %v with no such incident edge", v, out.Color),
 			}
 		}
 		if outs[peer] != out {
-			return &MatchingError{
+			return &matchingError{
 				Property: mm.M2, Node: v, Output: out,
 				Detail: fmt.Sprintf("node %d outputs %v but neighbour %d outputs %v",
 					v, out, peer, outs[peer]),
@@ -390,22 +390,6 @@ func PathGraph(k int, colors []group.Color) (*Graph, error) {
 	b := NewCSRBuilder(len(colors)+1, k)
 	for i, c := range colors {
 		if err := b.AddEdge(i, i+1, c); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
-// CycleGraph builds a cycle with the given edge colours; colors[i] joins
-// node i and node i+1 mod n.
-func CycleGraph(k int, colors []group.Color) (*Graph, error) {
-	n := len(colors)
-	if n < 3 {
-		return nil, fmt.Errorf("graph: cycle needs ≥ 3 edges, got %d", n)
-	}
-	b := NewCSRBuilder(n, k)
-	for i, c := range colors {
-		if err := b.AddEdge(i, (i+1)%n, c); err != nil {
 			return nil, err
 		}
 	}

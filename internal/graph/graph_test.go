@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,9 +70,9 @@ func TestPathAndCycle(t *testing.T) {
 		t.Error("improper path colouring accepted")
 	}
 
-	c, err := CycleGraph(2, []group.Color{1, 2, 1, 2})
+	c, err := cycleGraph(2, []group.Color{1, 2, 1, 2})
 	if err != nil {
-		t.Fatalf("CycleGraph: %v", err)
+		t.Fatalf("cycleGraph: %v", err)
 	}
 	for v := 0; v < c.N(); v++ {
 		if c.Degree(v) != 2 {
@@ -79,10 +80,10 @@ func TestPathAndCycle(t *testing.T) {
 		}
 	}
 	// Odd cycle cannot be properly 2-coloured.
-	if _, err := CycleGraph(2, []group.Color{1, 2, 1}); err == nil {
+	if _, err := cycleGraph(2, []group.Color{1, 2, 1}); err == nil {
 		t.Error("odd 2-coloured cycle accepted")
 	}
-	if _, err := CycleGraph(3, []group.Color{1, 2}); err == nil {
+	if _, err := cycleGraph(3, []group.Color{1, 2}); err == nil {
 		t.Error("2-edge cycle accepted")
 	}
 }
@@ -163,7 +164,7 @@ func TestWorstCase(t *testing.T) {
 func TestViewOfCycleIsPath(t *testing.T) {
 	// The universal cover of a properly 2-coloured cycle is the bi-infinite
 	// alternating path; views of any node must match the path system.
-	c, err := CycleGraph(2, []group.Color{1, 2, 1, 2, 1, 2})
+	c, err := cycleGraph(2, []group.Color{1, 2, 1, 2, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestViewTruncation(t *testing.T) {
 }
 
 func TestNodeAt(t *testing.T) {
-	c, err := CycleGraph(2, []group.Color{1, 2, 1, 2})
+	c, err := cycleGraph(2, []group.Color{1, 2, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +300,9 @@ func TestCheckMatchingViolations(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			err := CheckMatching(p, tt.outs)
-			var merr *MatchingError
+			var merr *matchingError
 			if !errors.As(err, &merr) {
-				t.Fatalf("err = %v, want *MatchingError", err)
+				t.Fatalf("err = %v, want *matchingError", err)
 			}
 			if merr.Property != tt.prop {
 				t.Errorf("property = %v, want %v", merr.Property, tt.prop)
@@ -428,4 +429,20 @@ func BenchmarkSequentialGreedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SequentialGreedy(g, nil)
 	}
+}
+
+// cycleGraph builds a cycle with the given edge colours; colors[i] joins
+// node i and node i+1 mod n.
+func cycleGraph(k int, colors []group.Color) (*Graph, error) {
+	n := len(colors)
+	if n < 3 {
+		return nil, fmt.Errorf("graph: cycle needs ≥ 3 edges, got %d", n)
+	}
+	b := NewCSRBuilder(n, k)
+	for i, c := range colors {
+		if err := b.AddEdge(i, (i+1)%n, c); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
 }

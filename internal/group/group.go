@@ -155,17 +155,6 @@ func Translate(u, w Word) Word {
 	return Mul(u.Inverse(), w)
 }
 
-// Distance returns d(x, y) = |x̄y|, the length of the unique path between
-// x and y in the tree Γ_k.
-func Distance(x, y Word) int {
-	// |x̄y|: the common prefix of x and y cancels.
-	i := 0
-	for i < len(x) && i < len(y) && x[i] == y[i] {
-		i++
-	}
-	return (len(x) - i) + (len(y) - i)
-}
-
 // Equal reports whether two reduced words denote the same group element.
 func (w Word) Equal(v Word) bool {
 	if len(w) != len(v) {
@@ -191,23 +180,6 @@ func (w Word) IsReduced(k int) bool {
 		}
 	}
 	return true
-}
-
-// Reduce performs free reduction of an arbitrary letter sequence, repeatedly
-// cancelling adjacent equal letters, and returns the reduced word.
-func Reduce(letters []Color) Word {
-	out := make(Word, 0, len(letters))
-	for _, c := range letters {
-		if n := len(out); n > 0 && out[n-1] == c {
-			out = out[:n-1]
-		} else {
-			out = append(out, c)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // Key returns a compact string key for use in maps: one byte per letter.
@@ -253,9 +225,9 @@ func (w Word) String() string {
 	return sb.String()
 }
 
-// ErrNotReduced is returned by Parse for syntactically valid but non-reduced
+// errNotReduced is returned by Parse for syntactically valid but non-reduced
 // words.
-var ErrNotReduced = errors.New("group: word is not reduced")
+var errNotReduced = errors.New("group: word is not reduced")
 
 // Parse parses the notation produced by String: "e" (or the empty string)
 // for the identity, otherwise positive decimal letters joined by "·" or ".".
@@ -279,7 +251,7 @@ func Parse(s string) (Word, error) {
 	}
 	for i := 1; i < len(w); i++ {
 		if w[i] == w[i-1] {
-			return nil, fmt.Errorf("group: parse %q: %w", s, ErrNotReduced)
+			return nil, fmt.Errorf("group: parse %q: %w", s, errNotReduced)
 		}
 	}
 	return w, nil
@@ -323,28 +295,6 @@ func Ball(k, radius int) []Word {
 		frontier = next
 	}
 	return words
-}
-
-// Sphere returns all reduced words of norm exactly radius, in lexicographic
-// order.
-func Sphere(k, radius int) []Word {
-	if radius < 0 {
-		return nil
-	}
-	frontier := []Word{nil}
-	for r := 1; r <= radius; r++ {
-		var next []Word
-		for _, w := range frontier {
-			for c := Color(1); int(c) <= k; c++ {
-				if c == w.Tail() {
-					continue
-				}
-				next = append(next, w.Append(c))
-			}
-		}
-		frontier = next
-	}
-	return frontier
 }
 
 // BallSize returns the number of reduced words of norm ≤ radius over k

@@ -159,8 +159,8 @@ func TestDistance(t *testing.T) {
 	for _, tt := range tests {
 		x := mustParse(t, tt.x)
 		y := mustParse(t, tt.y)
-		if got := Distance(x, y); got != tt.want {
-			t.Errorf("Distance(%v, %v) = %d, want %d", x, y, got, tt.want)
+		if got := distance(x, y); got != tt.want {
+			t.Errorf("distance(%v, %v) = %d, want %d", x, y, got, tt.want)
 		}
 		// d(x, y) must agree with |x̄y| computed via Mul.
 		if got := Mul(x.Inverse(), y).Norm(); got != tt.want {
@@ -182,8 +182,8 @@ func TestReduce(t *testing.T) {
 		{[]Color{1, 2, 3}, "1·2·3"},
 	}
 	for _, tt := range tests {
-		if got := Reduce(tt.in); got.String() != tt.want {
-			t.Errorf("Reduce(%v) = %v, want %v", tt.in, got, tt.want)
+		if got := reduce(tt.in); got.String() != tt.want {
+			t.Errorf("reduce(%v) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }
@@ -261,13 +261,13 @@ func TestBall(t *testing.T) {
 }
 
 func TestSphere(t *testing.T) {
-	got := Sphere(3, 2)
+	got := sphere(3, 2)
 	if len(got) != 6 {
-		t.Fatalf("len(Sphere(3, 2)) = %d, want 6", len(got))
+		t.Fatalf("len(sphere(3, 2)) = %d, want 6", len(got))
 	}
 	for _, w := range got {
 		if w.Norm() != 2 {
-			t.Errorf("Sphere(3, 2) contains %v with norm %d", w, w.Norm())
+			t.Errorf("sphere(3, 2) contains %v with norm %d", w, w.Norm())
 		}
 	}
 }
@@ -369,14 +369,14 @@ func TestQuickNormAdditivity(t *testing.T) {
 func TestQuickMetric(t *testing.T) {
 	// d is a metric on G_k: identity, symmetry, triangle inequality.
 	f := func(x, y, z Word) bool {
-		dxy := Distance(x, y)
+		dxy := distance(x, y)
 		if (dxy == 0) != x.Equal(y) {
 			return false
 		}
-		if dxy != Distance(y, x) {
+		if dxy != distance(y, x) {
 			return false
 		}
-		return Distance(x, z) <= dxy+Distance(y, z)
+		return distance(x, z) <= dxy+distance(y, z)
 	}
 	cfg := &quick.Config{Values: quickWords(12)}
 	if err := quick.Check(f, cfg); err != nil {
@@ -400,7 +400,7 @@ func TestQuickTranslate(t *testing.T) {
 		if !Translate(u, Mul(u, w)).Equal(w) {
 			return false
 		}
-		return Translate(u, w).Norm() == Distance(u, w)
+		return Translate(u, w).Norm() == distance(u, w)
 	}
 	cfg := &quick.Config{Values: quickWords(12)}
 	if err := quick.Check(f, cfg); err != nil {
@@ -451,4 +451,54 @@ func BenchmarkBall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Ball(4, 5)
 	}
+}
+
+// distance returns d(x, y) = |x̄y|, the length of the unique path between
+// x and y in the tree Γ_k.
+func distance(x, y Word) int {
+	// |x̄y|: the common prefix of x and y cancels.
+	i := 0
+	for i < len(x) && i < len(y) && x[i] == y[i] {
+		i++
+	}
+	return (len(x) - i) + (len(y) - i)
+}
+
+// reduce performs free reduction of an arbitrary letter sequence, repeatedly
+// cancelling adjacent equal letters, and returns the reduced word.
+func reduce(letters []Color) Word {
+	out := make(Word, 0, len(letters))
+	for _, c := range letters {
+		if n := len(out); n > 0 && out[n-1] == c {
+			out = out[:n-1]
+		} else {
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// sphere returns all reduced words of norm exactly radius, in lexicographic
+// order.
+func sphere(k, radius int) []Word {
+	if radius < 0 {
+		return nil
+	}
+	frontier := []Word{nil}
+	for r := 1; r <= radius; r++ {
+		var next []Word
+		for _, w := range frontier {
+			for c := Color(1); int(c) <= k; c++ {
+				if c == w.Tail() {
+					continue
+				}
+				next = append(next, w.Append(c))
+			}
+		}
+		frontier = next
+	}
+	return frontier
 }

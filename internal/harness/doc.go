@@ -25,7 +25,7 @@
 // # Shared machinery
 //
 // Experiments are pure functions of their writer — no init-order effects,
-// no shared state — so they re-run freely and in any order. Table is the
-// minimal aligned text-table writer the experiments render with (rune-
-// aware, so colour-system notation aligns).
+// no shared state — so they re-run freely and in any order. They render
+// through table, a minimal aligned text-table writer (rune-aware, so
+// colour-system notation aligns).
 package harness

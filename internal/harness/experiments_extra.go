@@ -25,7 +25,7 @@ func e13() Experiment {
 		Title: "Views as neighbourhood-graph nodes; indistinguishability",
 		Paper: "§2.3, Remark 2",
 		Run: func(w io.Writer) error {
-			table := NewTable("k", "d", "h", "distinct radius-h views")
+			table := newTable("k", "d", "h", "distinct radius-h views")
 			for _, p := range []struct{ k, d, h int }{
 				{3, 2, 1}, {3, 2, 2}, {3, 2, 3}, {4, 3, 1}, {4, 3, 2}, {5, 4, 1},
 			} {
@@ -73,7 +73,7 @@ func e14() Experiment {
 		Paper: "§1.1 (refs [6], [15])",
 		Run: func(w io.Writer) error {
 			// Bipartite matching: rounds track Δ, not k and not n.
-			table := NewTable("n", "k", "Δ", "rounds", "2Δ+3 bound", "maximal")
+			table := newTable("n", "k", "Δ", "rounds", "2Δ+3 bound", "maximal")
 			rng := rand.New(rand.NewSource(14))
 			for _, p := range []struct{ n, k int }{
 				{20, 4}, {40, 64}, {80, 1024}, {160, 1024},
@@ -108,7 +108,7 @@ func e14() Experiment {
 			fmt.Fprintln(w, "barrier, because the side bits break the symmetry the adversary exploits.")
 
 			// Edge recolouring to 2Δ−1 colours.
-			table2 := NewTable("k", "Δ", "final palette", "target 2Δ−1", "rounds")
+			table2 := newTable("k", "Δ", "final palette", "target 2Δ−1", "rounds")
 			for _, p := range []struct{ k, delta int }{
 				{512, 3}, {4096, 3}, {4096, 4}, {65536, 5},
 			} {

@@ -34,7 +34,7 @@ func e7() Experiment {
 			if err != nil {
 				return err
 			}
-			table := NewTable("node t", "σ1(t)", "A(S1,σ1,t)", "τ1(t)", "A(T1,τ1,t)")
+			table := newTable("node t", "σ1(t)", "A(S1,σ1,t)", "τ1(t)", "A(T1,τ1,t)")
 			for _, node := range colsys.Nodes(pair.S.System(), 1) {
 				table.AddRow(node,
 					pair.S.Forbidden(node), adv.EvalTemplate(pair.S, node),
@@ -68,7 +68,7 @@ func e8() Experiment {
 			if err != nil {
 				return err
 			}
-			table := NewTable("level h", "χ", "witness y", "side", "S[h]=T[h]", "C3", "C4 (radius 3)")
+			table := newTable("level h", "χ", "witness y", "side", "S[h]=T[h]", "C3", "C4 (radius 3)")
 			for _, pair := range res.Pairs {
 				side := "—"
 				if pair.H > 1 {
@@ -106,7 +106,7 @@ func e9() Experiment {
 		Title: "Theorem 5: the adversary defeats greedy at radius d",
 		Paper: "Theorems 2 and 5",
 		Run: func(w io.Writer) error {
-			table := NewTable("k", "d", "levels", "|U[d]|", "U[d]=V[d]", "A(U,e)", "A(V,e)")
+			table := newTable("k", "d", "levels", "|U[d]|", "U[d]=V[d]", "A(U,e)", "A(V,e)")
 			for k := 3; k <= 6; k++ {
 				adv, err := core.New(algo.NewGreedy(), k)
 				if err != nil {
@@ -139,7 +139,7 @@ func e10() Experiment {
 		Title: "Corollary 1 (Ω(Δ) rounds) and Lemma 4 (k ≤ 2)",
 		Paper: "Corollary 1, Lemma 4",
 		Run: func(w io.Writer) error {
-			table := NewTable("k", "Δ = d", "U,V d-regular", "lower bound", "greedy upper bound", "tight")
+			table := newTable("k", "Δ = d", "U,V d-regular", "lower bound", "greedy upper bound", "tight")
 			for k := 3; k <= 6; k++ {
 				adv, err := core.New(algo.NewGreedy(), k)
 				if err != nil {
@@ -184,7 +184,7 @@ func e12() Experiment {
 		Paper: "Lemmas 6–10, Corollaries 2–3",
 		Run: func(w io.Writer) error {
 			rng := rand.New(rand.NewSource(1202))
-			table := NewTable("lemma", "instances", "verified")
+			table := newTable("lemma", "instances", "verified")
 
 			// Lemma 6 + Lemma 7 on random path templates with random pickers.
 			const trials = 20

@@ -29,7 +29,7 @@ func e3() Experiment {
 			fmt.Fprintf(w, "V      = %s\n", v)
 			fmt.Fprintf(w, "U = 3̄V = %s\n", wordsOf(u, 4))
 
-			table := NewTable("claim", "holds")
+			table := newTable("claim", "holds")
 			checks := []struct {
 				claim string
 				holds bool
@@ -78,7 +78,7 @@ func e4() Experiment {
 				return err
 			}
 			g := algo.NewGreedy()
-			table := NewTable("node v", "A(V, v)")
+			table := newTable("node v", "A(V, v)")
 			for _, node := range colsys.Nodes(sys, 4) {
 				table.AddRow(node, g.Eval(sys, node))
 			}
@@ -145,7 +145,7 @@ func e5() Experiment {
 			if err := template.CheckPicker(tpl, picker, 5); err != nil {
 				return err
 			}
-			table := NewTable("t", "C(T,t)", "τ(t)", "F(T,τ,t)", "P(t)")
+			table := newTable("t", "C(T,t)", "τ(t)", "F(T,τ,t)", "P(t)")
 			for _, node := range colsys.Nodes(tpl.System(), 4) {
 				table.AddRow(node,
 					colorSet(colsys.Colors(tpl.System(), node)),
@@ -184,7 +184,7 @@ func e6() Experiment {
 				return err
 			}
 
-			table := NewTable("x ∈ X", "p(x)", "ξ(x)", "C(X,x)")
+			table := newTable("x ∈ X", "p(x)", "ξ(x)", "C(X,x)")
 			for _, node := range colsys.Nodes(ext, 3) {
 				proj, ok := ext.Project(node)
 				if !ok {

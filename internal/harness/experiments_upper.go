@@ -21,7 +21,7 @@ func e1() Experiment {
 		Title: "Greedy maximal matching within k−1 rounds",
 		Paper: "Figure 1, Lemma 1",
 		Run: func(w io.Writer) error {
-			table := NewTable("instance", "n", "|E|", "Δ", "k", "rounds", "bound k−1", "|M|", "maximal")
+			table := newTable("instance", "n", "|E|", "Δ", "k", "rounds", "bound k−1", "|M|", "maximal")
 
 			run := func(name string, g *graph.Graph) error {
 				outs, stats, err := runtime.RunWorkersN(g, nil, dist.NewGreedyMachinePool(g.N()), runtime.DefaultMaxRounds(g), 1)
@@ -94,7 +94,7 @@ func e2() Experiment {
 		Title: "Worst case: greedy needs exactly k−1 rounds",
 		Paper: "§1.2 example",
 		Run: func(w io.Writer) error {
-			table := NewTable("k", "rounds", "A at u", "A at v", "views equal ≤", "views differ at")
+			table := newTable("k", "rounds", "A at u", "A at v", "views equal ≤", "views differ at")
 			for k := 2; k <= 8; k++ {
 				wc, err := graph.NewWorstCase(k)
 				if err != nil {
@@ -256,7 +256,7 @@ func e11() Experiment {
 		Paper: "§1.3 upper bounds",
 		Run: func(w io.Writer) error {
 			const delta = 3
-			table := NewTable("k", "log*k", "greedy (worst)", "greedy (random)",
+			table := newTable("k", "log*k", "greedy (worst)", "greedy (random)",
 				"reduced (pred)", "reduced (random)", "proposal (random)", "proposal (worst)")
 			rows, err := e11PaletteSweep([]int{4, 8, 16, 64, 256, 1024, 2048}, delta)
 			if err != nil {

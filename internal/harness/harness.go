@@ -56,19 +56,19 @@ func RunAll(w io.Writer) error {
 	return firstErr
 }
 
-// Table is a minimal aligned text-table writer for experiment output.
-type Table struct {
+// table is a minimal aligned text-table writer for experiment output.
+type table struct {
 	headers []string
 	rows    [][]string
 }
 
-// NewTable creates a table with the given column headers.
-func NewTable(headers ...string) *Table {
-	return &Table{headers: headers}
+// newTable creates a table with the given column headers.
+func newTable(headers ...string) *table {
+	return &table{headers: headers}
 }
 
 // AddRow appends a row; cells are formatted with fmt.Sprint.
-func (t *Table) AddRow(cells ...any) {
+func (t *table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		row[i] = fmt.Sprint(c)
@@ -77,7 +77,7 @@ func (t *Table) AddRow(cells ...any) {
 }
 
 // SortRows sorts rows by the given column, numerically when possible.
-func (t *Table) SortRows(col int) {
+func (t *table) SortRows(col int) {
 	sort.SliceStable(t.rows, func(i, j int) bool {
 		var a, b float64
 		an, errA := fmt.Sscan(t.rows[i][col], &a)
@@ -90,7 +90,7 @@ func (t *Table) SortRows(col int) {
 }
 
 // Render writes the table with aligned columns.
-func (t *Table) Render(w io.Writer) {
+func (t *table) Render(w io.Writer) {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
 		widths[i] = runeLen(h)

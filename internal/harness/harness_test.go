@@ -140,7 +140,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestTableFormatting(t *testing.T) {
-	tbl := NewTable("a", "bb")
+	tbl := newTable("a", "bb")
 	tbl.AddRow(1, "x")
 	tbl.AddRow(22, "yyy")
 	var buf bytes.Buffer

@@ -2,12 +2,11 @@ package loadgen
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
 // Clock is the pacer's time seam: production runs on the wall clock,
-// tests on a FakeClock whose Sleep advances virtual time instantly —
+// tests on a fake clock whose Sleep advances virtual time instantly —
 // which is what makes the slot-schedule tests deterministic and free of
 // time.Sleep.
 type Clock interface {
@@ -17,9 +16,7 @@ type Clock interface {
 	Sleep(ctx context.Context, d time.Duration) bool
 }
 
-// WallClock returns the real-time clock.
-func WallClock() Clock { return wallClock{} }
-
+// wallClock is the real-time clock.
 type wallClock struct{}
 
 func (wallClock) Now() time.Time { return time.Now() }
@@ -36,38 +33,4 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// FakeClock is a virtual clock: Now returns the virtual time and Sleep
-// advances it immediately. The pacer is the only sleeper in a run, so
-// under a FakeClock an entire load profile executes as fast as the
-// senders allow while every slot still observes its scheduled offset.
-type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewFakeClock starts a virtual clock at an arbitrary fixed epoch.
-func NewFakeClock() *FakeClock {
-	return &FakeClock{now: time.Unix(1_000_000, 0)}
-}
-
-// Now returns the current virtual time.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Sleep advances the virtual clock by d without blocking.
-func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	if d > 0 {
-		c.mu.Lock()
-		c.now = c.now.Add(d)
-		c.mu.Unlock()
-	}
-	return true
 }

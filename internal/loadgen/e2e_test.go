@@ -43,7 +43,7 @@ func e2eSpec(t *testing.T, ts *httptest.Server) Spec {
 		Policy:      Queue,
 		Sender:      &HTTPSender{Base: ts.URL},
 		MetricsURL:  ts.URL + "/metrics",
-		Clock:       NewFakeClock(),
+		Clock:       newFakeClock(),
 		SLO:         &SLO{},
 	}
 }

@@ -83,13 +83,13 @@ func (p Profile) SlotAt(i int) time.Duration {
 }
 
 // OverflowPolicy says what a slot does when MaxInFlight requests are
-// already outstanding at its fire time.
+// already outstanding at its fire time. The zero value skips the slot.
 type OverflowPolicy int
 
 const (
-	// Skip drops the slot and counts it skipped — the offered rate stays
+	// skip drops the slot and counts it skipped — the offered rate stays
 	// honest and the report shows how much of it the target absorbed.
-	Skip OverflowPolicy = iota
+	skip OverflowPolicy = iota
 	// Queue blocks the schedule until a slot frees — every request fires,
 	// late, and latency under saturation shows up client-side.
 	Queue
@@ -103,23 +103,23 @@ func (o OverflowPolicy) String() string {
 	return "skip"
 }
 
-// Pacer drives a Profile: it fires fn once per slot at the slot's
+// pacer drives a Profile: it fires fn once per slot at the slot's
 // scheduled offset, at most MaxInFlight concurrently, on the injected
 // Clock.
-type Pacer struct {
+type pacer struct {
 	Profile Profile
 	// MaxInFlight bounds concurrently outstanding fn calls (0 = unbounded).
 	MaxInFlight int
 	// Policy picks skip-vs-queue behaviour when MaxInFlight is reached.
 	Policy OverflowPolicy
-	// Clock is the time source (nil = WallClock).
+	// Clock is the time source (nil = the wall clock).
 	Clock Clock
 }
 
-// PaceStats summarises one Run.
-type PaceStats struct {
+// paceStats summarises one Run.
+type paceStats struct {
 	// Fired counts slots whose fn was invoked; Skipped counts slots
-	// dropped by the Skip policy with every in-flight token taken.
+	// dropped by the skip policy with every in-flight token taken.
 	Fired, Skipped int
 }
 
@@ -127,13 +127,13 @@ type PaceStats struct {
 // fired slot, and returns once every invocation has finished. On context
 // cancellation it stops firing, waits for in-flight calls, and returns
 // ctx's error with the stats up to that point.
-func (p *Pacer) Run(ctx context.Context, fn func(slot int)) (PaceStats, error) {
+func (p *pacer) Run(ctx context.Context, fn func(slot int)) (paceStats, error) {
 	if err := p.Profile.Validate(); err != nil {
-		return PaceStats{}, err
+		return paceStats{}, err
 	}
 	clock := p.Clock
 	if clock == nil {
-		clock = WallClock()
+		clock = wallClock{}
 	}
 	var sem chan struct{}
 	if p.MaxInFlight > 0 {
@@ -141,7 +141,7 @@ func (p *Pacer) Run(ctx context.Context, fn func(slot int)) (PaceStats, error) {
 	}
 	var (
 		wg    sync.WaitGroup
-		stats PaceStats
+		stats paceStats
 		err   error
 	)
 	slots := p.Profile.Slots()
@@ -160,7 +160,7 @@ loop:
 		}
 		if sem != nil {
 			switch p.Policy {
-			case Skip:
+			case skip:
 				select {
 				case sem <- struct{}{}:
 				default:

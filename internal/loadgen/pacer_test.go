@@ -10,7 +10,7 @@ import (
 )
 
 // No test in this file sleeps on the wall clock: every schedule runs on
-// a FakeClock whose Sleep advances virtual time instantly, so assertions
+// a fakeClock whose Sleep advances virtual time instantly, so assertions
 // about multi-minute profiles complete in microseconds.
 
 func TestProfileSlots(t *testing.T) {
@@ -105,8 +105,8 @@ func TestProfileValidate(t *testing.T) {
 // TestPacerFiresEverySlotOnFakeClock runs a whole trapezoid on virtual
 // time and checks each slot fired exactly once at its scheduled offset.
 func TestPacerFiresEverySlotOnFakeClock(t *testing.T) {
-	clock := NewFakeClock()
-	p := &Pacer{
+	clock := newFakeClock()
+	p := &pacer{
 		Profile: Profile{Rate: 50, RampUp: time.Second, Hold: 4 * time.Second, RampDown: time.Second},
 		Clock:   clock,
 	}
@@ -159,20 +159,20 @@ func (g *blockGate) wait() {
 	<-g.release
 }
 
-// TestPacerSkipPolicy pins the Skip contract: with every fn call blocked
+// TestPacerSkipPolicy pins the skip contract: with every fn call blocked
 // and MaxInFlight tokens taken, every further slot is skipped, never
 // queued — Fired == MaxInFlight, Skipped == the rest.
 func TestPacerSkipPolicy(t *testing.T) {
 	const bound = 3
 	gate := newBlockGate()
-	p := &Pacer{
+	p := &pacer{
 		Profile:     Profile{Rate: 100, Hold: time.Second},
 		MaxInFlight: bound,
-		Policy:      Skip,
-		Clock:       NewFakeClock(),
+		Policy:      skip,
+		Clock:       newFakeClock(),
 	}
 	done := make(chan struct{})
-	var stats PaceStats
+	var stats paceStats
 	var err error
 	go func() {
 		defer close(done)
@@ -210,11 +210,11 @@ func TestPacerSkipPolicy(t *testing.T) {
 func TestPacerQueuePolicy(t *testing.T) {
 	const bound = 4
 	var inFlight, peak atomic.Int64
-	p := &Pacer{
+	p := &pacer{
 		Profile:     Profile{Rate: 200, Hold: time.Second},
 		MaxInFlight: bound,
 		Policy:      Queue,
-		Clock:       NewFakeClock(),
+		Clock:       newFakeClock(),
 	}
 	stats, err := p.Run(context.Background(), func(int) {
 		n := inFlight.Add(1)
@@ -241,7 +241,7 @@ func TestPacerQueuePolicy(t *testing.T) {
 // TestPacerZeroRate: a zero-rate profile emits nothing and returns
 // immediately.
 func TestPacerZeroRate(t *testing.T) {
-	p := &Pacer{Profile: Profile{Rate: 0, Hold: time.Hour}, Clock: NewFakeClock()}
+	p := &pacer{Profile: Profile{Rate: 0, Hold: time.Hour}, Clock: newFakeClock()}
 	stats, err := p.Run(context.Background(), func(int) { t.Error("fired a slot at rate 0") })
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -256,7 +256,7 @@ func TestPacerZeroRate(t *testing.T) {
 func TestPacerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := &Pacer{Profile: Profile{Rate: 10, Hold: time.Second}, Clock: NewFakeClock()}
+	p := &pacer{Profile: Profile{Rate: 10, Hold: time.Second}, Clock: newFakeClock()}
 	stats, err := p.Run(ctx, func(int) { t.Error("fired under a cancelled context") })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -267,14 +267,58 @@ func TestPacerCancellation(t *testing.T) {
 }
 
 func TestPacerInvalidProfile(t *testing.T) {
-	p := &Pacer{Profile: Profile{Rate: -5}, Clock: NewFakeClock()}
+	p := &pacer{Profile: Profile{Rate: -5}, Clock: newFakeClock()}
 	if _, err := p.Run(context.Background(), func(int) {}); err == nil {
 		t.Fatal("Run accepted a negative rate")
 	}
 }
 
 func TestOverflowPolicyString(t *testing.T) {
-	if Skip.String() != "skip" || Queue.String() != "queue" {
-		t.Fatalf("policy names = %q/%q", Skip.String(), Queue.String())
+	if skip.String() != "skip" || Queue.String() != "queue" {
+		t.Fatalf("policy names = %q/%q", skip.String(), Queue.String())
 	}
 }
+
+// fakeClock is a virtual clock: Now returns the virtual time and Sleep
+// advances it immediately. The pacer is the only sleeper in a run, so
+// under a fakeClock an entire load profile executes as fast as the
+// senders allow while every slot still observes its scheduled offset.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// newFakeClock starts a virtual clock at an arbitrary fixed epoch.
+func newFakeClock() *fakeClock {
+	return &fakeClock{now: time.Unix(1_000_000, 0)}
+}
+
+// Now returns the current virtual time.
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Sleep advances the virtual clock by d without blocking.
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	if d > 0 {
+		c.mu.Lock()
+		c.now = c.now.Add(d)
+		c.mu.Unlock()
+	}
+	return true
+}
+
+// nullSender accepts every request instantly, so a run against it
+// exercises the pacer and recorder alone, with no server behind them.
+type nullSender struct{}
+
+// Send implements Sender.
+func (nullSender) Send(context.Context, Request) (Result, error) { return Result{}, nil }
+
+// Name implements Sender.
+func (nullSender) Name() string { return "null" }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Recorder accumulates the client side of a run — latencies into an
+// recorder accumulates the client side of a run — latencies into an
 // obs.Histogram on the shared bucket grid, outcome counters — and keeps
 // the latest server-side /metrics snapshot next to them. Safe for
 // concurrent observe calls; the pacer fires them from request goroutines.
-type Recorder struct {
+type recorder struct {
 	clock   Clock
 	latency *obs.Histogram
 	sent    *obs.Counter
@@ -32,16 +32,16 @@ type Recorder struct {
 	scrapeErrs   int
 }
 
-// NewRecorder builds a recorder on the given clock (nil = WallClock).
+// newRecorder builds a recorder on the given clock (nil = the wall clock).
 // The client latency histogram uses obs.DefaultLatencyBuckets — the same
 // grid mmserve's request histograms use, so client and server quantiles
 // are comparable bucket for bucket.
-func NewRecorder(clock Clock) *Recorder {
+func newRecorder(clock Clock) *recorder {
 	if clock == nil {
-		clock = WallClock()
+		clock = wallClock{}
 	}
 	reg := obs.NewRegistry()
-	return &Recorder{
+	return &recorder{
 		clock:   clock,
 		latency: reg.Histogram("loadgen_request_seconds", "Client-observed request latency.", nil),
 		sent:    reg.Counter("loadgen_requests_sent_total", "Requests fired."),
@@ -56,7 +56,7 @@ func NewRecorder(clock Clock) *Recorder {
 const maxErrorSamples = 5
 
 // Observe records one completed request.
-func (r *Recorder) Observe(d time.Duration, res Result, err error) {
+func (r *recorder) Observe(d time.Duration, res Result, err error) {
 	r.sent.Inc()
 	r.latency.Observe(d.Seconds())
 	if err != nil {
@@ -75,7 +75,7 @@ func (r *Recorder) Observe(d time.Duration, res Result, err error) {
 
 // Scrape fetches url's /metrics once and retains the snapshot; failures
 // are counted but non-fatal (the run keeps the last good snapshot).
-func (r *Recorder) Scrape(url string) {
+func (r *recorder) Scrape(url string) {
 	snap, err := finalScrape(url)
 	r.scrapeMu.Lock()
 	defer r.scrapeMu.Unlock()
@@ -138,7 +138,7 @@ const sweepEndpoint = "/v1/sweep"
 
 // serverSide extracts the sweep endpoint's accounting from the last
 // snapshot (nil when no scrape succeeded).
-func (r *Recorder) serverSide() *ServerSide {
+func (r *recorder) serverSide() *ServerSide {
 	r.scrapeMu.Lock()
 	defer r.scrapeMu.Unlock()
 	if r.scrapes == 0 {
@@ -264,7 +264,7 @@ type Report struct {
 }
 
 // report assembles the Report from the recorder state and pacer stats.
-func (r *Recorder) report(spec Spec, mix *TrafficMix, stats PaceStats, elapsed time.Duration) *Report {
+func (r *recorder) report(spec Spec, mix *TrafficMix, stats paceStats, elapsed time.Duration) *Report {
 	rep := &Report{
 		Spec: SpecSummary{
 			RatePerSecond:   spec.Profile.Rate,

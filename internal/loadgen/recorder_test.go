@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-func newTestReport(t *testing.T, spec Spec, touch func(r *Recorder)) *Report {
+func newTestReport(t *testing.T, spec Spec, touch func(r *recorder)) *Report {
 	t.Helper()
-	rec := NewRecorder(NewFakeClock())
+	rec := newRecorder(newFakeClock())
 	if touch != nil {
 		touch(rec)
 	}
@@ -21,9 +21,9 @@ func newTestReport(t *testing.T, spec Spec, touch func(r *Recorder)) *Report {
 		t.Fatal(err)
 	}
 	if spec.Sender == nil {
-		spec.Sender = NullSender{}
+		spec.Sender = nullSender{}
 	}
-	return rec.report(spec, mix, PaceStats{}, 0)
+	return rec.report(spec, mix, paceStats{}, 0)
 }
 
 // TestEmptyReportEncodes pins the NaN-vs-0 contract at the JSON layer: a
@@ -53,7 +53,7 @@ func TestEmptyReportEncodes(t *testing.T) {
 // TestReportQuantilesPresentWithData: one observation makes the quantile
 // fields appear, and they equal the observed value's bucket estimate.
 func TestReportQuantilesPresentWithData(t *testing.T) {
-	rep := newTestReport(t, Spec{}, func(r *Recorder) {
+	rep := newTestReport(t, Spec{}, func(r *recorder) {
 		r.Observe(50*time.Millisecond, Result{Rows: 3}, nil)
 		r.Observe(70*time.Millisecond, Result{Rows: 3, Violations: 1}, nil)
 	})
@@ -75,7 +75,7 @@ func TestReportQuantilesPresentWithData(t *testing.T) {
 }
 
 func TestErrorSamplesBounded(t *testing.T) {
-	rep := newTestReport(t, Spec{}, func(r *Recorder) {
+	rep := newTestReport(t, Spec{}, func(r *recorder) {
 		for i := 0; i < 3*maxErrorSamples; i++ {
 			r.Observe(time.Millisecond, Result{}, fmt.Errorf("boom %d", i))
 		}
@@ -173,8 +173,8 @@ func TestRunRequiresSender(t *testing.T) {
 func TestRunNullSenderVirtualTime(t *testing.T) {
 	spec := Spec{
 		Profile: Profile{Rate: 100, RampUp: time.Second, Hold: 2 * time.Second, RampDown: time.Second},
-		Sender:  NullSender{},
-		Clock:   NewFakeClock(),
+		Sender:  nullSender{},
+		Clock:   newFakeClock(),
 		SLO:     &SLO{},
 	}
 	rep, err := Run(t.Context(), spec)
@@ -205,7 +205,7 @@ func TestRunObservesSenderErrors(t *testing.T) {
 	spec := Spec{
 		Profile: Profile{Rate: 10, Hold: time.Second},
 		Sender:  senderFunc(func() (Result, error) { return Result{}, errors.New("down") }),
-		Clock:   NewFakeClock(),
+		Clock:   newFakeClock(),
 		SLO:     &SLO{},
 	}
 	rep, err := Run(t.Context(), spec)

@@ -29,7 +29,7 @@ type Spec struct {
 	// the complete run.
 	MetricsURL     string
 	ScrapeInterval time.Duration
-	// Clock paces the run (nil = WallClock; tests inject FakeClock).
+	// Clock paces the run (nil = the wall clock; tests inject a fake one).
 	Clock Clock
 	// SLO, when non-nil, is evaluated into the report; mmloadgen exits
 	// nonzero when it fails.
@@ -54,9 +54,9 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	clock := spec.Clock
 	if clock == nil {
-		clock = WallClock()
+		clock = wallClock{}
 	}
-	rec := NewRecorder(clock)
+	rec := newRecorder(clock)
 
 	// The periodic scraper runs on wall time regardless of the pacing
 	// clock: it samples a live external server, which a virtual clock
@@ -81,14 +81,14 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		stopScrape = func() { cancel(); <-done }
 	}
 
-	pacer := &Pacer{
+	p := &pacer{
 		Profile:     spec.Profile,
 		MaxInFlight: spec.MaxInFlight,
 		Policy:      spec.Policy,
 		Clock:       clock,
 	}
 	start := clock.Now()
-	stats, runErr := pacer.Run(ctx, func(slot int) {
+	stats, runErr := p.Run(ctx, func(slot int) {
 		req := mix.Draw(slot)
 		t0 := clock.Now()
 		res, err := spec.Sender.Send(ctx, req)
@@ -98,7 +98,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if stopScrape != nil {
 		stopScrape()
 	}
-	// The final scrape runs after every response has completed (pacer.Run
+	// The final scrape runs after every response has completed (p.Run
 	// waits for in-flight calls), so the server-side counters it reads
 	// cover exactly the requests this run sent — the accounting the e2e
 	// test pins.

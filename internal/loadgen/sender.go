@@ -31,16 +31,6 @@ type Sender interface {
 	Name() string
 }
 
-// NullSender accepts every request instantly, so a run against it
-// exercises the pacer and recorder alone, with no server behind them.
-type NullSender struct{}
-
-// Send implements Sender.
-func (NullSender) Send(context.Context, Request) (Result, error) { return Result{}, nil }
-
-// Name implements Sender.
-func (NullSender) Name() string { return "null" }
-
 // HTTPSender drives a live mmserve: POST /v1/sweep per request, reading
 // the NDJSON stream through to the done-trailer. A request succeeds only
 // if the body ends in a trailer whose row count matches the rows read —

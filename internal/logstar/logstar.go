@@ -7,7 +7,7 @@ package logstar
 // LogStar returns log*₂(n): the number of times log₂ must be iterated,
 // starting from n, before the result is at most 1. LogStar(n) = 0 for
 // n ≤ 1. The integer iteration uses ⌈log₂ n⌉, which matches the real-valued
-// definition: LogStar(Tower(h)) = h and LogStar(Tower(h)+1) = h+1.
+// definition: LogStar(2↑↑h) = h and LogStar(2↑↑h + 1) = h+1.
 func LogStar(n int) int {
 	count := 0
 	for n > 1 {
@@ -37,20 +37,6 @@ func Log2Ceil(n int) int {
 		return l
 	}
 	return l + 1
-}
-
-// Tower returns the power tower 2↑↑h = 2^(2^(…)) of height h, saturating
-// at the largest int to avoid overflow. Tower(0) = 1.
-func Tower(h int) int {
-	const maxExp = 62
-	v := 1
-	for i := 0; i < h; i++ {
-		if v > maxExp {
-			return int(^uint(0) >> 1)
-		}
-		v = 1 << v
-	}
-	return v
 }
 
 // IsPrime reports whether n is prime (trial division; intended for the

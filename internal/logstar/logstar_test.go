@@ -30,17 +30,17 @@ func TestTower(t *testing.T) {
 		{0, 1}, {1, 2}, {2, 4}, {3, 16}, {4, 65536},
 	}
 	for _, tt := range tests {
-		if got := Tower(tt.h); got != tt.want {
-			t.Errorf("Tower(%d) = %d, want %d", tt.h, got, tt.want)
+		if got := tower(tt.h); got != tt.want {
+			t.Errorf("tower(%d) = %d, want %d", tt.h, got, tt.want)
 		}
 	}
-	if Tower(6) != int(^uint(0)>>1) {
-		t.Error("Tower(6) should saturate")
+	if tower(6) != int(^uint(0)>>1) {
+		t.Error("tower(6) should saturate")
 	}
-	// log*(Tower(h)) = h for the exactly representable towers.
+	// log*(tower(h)) = h for the exactly representable towers.
 	for h := 0; h <= 4; h++ {
-		if got := LogStar(Tower(h)); got != h {
-			t.Errorf("LogStar(Tower(%d)) = %d", h, got)
+		if got := LogStar(tower(h)); got != h {
+			t.Errorf("LogStar(tower(%d)) = %d", h, got)
 		}
 	}
 }
@@ -93,4 +93,18 @@ func TestRootCeil(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tower returns the power tower 2↑↑h = 2^(2^(…)) of height h, saturating
+// at the largest int to avoid overflow. tower(0) = 1.
+func tower(h int) int {
+	const maxExp = 62
+	v := 1
+	for i := 0; i < h; i++ {
+		if v > maxExp {
+			return int(^uint(0) >> 1)
+		}
+		v = 1 << v
+	}
+	return v
 }

@@ -117,8 +117,8 @@
 // round cannot be told apart from one the simulator skipped. Greedy with
 // k ≫ Δ is almost entirely such rounds: a node does something only in the
 // rounds that decide its own ≤ Δ colour classes, yet the frontier would
-// call it in all k−1. A machine that implements the optional Sleeper
-// interface can say so. Sleep() = s > 0 promises s idle rounds — no sends,
+// call it in all k−1. A machine with the optional method Sleep() int
+// can say so. Sleep() = s > 0 promises s idle rounds — no sends,
 // no halt, and a state after Sleep equal to the state after s rounds of
 // empty input, which Sleep applies itself — and peers promise to send it
 // nothing meanwhile. The engine calls Sleep after Init and after every
@@ -140,17 +140,17 @@
 // never calls Sleep and so simulates every idle round. A message sent to a
 // sleeping node is a broken promise that RunReference would have delivered
 // and counted, so the engine fails the run when that node wakes rather
-// than drop it. Runs in which no live node implements Sleeper never call
-// Sleep, so their heap stays empty and the hook only advances the round.
+// than drop it. Runs in which no live node has a Sleep method never call
+// it, so their heap stays empty and the hook only advances the round.
 //
 // # Statistics
 //
 // Stats reports rounds, delivered messages, per-node halt times and
-// Stats.Traffic, the messages and bytes (via the optional Sizer interface;
-// a bare control word is one byte) and the live-node count of each round
-// that delivered a message, so the record does not grow with the highest
-// colour; Stats.PerRound expands it to every round. internal/sweep holds
-// it against the paper's contracts: greedy delivers at most one message
-// per live node per round, the reduction phases at most one colour list
-// per directed edge per round.
+// Stats.Traffic, the messages and bytes (a message's optional WireBytes()
+// int method gives its size; a bare control word is one byte) and the
+// live-node count of each round that delivered a message, so the record
+// does not grow with the highest colour; Stats.PerRound expands it to every
+// round. internal/sweep holds it against the paper's contracts: greedy
+// delivers at most one message per live node per round, the reduction
+// phases at most one colour list per directed edge per round.
 package runtime

@@ -15,7 +15,7 @@ import (
 // the port of the same colour, found by searching the peer's incident
 // colours. There is no slab, mate index, frontier, pooling or worker: it
 // shares nothing with RunWorkersN but the Machine interface, so agreement
-// between the two is evidence, not tautology. It never calls Sleeper.Sleep:
+// between the two is evidence, not tautology. It never calls sleeper.Sleep:
 // every live node runs every round, idle or not, so the engine's skipping
 // of sleeping nodes is checked against a simulator that skips nothing. It
 // allocates two messages per directed edge per round, O(m); use it to

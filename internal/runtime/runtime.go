@@ -25,17 +25,17 @@ type NodeInfo struct {
 	Label  int
 }
 
-// Sizer is an optional interface for messages that want accurate byte
+// sizer is an optional interface for messages that want accurate byte
 // accounting in the per-round traffic record: WireBytes reports the
 // payload size in bytes. Messages without it count as one byte (a control
 // word), which is exact for the wire vocabulary of the dist machines.
-type Sizer interface {
+type sizer interface {
 	WireBytes() int
 }
 
 // messageBytes is the recorded size of one message.
 func messageBytes(m Message) int {
-	if s, ok := m.(Sizer); ok {
+	if s, ok := m.(sizer); ok {
 		return s.WireBytes()
 	}
 	return 1
@@ -75,7 +75,7 @@ type Machine interface {
 	Output() mm.Output
 }
 
-// Sleeper is an optional Machine extension for nodes that idle through
+// sleeper is an optional Machine extension for nodes that idle through
 // stretches of rounds: greedy with k ≫ Δ waits silently for most of its
 // k−1 rounds. The engine calls Sleep after Init and after every Receive
 // that leaves the machine running. A result s > 0 promises that in each of
@@ -89,7 +89,7 @@ type Machine interface {
 // while it sleeps. A node that wakes to find a message waiting fails the
 // run with an error, since a simulator that never skips (RunReference)
 // would have delivered and counted that message.
-type Sleeper interface {
+type sleeper interface {
 	Sleep() int
 }
 
@@ -113,7 +113,7 @@ type RoundTraffic struct {
 	// Messages counts edge-messages delivered in the round.
 	Messages int
 	// Bytes is the total payload size of those messages: WireBytes for
-	// messages implementing Sizer, one byte per bare control message.
+	// messages implementing sizer, one byte per bare control message.
 	Bytes int
 	// Live counts the nodes that had not halted when the round began,
 	// sleeping ones included: those whose HaltTimes entry is ≥ Round.

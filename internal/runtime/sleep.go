@@ -2,7 +2,7 @@ package runtime
 
 import "fmt"
 
-// Sleeping nodes: a machine implementing Sleeper can leave the frontier
+// Sleeping nodes: a machine implementing sleeper can leave the frontier
 // for a known number of idle rounds. The owning worker clears the node's
 // next-frontier bit in the receive phase and records a wakeup on its own
 // list; the end-of-round hook, running under the barrier lock, merges

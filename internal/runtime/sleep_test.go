@@ -163,7 +163,7 @@ func TestSleepyProtocolMatchesReference(t *testing.T) {
 	}
 }
 
-// sendToSleeper violates the Sleeper contract: even nodes sleep through
+// sendToSleeper violates the sleeper contract: even nodes sleep through
 // rounds 1 and 2 while odd nodes keep sending to them.
 type sendToSleeper struct {
 	even  bool

@@ -18,7 +18,7 @@ import (
 // supplies per-node input (§1.1's "2-coloured graphs" provide the
 // bipartition this way); it may be nil, otherwise it must have one entry per
 // node. A single worker runs the round loop on the calling goroutine.
-// Machines that implement Sleeper leave the frontier for the idle rounds
+// Machines that implement sleeper leave the frontier for the idle rounds
 // they announce, and rounds in which every live node sleeps are skipped
 // (see sleep.go); a message sent to a sleeping node fails the run.
 //
@@ -60,7 +60,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 	scanLo, scanHi := words, 0
 	// cur is round 1's frontier; fit zeroed the pooled words, so setting
 	// only the live bits here cannot inherit liveness from a previous run.
-	// sleepy records whether any live node implements Sleeper; runs without
+	// sleepy records whether any live node implements sleeper; runs without
 	// one never ask a machine to sleep, so their wakeup heap stays empty.
 	cur, next := st.cur, st.next
 	sleepy := false
@@ -71,7 +71,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 			continue
 		}
 		alive++
-		if sl, ok := m.(Sleeper); ok {
+		if sl, ok := m.(sleeper); ok {
 			sleepy = true
 			if s := sl.Sleep(); s > 0 {
 				st.sleeps[0] = append(st.sleeps[0], wakeup{min(s, maxRounds) + 1, v})
@@ -240,7 +240,7 @@ func RunWorkersN(g *graph.Graph, labels []int, src Source, maxRounds, workers in
 							haltTimes[v] = round
 							atomic.AddInt64(&alive, -1)
 						} else if sleepy {
-							if sl, ok := m.(Sleeper); ok {
+							if sl, ok := m.(sleeper); ok {
 								if s := sl.Sleep(); s > 0 {
 									lw &^= 1 << uint(t)
 									sleeps = append(sleeps, wakeup{round + min(s, maxRounds) + 1, v})

@@ -121,7 +121,7 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 	}
 	readAll(t, resp)
 
-	var h Health
+	var h health
 	if err := json.Unmarshal(readAll(t, mustGet(t, ts.URL+"/healthz")), &h); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMetricsDisabled(t *testing.T) {
 	if body := readAll(t, resp); len(bytes.TrimSpace(body)) != 0 {
 		t.Fatalf("obs-off /metrics body = %q, want empty", body)
 	}
-	var h Health
+	var h health
 	if err := json.Unmarshal(readAll(t, mustGet(t, ts.URL+"/healthz")), &h); err != nil {
 		t.Fatal(err)
 	}

@@ -398,12 +398,12 @@ func TestDrainFinishesInFlightSweep(t *testing.T) {
 	}
 	readAll(t, resp)
 
-	// Health reports the drain while the old sweep still runs.
+	// /healthz reports the drain while the old sweep still runs.
 	hresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h Health
+	var h health
 	if err := json.Unmarshal(readAll(t, hresp), &h); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestRegistryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scenarios []ScenarioInfo
+	var scenarios []scenarioInfo
 	if err := json.Unmarshal(readAll(t, resp), &scenarios); err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,8 @@ func (s *Server) ActiveSweeps() int { return int(s.active.Load()) }
 // CacheStats snapshots the shared instance cache's counters.
 func (s *Server) CacheStats() sweep.CacheStats { return s.cache.Stats() }
 
-// Health is the /healthz response body.
-type Health struct {
+// health is the /healthz response body.
+type health struct {
 	// Status is "ok" or "draining".
 	Status       string           `json:"status"`
 	ActiveSweeps int              `json:"active_sweeps"`
@@ -130,7 +130,7 @@ type Health struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// /metrics registers Funcs over these same three sources, so the two
 	// endpoints cannot disagree.
-	h := Health{
+	h := health{
 		Status:       "ok",
 		ActiveSweeps: s.ActiveSweeps(),
 		GraphsStored: s.store.Len(),
@@ -142,8 +142,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// ScenarioInfo is one /v1/scenarios entry.
-type ScenarioInfo struct {
+// scenarioInfo is one /v1/scenarios entry.
+type scenarioInfo struct {
 	Name string `json:"name"`
 	Doc  string `json:"doc"`
 	// Defaults is the family's default parameter set in spec syntax.
@@ -151,9 +151,9 @@ type ScenarioInfo struct {
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	var out []ScenarioInfo
+	var out []scenarioInfo
 	for _, sc := range gen.All() {
-		out = append(out, ScenarioInfo{Name: sc.Name, Doc: sc.Doc, Defaults: sc.Params.String()})
+		out = append(out, scenarioInfo{Name: sc.Name, Doc: sc.Doc, Defaults: sc.Params.String()})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -51,8 +51,8 @@ type StoredGraph struct {
 }
 
 // Params returns the identity parameters sweep rows carry for this graph.
-// ScanRows requires non-empty params on every row, and (n, k) is the shape
-// the aggregate table and bounds checker key on.
+// sweep's row scanner requires non-empty params on every row, and (n, k)
+// is the shape the aggregate table and bounds checker key on.
 func (sg *StoredGraph) Params() gen.Params {
 	return gen.Params{"n": float64(sg.N), "k": float64(sg.K)}
 }

@@ -28,13 +28,13 @@ type Algo struct {
 	Contract func(g *graph.Graph) dist.Contract
 }
 
-// Algos returns the registered algorithms in a stable order. Every
+// algos returns the registered algorithms in a stable order. Every
 // algorithm's Source is one arena of machines per cell — one allocation per
 // cell instead of one per node, with set-up shared by the arena (the
 // reduced machines' schedule) done once. Each cell gets its own arena, so
 // concurrent cells share nothing; arenas are never reused across cells,
 // since retained scratch would count as live heap between cells.
-func Algos() []Algo {
+func algos() []Algo {
 	return []Algo{
 		{
 			Name:      "greedy",
@@ -75,7 +75,7 @@ func Algos() []Algo {
 
 // AlgoNames lists the registered algorithm names in registry order.
 func AlgoNames() []string {
-	all := Algos()
+	all := algos()
 	names := make([]string, len(all))
 	for i, a := range all {
 		names[i] = a.Name
@@ -85,7 +85,7 @@ func AlgoNames() []string {
 
 // AlgoByName returns the algorithm with the given name.
 func AlgoByName(name string) (Algo, bool) {
-	for _, a := range Algos() {
+	for _, a := range algos() {
 		if a.Name == name {
 			return a, true
 		}

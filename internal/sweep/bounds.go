@@ -30,7 +30,7 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: got %d, contract allows %d", v.Rule, v.Got, v.Limit)
 }
 
-// Check holds an execution's statistics against a machine's communication
+// check holds an execution's statistics against a machine's communication
 // contract and returns every breach (nil when the contract holds).
 // directedEdges is the instance's directed edge count (2|E|); st must
 // carry the sparse traffic record the engine keeps — a nil Traffic with a
@@ -46,7 +46,7 @@ func (v Violation) String() string {
 // it counts as live there. Delivered counts are what the engine records —
 // a message sent to a peer that halted in an earlier round is dropped
 // unread and uncounted — so delivered ≤ sent and the checks are sound.
-func Check(c dist.Contract, directedEdges int, st *runtime.Stats) []Violation {
+func check(c dist.Contract, directedEdges int, st *runtime.Stats) []Violation {
 	var out []Violation
 	if c.MaxRounds > 0 && st.Rounds > c.MaxRounds {
 		out = append(out, Violation{Rule: "rounds", Got: st.Rounds, Limit: c.MaxRounds})

@@ -59,7 +59,7 @@ func TestCheckFiresOnViolatingMachine(t *testing.T) {
 	}
 
 	byRule := map[string][]Violation{}
-	for _, v := range Check(dist.GreedyContract(g.K()), len(g.Halves()), st) {
+	for _, v := range check(dist.GreedyContract(g.K()), len(g.Halves()), st) {
 		byRule[v.Rule] = append(byRule[v.Rule], v)
 	}
 
@@ -99,7 +99,7 @@ func TestCheckPerEdgeRule(t *testing.T) {
 		Traffic:   []runtime.RoundTraffic{{Round: 1, Messages: 5, Bytes: 5}},
 	}
 	c := dist.Contract{Algo: "synthetic", MsgsPerEdgeRound: 1}
-	vs := Check(c, 4, st)
+	vs := check(c, 4, st)
 	if len(vs) != 1 || vs[0].Rule != "msgs-per-edge" || vs[0].Got != 5 || vs[0].Limit != 4 {
 		t.Fatalf("Check = %v, want one msgs-per-edge violation got 5 limit 4", vs)
 	}
@@ -109,13 +109,13 @@ func TestCheckPerEdgeRule(t *testing.T) {
 // record cannot be verified and must not pass silently.
 func TestCheckRejectsMissingHistogram(t *testing.T) {
 	st := &runtime.Stats{Rounds: 2, Messages: 7, HaltTimes: []int{2}}
-	vs := Check(dist.GreedyContract(8), 10, st)
+	vs := check(dist.GreedyContract(8), 10, st)
 	if len(vs) != 1 || vs[0].Limit != 0 {
 		t.Fatalf("Check = %v, want one unverifiable-run violation", vs)
 	}
 	// A genuinely silent run (0 rounds, 0 messages) conforms trivially.
 	quiet := &runtime.Stats{HaltTimes: []int{0}}
-	if vs := Check(dist.GreedyContract(8), 10, quiet); len(vs) != 0 {
+	if vs := check(dist.GreedyContract(8), 10, quiet); len(vs) != 0 {
 		t.Fatalf("silent run flagged: %v", vs)
 	}
 }
@@ -145,7 +145,7 @@ func TestCheckAcceptsConformingRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", sc.Name, tc.algo, err)
 		}
-		if vs := Check(a.Contract(g), len(g.Halves()), st); len(vs) != 0 {
+		if vs := check(a.Contract(g), len(g.Halves()), st); len(vs) != 0 {
 			t.Errorf("%s/%s: unexpected violations: %v", sc.Name, tc.algo, vs)
 		}
 	}
@@ -154,7 +154,7 @@ func TestCheckAcceptsConformingRuns(t *testing.T) {
 // checkDense is the bounds check over the dense per-round histogram: it
 // walks every round 1…Rounds, silent ones included, with the live counts
 // of a halt-time suffix sum over all rounds. It is the reference the
-// sparse Check must reproduce.
+// sparse check must reproduce.
 func checkDense(c dist.Contract, directedEdges int, st *runtime.Stats) []Violation {
 	var out []Violation
 	if c.MaxRounds > 0 && st.Rounds > c.MaxRounds {
@@ -255,7 +255,7 @@ func (m *burstMachine) Halted() bool      { return m.halted }
 func (m *burstMachine) Output() mm.Output { return mm.Bottom }
 
 // TestCheckSparseMatchesDense runs bursty protocols on random instances
-// and requires Check, which walks only the recorded rounds, to return
+// and requires check, which walks only the recorded rounds, to return
 // exactly the violations of the dense reference walk, under contracts
 // tight enough that each rule fires across the trials.
 func TestCheckSparseMatchesDense(t *testing.T) {
@@ -282,7 +282,7 @@ func TestCheckSparseMatchesDense(t *testing.T) {
 			{MsgsPerNodeRound: 1, MsgsPerEdgeRound: 1, MaxMessageBytes: 2, MaxRounds: 6},
 		} {
 			for _, edges := range []int{de, de / 4} {
-				got, want := Check(c, edges, st), checkDense(c, edges, st)
+				got, want := check(c, edges, st), checkDense(c, edges, st)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d contract %+v edges %d: Check = %v, dense reference = %v", trial, c, edges, got, want)
 				}

@@ -9,7 +9,7 @@
 //
 // A sweep is described by a Config: one or more grid specs in the
 // internal/gen range DSL ("matching-union:n=4096..65536,k=16..1024"), a
-// list of algorithm names from the Algos registry (greedy, reduced,
+// list of algorithm names from the algos registry (greedy, reduced,
 // proposal, bipartite), and a repetition count. gen.ParseGrid expands each
 // spec into its parameter cross product; the driver crosses that with the
 // algorithms and repetitions to form cells. Every cell derives its instance
@@ -24,12 +24,11 @@
 // Stream is the driver's one entry point. Cells fan out over
 // Config.CellWorkers goroutines; completed Results pass through a small
 // reorder window keyed by cell index that restores grid order — a worker
-// may not start cell i until the emission frontier is within
-// Config.ReorderWindow of it, so the driver never buffers more than a
-// window of rows NO MATTER how many cells the grid expands to, and the
-// driver drops each row the moment its sink call returns. That is the
-// bounded-memory guarantee: driver-side memory
-// is window × row size, independent of cell count and instance size
+// may not start cell i until the emission frontier is within one window of
+// it, so the driver never buffers more than a window of rows NO MATTER how
+// many cells the grid expands to, and the driver drops each row the moment
+// its sink call returns. That is the bounded-memory guarantee: driver-side
+// memory is window × row size, independent of cell count and instance size
 // (tests pin PeakBuffered ≤ window with a regular:n=1048576 cell in the
 // grid). Sinks compose via MultiSink: JSONLSink writes and flushes one
 // line per row, AggregateSink folds per-(family, algorithm) totals,
@@ -70,15 +69,15 @@
 //
 // # Machine-checked bounds
 //
-// Check evaluates a dist.Contract — the per-machine constants for message,
-// byte and round budgets — against a runtime.Stats: greedy sends at most
-// one message per live node per round within Lemma 1's k−1 rounds, the
-// reduction phases at most one colour list (≤ Δ entries) per directed edge
-// per round within dist.TotalRounds, the proposal baseline finishes within
-// the proven n rounds (see ProposalContract's derivation), bipartite
-// within 2Δ+3. Violations come back as structured values naming the rule,
-// the round and the numbers, and ride along in the Result rows rather than
-// being printed.
+// The bounds check (Config.CheckBounds) evaluates a dist.Contract — the
+// per-machine constants for message, byte and round budgets — against a
+// runtime.Stats: greedy sends at most one message per live node per round
+// within Lemma 1's k−1 rounds, the reduction phases at most one colour
+// list (≤ Δ entries) per directed edge per round within dist.TotalRounds,
+// the proposal baseline finishes within the proven n rounds (see
+// ProposalContract's derivation), bipartite within 2Δ+3. Violations come
+// back as structured values naming the rule, the round and the numbers,
+// and ride along in the Result rows rather than being printed.
 //
 // # Results
 //

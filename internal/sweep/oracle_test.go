@@ -49,12 +49,12 @@ func decodeInstance(data []byte) (*graph.Graph, []int) {
 // no code with the engine: graph.CheckMatching (the output is a maximal
 // matching), graph.SequentialGreedy (greedy's output is the paper's
 // sequential greedy in colour order), and the algorithm's dist.Contract via
-// Check (round and message budgets, including greedy's k−1 rounds and the
+// check (round and message budgets, including greedy's k−1 rounds and the
 // reduction's TotalRounds). The runs must also agree with one another.
 func checkOracles(t *testing.T, g *graph.Graph, labels []int) {
 	t.Helper()
 	want := graph.SequentialGreedy(g, nil)
-	for _, a := range Algos() {
+	for _, a := range algos() {
 		if a.NeedsLabels && labels == nil {
 			continue
 		}
@@ -71,7 +71,7 @@ func checkOracles(t *testing.T, g *graph.Graph, labels []int) {
 			if a.Name == "greedy" && !slices.Equal(outs, want) {
 				t.Fatalf("greedy workers=%d: output %v differs from sequential greedy %v", workers, outs, want)
 			}
-			if vs := Check(a.Contract(g), len(g.Halves()), st); len(vs) != 0 {
+			if vs := check(a.Contract(g), len(g.Halves()), st); len(vs) != 0 {
 				t.Fatalf("%s workers=%d: contract violations: %v", a.Name, workers, vs)
 			}
 			if first == nil {

@@ -16,7 +16,7 @@ import (
 // histogram at extreme round counts).
 const maxRowBytes = 1 << 26
 
-// ResumeState is what ScanRows recovers from an existing JSONL sweep
+// ResumeState is what scanRows recovers from an existing JSONL sweep
 // output.
 type ResumeState struct {
 	// ValidSize is the byte offset just past the last complete row. A
@@ -60,7 +60,7 @@ func (e *MismatchError) Error() string {
 		e.Field, where, e.Want, e.Got)
 }
 
-// ScannedRow is one complete JSONL row seen by ScanRows: its canonical
+// ScannedRow is one complete JSONL row seen by scanRows: its canonical
 // identity, the fields resume and merge verification depend on, and the
 // raw bytes. Line includes the terminating newline and is only valid for
 // the duration of the callback — a consumer that retains it must copy.
@@ -76,7 +76,7 @@ type ScannedRow struct {
 	Line   []byte
 }
 
-// ScanRows walks the complete rows of a JSONL sweep output in file order,
+// scanRows walks the complete rows of a JSONL sweep output in file order,
 // calling fn for each, and returns the recovered ResumeState. A torn
 // final line — the usual debris of a killed run — ends the scan cleanly
 // without a callback; a complete row that is not valid JSON or lacks the
@@ -87,7 +87,7 @@ type ScannedRow struct {
 // (scan for the state only); a non-nil error from fn aborts the scan and
 // is returned verbatim, so callers can layer their own verification
 // (ScanPlan checks the rows against a sweep's plan this way).
-func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
+func scanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 	var state ResumeState
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
@@ -157,7 +157,7 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 	}
 }
 
-// ScanPlan is ScanRows holding the file to plan, the cells of one sweep
+// ScanPlan is scanRows holding the file to plan, the cells of one sweep
 // run in canonical order: complete row i must carry plan[i]'s ID and seed.
 // A row naming another cell, or one past the end of the plan, is refused
 // with a *MismatchError{Field: "cell"}; a row whose seed differs, with
@@ -167,7 +167,7 @@ func ScanRows(r io.Reader, fn func(ScannedRow) error) (ResumeState, error) {
 // byte for byte. fn, when non-nil, sees each row after it passes.
 func ScanPlan(r io.Reader, plan []CellInfo, fn func(ScannedRow) error) (ResumeState, error) {
 	i := 0 // rows verified so far
-	return ScanRows(r, func(row ScannedRow) error {
+	return scanRows(r, func(row ScannedRow) error {
 		mm := &MismatchError{Field: "cell", Offset: row.Offset, Want: row.ID}
 		switch {
 		case i == len(plan):
@@ -268,11 +268,11 @@ func (o *Output) Close() error {
 // DecodeRows replays an existing JSONL sweep output through a sink, row by
 // row, in file order — the bridge from merged shard files back to the
 // aggregate and violations sinks a live stream would have fed. Unlike
-// ScanRows it refuses a torn tail: a merged artefact must be complete, so
+// scanRows it refuses a torn tail: a merged artefact must be complete, so
 // trailing bytes past the last complete row are an error, not debris.
 func DecodeRows(r io.Reader, sink Sink) (int, error) {
 	cr := &countingReader{r: r}
-	state, err := ScanRows(cr, func(row ScannedRow) error {
+	state, err := scanRows(cr, func(row ScannedRow) error {
 		var res Result
 		if err := json.Unmarshal(row.Line, &res); err != nil {
 			return fmt.Errorf("sweep: row at offset %d: %w", row.Offset, err)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestReadCompletedTornTail: at interruption points across a real sweep
-// output, ScanRows recovers exactly the complete rows and an offset that
+// output, scanRows recovers exactly the complete rows and an offset that
 // cuts the torn tail. (TestScanPlanResumesEveryPrefix resumes from each.)
 func TestReadCompletedTornTail(t *testing.T) {
 	cfg := tinyConfig()
@@ -20,7 +20,7 @@ func TestReadCompletedTornTail(t *testing.T) {
 	lines = lines[:len(lines)-1] // trailing empty split
 
 	for _, cut := range []int{0, 1, len(full) / 3, len(full) / 2, len(full) - 2, len(full)} {
-		state, err := ScanRows(bytes.NewReader(full[:cut]), nil)
+		state, err := scanRows(bytes.NewReader(full[:cut]), nil)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -67,7 +67,7 @@ func TestReadCompletedIDsMatchCells(t *testing.T) {
 	}
 }
 
-// TestReadCompletedRejectsGarbage: under ScanRows, complete rows that are not sweep
+// TestReadCompletedRejectsGarbage: under scanRows, complete rows that are not sweep
 // results fail loudly instead of silently resuming over a wrong file.
 func TestReadCompletedRejectsGarbage(t *testing.T) {
 	for name, in := range map[string]string{
@@ -78,37 +78,37 @@ func TestReadCompletedRejectsGarbage(t *testing.T) {
 		if name == "missing newline" {
 			continue
 		}
-		if _, err := ScanRows(strings.NewReader(in), nil); err == nil {
+		if _, err := scanRows(strings.NewReader(in), nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// An empty file is a valid zero-state resume.
-	state, err := ScanRows(strings.NewReader(""), nil)
+	state, err := scanRows(strings.NewReader(""), nil)
 	if err != nil || state.Rows != 0 || state.ValidSize != 0 {
 		t.Errorf("empty file: state=%+v err=%v", state, err)
 	}
 	// A complete JSON row with no trailing newline is re-emitted (the kill
 	// landed between the row and its \n): excluded from the valid region.
 	one := `{"scenario":"path","params":"k=2,n=8","algo":"greedy","rep":0}`
-	state, err = ScanRows(strings.NewReader(one), nil)
+	state, err = scanRows(strings.NewReader(one), nil)
 	if err != nil || state.Rows != 0 || state.ValidSize != 0 {
 		t.Errorf("newline-less row: state=%+v err=%v", state, err)
 	}
 	// With the newline it counts.
 	var id string
-	state, err = ScanRows(strings.NewReader(one+"\n"), func(r ScannedRow) error { id = r.ID; return nil })
+	state, err = scanRows(strings.NewReader(one+"\n"), func(r ScannedRow) error { id = r.ID; return nil })
 	if err != nil || state.Rows != 1 || id != "path:k=2,n=8/greedy/rep0" {
 		t.Errorf("complete row: state=%+v err=%v", state, err)
 	}
 }
 
-// TestReadCompletedLongRow: under ScanRows, rows longer than the scan buffer (64 KiB) are
+// TestReadCompletedLongRow: under scanRows, rows longer than the scan buffer (64 KiB) are
 // assembled across chunks — the bounded reader enforces maxRowBytes during
 // the read without breaking legitimately large histogram rows.
 func TestReadCompletedLongRow(t *testing.T) {
 	pad := strings.Repeat("x", 100_000)
 	row := `{"scenario":"path","params":"k=2,n=8","algo":"greedy","rep":0,"pad":"` + pad + `"}` + "\n"
-	state, err := ScanRows(strings.NewReader(row), nil)
+	state, err := scanRows(strings.NewReader(row), nil)
 	if err != nil || state.Rows != 1 {
 		t.Fatalf("long row rejected: state=%+v err=%v", state, err)
 	}
@@ -117,7 +117,7 @@ func TestReadCompletedLongRow(t *testing.T) {
 	}
 }
 
-// TestReadCompletedBuilderMixing: under ScanRows, a row tagged by the retired sharded
+// TestReadCompletedBuilderMixing: under scanRows, a row tagged by the retired sharded
 // builder names an instance this tree cannot rebuild, so any file holding
 // one — alone or after untagged rows — is refused with a builder
 // MismatchError pointing at that row. A torn tagged tail is debris, not a
@@ -133,13 +133,13 @@ func TestReadCompletedBuilderMixing(t *testing.T) {
 		"after seq": {seq + shard, int64(len(seq))},
 		"first":     {shard + seq, 0},
 	} {
-		_, err := ScanRows(strings.NewReader(tc.data), nil)
+		_, err := scanRows(strings.NewReader(tc.data), nil)
 		var mm *MismatchError
 		if !errors.As(err, &mm) || mm.Field != "builder" || mm.Offset != tc.offset || mm.Cell != "path:k=2,n=16/greedy/rep0" {
 			t.Errorf("%s: err = %v, want a builder MismatchError at offset %d", name, err, tc.offset)
 		}
 	}
-	state, err := ScanRows(strings.NewReader(seq+strings.TrimSuffix(shard, "\n")), nil)
+	state, err := scanRows(strings.NewReader(seq+strings.TrimSuffix(shard, "\n")), nil)
 	if err != nil || state.Rows != 1 || state.ValidSize != int64(len(seq)) {
 		t.Errorf("torn tagged tail: state=%+v err=%v", state, err)
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// These tests pin the ScanRows callback contract on the boundary shapes a
+// These tests pin the scanRows callback contract on the boundary shapes a
 // killed writer actually produces: empty files, files ending exactly on a
 // newline, a single torn row, and rows longer than the scanner's initial
 // 64 KiB buffer. The TestReadCompleted* tests cover the recovered state;
@@ -24,7 +24,7 @@ func scanRow(rep int) string {
 
 func TestScanRowsEmptyFile(t *testing.T) {
 	calls := 0
-	state, err := ScanRows(strings.NewReader(""), func(ScannedRow) error {
+	state, err := scanRows(strings.NewReader(""), func(ScannedRow) error {
 		calls++
 		return nil
 	})
@@ -43,7 +43,7 @@ func TestScanRowsNewlineBoundaryEnd(t *testing.T) {
 	input := scanRow(0) + scanRow(1) + scanRow(2)
 	var offsets []int64
 	var seeds []int64
-	state, err := ScanRows(strings.NewReader(input), func(r ScannedRow) error {
+	state, err := scanRows(strings.NewReader(input), func(r ScannedRow) error {
 		offsets = append(offsets, r.Offset)
 		seeds = append(seeds, r.Seed)
 		if !strings.HasSuffix(string(r.Line), "\n") {
@@ -78,7 +78,7 @@ func TestScanRowsSingleTornRow(t *testing.T) {
 		"full, no \\n": strings.TrimSuffix(scanRow(0), "\n"),
 	} {
 		calls := 0
-		state, err := ScanRows(strings.NewReader(frag), func(ScannedRow) error {
+		state, err := scanRows(strings.NewReader(frag), func(ScannedRow) error {
 			calls++
 			return nil
 		})
@@ -92,7 +92,7 @@ func TestScanRowsSingleTornRow(t *testing.T) {
 	// A whitespace-only tail without its newline is torn debris as well:
 	// no row, no callback, and ValidSize stays on the row boundary before
 	// it, so a resumed writer never appends after stray bytes.
-	state, err := ScanRows(strings.NewReader("   "), func(ScannedRow) error {
+	state, err := scanRows(strings.NewReader("   "), func(ScannedRow) error {
 		t.Fatal("callback fired on whitespace")
 		return nil
 	})
@@ -109,7 +109,7 @@ func TestScanRowsRowLongerThanInitialBuffer(t *testing.T) {
 	big := `{"scenario":"path","params":"k=2,n=8","algo":"greedy","rep":7,"seed":42,"pad":"` + pad + `"}` + "\n"
 	input := big + scanRow(8)
 	var got []ScannedRow
-	state, err := ScanRows(strings.NewReader(input), func(r ScannedRow) error {
+	state, err := scanRows(strings.NewReader(input), func(r ScannedRow) error {
 		got = append(got, ScannedRow{ID: r.ID, Offset: r.Offset, Line: append([]byte(nil), r.Line...)})
 		return nil
 	})
@@ -134,7 +134,7 @@ func TestScanRowsCallbackErrorAborts(t *testing.T) {
 	sentinel := errors.New("stop here")
 	input := scanRow(0) + scanRow(1) + scanRow(2)
 	calls := 0
-	state, err := ScanRows(strings.NewReader(input), func(r ScannedRow) error {
+	state, err := scanRows(strings.NewReader(input), func(r ScannedRow) error {
 		if calls++; calls == 2 {
 			return sentinel
 		}
@@ -152,7 +152,7 @@ func TestScanRowsCallbackErrorAborts(t *testing.T) {
 	}
 }
 
-// FuzzScanRows drives arbitrary bytes through ScanRows, the scanner every
+// FuzzScanRows drives arbitrary bytes through scanRows, the scanner every
 // -resume, shard-worker restart and merge trusts. It must never panic. On
 // success ValidSize must lie within the input and land on a row boundary
 // (0, or just after a newline), every row the callback sees must be the
@@ -162,7 +162,7 @@ func TestScanRowsCallbackErrorAborts(t *testing.T) {
 // builder.
 func FuzzScanRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		state, err := ScanRows(bytes.NewReader(data), func(r ScannedRow) error {
+		state, err := scanRows(bytes.NewReader(data), func(r ScannedRow) error {
 			end := r.Offset + int64(len(r.Line))
 			if r.Offset < 0 || end > int64(len(data)) || !bytes.Equal(data[r.Offset:end], r.Line) {
 				t.Fatalf("row %s at offset %d is not the input's bytes there", r.ID, r.Offset)
@@ -181,7 +181,7 @@ func FuzzScanRows(f *testing.F) {
 		if state.ValidSize > 0 && data[state.ValidSize-1] != '\n' {
 			t.Fatalf("ValidSize %d is not a row boundary", state.ValidSize)
 		}
-		again, err := ScanRows(bytes.NewReader(data[:state.ValidSize]), nil)
+		again, err := scanRows(bytes.NewReader(data[:state.ValidSize]), nil)
 		if err != nil {
 			t.Fatalf("re-scanning the valid prefix failed: %v", err)
 		}

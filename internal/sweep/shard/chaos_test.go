@@ -39,19 +39,19 @@ func chaosTrajectory(inj *FaultInjector, perShard []int, maxAttempts int) (kills
 	for s := range perShard {
 		completed, done := 0, false
 		for a := 0; a < maxAttempts && !done; a++ {
-			fault, at := FaultNone, -1
+			fault, at := faultNone, -1
 			for c := 0; c < perShard[s]-completed; c++ {
-				if d := inj.Decide(s, a, c); d != FaultNone {
+				if d := inj.Decide(s, a, c); d != faultNone {
 					fault, at = d, c
 					break
 				}
 			}
-			if fault == FaultNone {
+			if fault == faultNone {
 				done = true
 				continue
 			}
 			completed += at
-			if fault == FaultKill {
+			if fault == faultKill {
 				kills++
 			} else {
 				hangs++

@@ -63,7 +63,7 @@ func (h *execHandle) wait() {
 	err := h.cmd.Wait()
 	var xe *exec.ExitError
 	if errors.As(err, &xe) && xe.ExitCode() == 2 {
-		err = &Permanent{Err: err}
+		err = &permanent{Err: err}
 	}
 	h.done <- err
 }

@@ -14,7 +14,7 @@ import (
 // the registry records exactly that: restarts, lease expiries, completed
 // backoff waits, and the per-shard attempt ordinals.
 func TestSupervisorMetricsFaultHistory(t *testing.T) {
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		switch {
 		case shardIdx == 0 && attempt < 2:
 			return fmt.Errorf("simulated crash on attempt %d", attempt)
@@ -69,7 +69,7 @@ func TestSupervisorMetricsFaultHistory(t *testing.T) {
 // no faults still exposes every family, at zero — an absent series and a
 // zero series mean different things to a scraper.
 func TestSupervisorMetricsFaultFreeZeroes(t *testing.T) {
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		return nil
 	})
 	reg := obs.NewRegistry()

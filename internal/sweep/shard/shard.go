@@ -81,26 +81,26 @@ type Fault int
 // The injectable faults: nothing, SIGKILL the worker, or stall it past the
 // supervisor's lease timeout.
 const (
-	FaultNone Fault = iota
-	FaultKill
-	FaultHang
+	faultNone Fault = iota
+	faultKill
+	faultHang
 )
 
 // String renders the fault for logs.
 func (f Fault) String() string {
 	switch f {
-	case FaultKill:
+	case faultKill:
 		return "kill"
-	case FaultHang:
+	case faultHang:
 		return "hang"
 	}
 	return "none"
 }
 
-// ErrInjectedKill is what an overridden Kill hook surfaces: the in-process
+// errInjectedKill is what an overridden Kill hook surfaces: the in-process
 // stand-in for a SIGKILL, aborting the worker's stream at the injection
 // point.
-var ErrInjectedKill = errors.New("shard: injected worker kill")
+var errInjectedKill = errors.New("shard: injected worker kill")
 
 // FaultInjector kills or stalls workers at seeded random cells. Decisions
 // are value-derived — a pure function of (Seed, shard, attempt, cell) —
@@ -122,7 +122,7 @@ type FaultInjector struct {
 	// Kill overrides the kill action for in-process workers: the default
 	// (nil) SIGKILLs the whole process, which is correct for fork/exec
 	// workers and fatal for everyone else. An override is called once and
-	// then the injection point returns ErrInjectedKill.
+	// then the injection point returns errInjectedKill.
 	Kill func()
 }
 
@@ -132,33 +132,33 @@ type FaultInjector struct {
 // running it for real.
 func (f *FaultInjector) Decide(shardIdx, attempt, cell int) Fault {
 	if f == nil {
-		return FaultNone
+		return faultNone
 	}
 	u := unit(gen.SubSeed(f.Seed, "chaos",
 		strconv.Itoa(shardIdx), strconv.Itoa(attempt), strconv.Itoa(cell)))
 	switch {
 	case u < f.KillProb:
-		return FaultKill
+		return faultKill
 	case u < f.KillProb+f.HangProb:
-		return FaultHang
+		return faultHang
 	}
-	return FaultNone
+	return faultNone
 }
 
 // BeforeCell enacts the draw for this emission point: a kill never returns
 // (the process is SIGKILLed; with an overridden Kill hook it returns
-// ErrInjectedKill), a hang sleeps Hang or until ctx is cancelled — the
+// errInjectedKill), a hang sleeps Hang or until ctx is cancelled — the
 // in-process analogue of the supervisor SIGKILLing a hung worker.
 func (f *FaultInjector) BeforeCell(ctx context.Context, shardIdx, attempt, cell int) error {
 	switch f.Decide(shardIdx, attempt, cell) {
-	case FaultKill:
+	case faultKill:
 		if f.Kill != nil {
 			f.Kill()
-			return ErrInjectedKill
+			return errInjectedKill
 		}
 		_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		select {} // unreachable: SIGKILL cannot be caught, blocked, or ignored
-	case FaultHang:
+	case faultHang:
 		select {
 		case <-time.After(f.Hang):
 		case <-ctx.Done():

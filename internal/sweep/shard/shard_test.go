@@ -90,9 +90,9 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 			differsByAttempt = true
 		}
 		switch d {
-		case FaultKill:
+		case faultKill:
 			kills++
-		case FaultHang:
+		case faultHang:
 			hangs++
 		}
 	}
@@ -106,7 +106,7 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 		t.Errorf("hang rate %d/%d far from 0.1", hangs, n)
 	}
 	var nilInj *FaultInjector
-	if nilInj.Decide(0, 0, 0) != FaultNone {
+	if nilInj.Decide(0, 0, 0) != faultNone {
 		t.Error("nil injector injected a fault")
 	}
 	if err := nilInj.BeforeCell(context.Background(), 0, 0, 0); err != nil {
@@ -115,12 +115,12 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 }
 
 // TestFaultInjectorKillHook: an overridden Kill hook fires once and the
-// injection point surfaces ErrInjectedKill — the in-process kill path.
+// injection point surfaces errInjectedKill — the in-process kill path.
 func TestFaultInjectorKillHook(t *testing.T) {
 	fired := 0
 	inj := &FaultInjector{Seed: 1, KillProb: 1, Kill: func() { fired++ }}
-	if err := inj.BeforeCell(context.Background(), 0, 0, 0); err != ErrInjectedKill {
-		t.Fatalf("err = %v, want ErrInjectedKill", err)
+	if err := inj.BeforeCell(context.Background(), 0, 0, 0); err != errInjectedKill {
+		t.Fatalf("err = %v, want errInjectedKill", err)
 	}
 	if fired != 1 {
 		t.Fatalf("Kill hook fired %d times", fired)

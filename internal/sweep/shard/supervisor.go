@@ -18,26 +18,26 @@ import (
 const (
 	DefaultLeaseTimeout = 30 * time.Second
 	DefaultMaxAttempts  = 5
-	DefaultBackoffBase  = 250 * time.Millisecond
-	DefaultBackoffMax   = 10 * time.Second
+	defaultBackoffBase  = 250 * time.Millisecond
+	defaultBackoffMax   = 10 * time.Second
 )
 
-// Permanent wraps a worker failure that restarting cannot fix — a
+// permanent wraps a worker failure that restarting cannot fix — a
 // configuration mismatch against existing shard rows, reported by exit
 // code 2 from a fork/exec worker or a *sweep.MismatchError from an
 // in-process one. The supervisor stops retrying the shard, cancels its
 // siblings, and fails the run.
-type Permanent struct{ Err error }
+type permanent struct{ Err error }
 
 // Error implements error.
-func (p *Permanent) Error() string { return fmt.Sprintf("permanent worker failure: %v", p.Err) }
+func (p *permanent) Error() string { return fmt.Sprintf("permanent worker failure: %v", p.Err) }
 
 // Unwrap exposes the underlying failure.
-func (p *Permanent) Unwrap() error { return p.Err }
+func (p *permanent) Unwrap() error { return p.Err }
 
 // IsPermanent reports whether err is a failure restarts cannot fix.
 func IsPermanent(err error) bool {
-	var p *Permanent
+	var p *permanent
 	var mm *sweep.MismatchError
 	return errors.As(err, &p) || errors.As(err, &mm)
 }
@@ -56,7 +56,7 @@ func (e *errLeaseExpired) Error() string {
 // Handle is a running worker attempt as the supervisor sees it.
 type Handle interface {
 	// Done delivers the attempt's exit status exactly once: nil for a
-	// completed shard, *Permanent for a failure restarts cannot fix, any
+	// completed shard, *permanent for a failure restarts cannot fix, any
 	// other error for a crash worth retrying.
 	Done() <-chan error
 	// Kill hard-stops a hung worker (SIGKILL for processes, context
@@ -74,7 +74,7 @@ type Launcher func(ctx context.Context, shardIdx, attempt int) (Handle, error)
 // (crashed, killed, or SIGKILLed by chaos) is relaunched after an
 // exponentially backed-off, deterministically jittered delay, resuming
 // its shard file through the ordinary resume machinery. Failures that
-// restarting cannot fix (Permanent / sweep.MismatchError) stop the run
+// restarting cannot fix (permanent / sweep.MismatchError) stop the run
 // immediately; a shard that keeps dying is abandoned after MaxAttempts and
 // fails the run, cancelling its siblings — their shard files remain valid
 // resumable prefixes.
@@ -95,7 +95,7 @@ type Supervisor struct {
 	// MaxAttempts bounds launches per shard (0 = DefaultMaxAttempts).
 	MaxAttempts int
 	// BackoffBase doubles per consecutive failure up to BackoffMax
-	// (0 = DefaultBackoffBase/DefaultBackoffMax).
+	// (0 = defaultBackoffBase/defaultBackoffMax).
 	BackoffBase, BackoffMax time.Duration
 	// Seed drives the backoff jitter — deterministic, so a supervised
 	// run's restart schedule is reproducible.
@@ -268,10 +268,10 @@ func fileSize(path string) int64 {
 func (s *Supervisor) backoff(shardIdx, attempt int) time.Duration {
 	base, max := s.BackoffBase, s.BackoffMax
 	if base <= 0 {
-		base = DefaultBackoffBase
+		base = defaultBackoffBase
 	}
 	if max <= 0 {
-		max = DefaultBackoffMax
+		max = defaultBackoffMax
 	}
 	d := base
 	for i := 1; i < attempt && d < max; i++ {
@@ -293,36 +293,3 @@ func (s *Supervisor) logf(format string, args ...any) {
 	defer s.logMu.Unlock()
 	fmt.Fprintf(s.Log, "supervisor: "+format+"\n", args...)
 }
-
-// GoLauncher adapts an in-process worker function into a Launcher — the
-// topology the package's tests use. Each attempt runs as a
-// goroutine under its own cancellable context; Kill cancels it, which is
-// the in-process analogue of SIGKILL: the worker's stream aborts at its
-// next cell boundary and the shard file is left a clean resumable prefix.
-func GoLauncher(run func(ctx context.Context, shardIdx, attempt int) error) Launcher {
-	return func(ctx context.Context, shardIdx, attempt int) (Handle, error) {
-		wctx, cancel := context.WithCancel(ctx)
-		h := &goHandle{
-			done:   make(chan error, 1),
-			cancel: cancel,
-		}
-		go func() {
-			err := run(wctx, shardIdx, attempt)
-			if err != nil && !IsPermanent(err) {
-				// Keep mismatches permanent; everything else retries.
-				err = fmt.Errorf("worker: %w", err)
-			}
-			h.done <- err
-		}()
-		return h, nil
-	}
-}
-
-// goHandle is the in-process worker handle.
-type goHandle struct {
-	done   chan error
-	cancel context.CancelFunc
-}
-
-func (h *goHandle) Done() <-chan error { return h.done }
-func (h *goHandle) Kill()              { h.cancel() }

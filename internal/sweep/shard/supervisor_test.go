@@ -36,7 +36,7 @@ func quickSupervisor(t *testing.T, n int, launch Launcher) *Supervisor {
 // attempt sequence is visible to the launcher.
 func TestSupervisorRestartsCrashedWorker(t *testing.T) {
 	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		atomic.AddInt32(&launches, 1)
 		if attempt < 2 {
 			return fmt.Errorf("simulated crash on attempt %d", attempt)
@@ -57,7 +57,7 @@ func TestSupervisorRestartsCrashedWorker(t *testing.T) {
 // cancellation), not linger.
 func TestSupervisorLeaseTimeoutKillsHungWorker(t *testing.T) {
 	var hungSawKill atomic.Bool
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		if attempt == 0 {
 			<-ctx.Done() // hang: no progress until killed
 			hungSawKill.Store(true)
@@ -92,7 +92,7 @@ func superviseSlowWriter(t *testing.T, sup *Supervisor, rows int, every time.Dur
 	t.Helper()
 	var launches atomic.Int32
 	path := Path(sup.Out, 0, 1)
-	sup.Launch = GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	sup.Launch = goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		launches.Add(1)
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
@@ -154,7 +154,7 @@ func TestSupervisorShrinkRenewsLease(t *testing.T) {
 // cancelled rather than run to completion.
 func TestSupervisorPermanentStopsRetrying(t *testing.T) {
 	var launches0, kills1 int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		if shardIdx == 0 {
 			atomic.AddInt32(&launches0, 1)
 			return &sweep.MismatchError{Field: "seed", Cell: "x", Want: "1", Got: "2"}
@@ -180,7 +180,7 @@ func TestSupervisorPermanentStopsRetrying(t *testing.T) {
 // abandoned with an error naming the attempt budget and the last failure.
 func TestSupervisorGivesUpAfterMaxAttempts(t *testing.T) {
 	var launches int32
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		atomic.AddInt32(&launches, 1)
 		return fmt.Errorf("always down")
 	})
@@ -232,7 +232,7 @@ func TestSupervisorEndToEndInProcess(t *testing.T) {
 	const n = 4
 	paths := Paths(filepath.Join(dir, "sweep.jsonl"), n)
 
-	launch := GoLauncher(func(ctx context.Context, shardIdx, attempt int) error {
+	launch := goLauncher(func(ctx context.Context, shardIdx, attempt int) error {
 		switch {
 		case shardIdx == 1 && attempt == 0:
 			// Crash, leaving the SIGKILL debris of a torn half-row the
@@ -273,3 +273,36 @@ func TestSupervisorEndToEndInProcess(t *testing.T) {
 		t.Errorf("hang was not detected via the lease:\n%s", log.String())
 	}
 }
+
+// goLauncher adapts an in-process worker function into a Launcher — the
+// topology the package's tests use. Each attempt runs as a
+// goroutine under its own cancellable context; Kill cancels it, which is
+// the in-process analogue of SIGKILL: the worker's stream aborts at its
+// next cell boundary and the shard file is left a clean resumable prefix.
+func goLauncher(run func(ctx context.Context, shardIdx, attempt int) error) Launcher {
+	return func(ctx context.Context, shardIdx, attempt int) (Handle, error) {
+		wctx, cancel := context.WithCancel(ctx)
+		h := &goHandle{
+			done:   make(chan error, 1),
+			cancel: cancel,
+		}
+		go func() {
+			err := run(wctx, shardIdx, attempt)
+			if err != nil && !IsPermanent(err) {
+				// Keep mismatches permanent; everything else retries.
+				err = fmt.Errorf("worker: %w", err)
+			}
+			h.done <- err
+		}()
+		return h, nil
+	}
+}
+
+// goHandle is the in-process worker handle.
+type goHandle struct {
+	done   chan error
+	cancel context.CancelFunc
+}
+
+func (h *goHandle) Done() <-chan error { return h.done }
+func (h *goHandle) Kill()              { h.cancel() }

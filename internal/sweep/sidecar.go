@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,7 +17,7 @@ import (
 // smaller than the plain nested arrays: consecutive rounds of one run have
 // slowly-shrinking traffic, so most deltas fit one or two bytes.
 //
-// The sink is opt-in (mmsweep -perround-sidecar) and lossless: ReadSidecar
+// The sink is opt-in (mmsweep -perround-sidecar) and lossless: readSidecar
 // reassembles the exact [][2]int histograms of the cells one stream
 // executes. A sidecar is written fresh by one uninterrupted run, so
 // mmsweep refuses the flag (exit 2) with -resume, -shard, -supervise and
@@ -44,7 +43,7 @@ func (s *SidecarSink) Emit(r *Result) error {
 	if len(r.PerRound) == 0 {
 		return s.inner.Emit(r)
 	}
-	row := SidecarRow{ID: r.ID(), Rounds: len(r.PerRound), Packed: packPerRound(r.PerRound)}
+	row := sidecarRow{ID: r.ID(), Rounds: len(r.PerRound), Packed: packPerRound(r.PerRound)}
 	if err := s.enc.Encode(&row); err != nil {
 		return err
 	}
@@ -58,44 +57,17 @@ func (s *SidecarSink) Emit(r *Result) error {
 	return s.inner.Emit(&slim)
 }
 
-// SidecarRow is one sidecar line: the cell identity (matching Result.ID of
+// sidecarRow is one sidecar line: the cell identity (matching Result.ID of
 // the row it was split from) and its packed histogram.
-type SidecarRow struct {
+type sidecarRow struct {
 	ID     string `json:"id"`
 	Rounds int    `json:"rounds"`
 	Packed []byte `json:"packed,omitempty"`
 }
 
 // PerRound unpacks the row back into the histogram the Result carried.
-func (r *SidecarRow) PerRound() ([][2]int, error) {
+func (r *sidecarRow) PerRound() ([][2]int, error) {
 	return unpackPerRound(r.Packed, r.Rounds)
-}
-
-// ReadSidecar decodes a sidecar stream into cell-ID → histogram.
-func ReadSidecar(rd io.Reader) (map[string][][2]int, error) {
-	out := map[string][][2]int{}
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var row SidecarRow
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			return nil, fmt.Errorf("sidecar line %d: %w", line, err)
-		}
-		h, err := row.PerRound()
-		if err != nil {
-			return nil, fmt.Errorf("sidecar line %d (%s): %w", line, row.ID, err)
-		}
-		out[row.ID] = h
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // packPerRound encodes the histogram as interleaved zigzag-varint deltas:

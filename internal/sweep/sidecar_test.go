@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -68,7 +71,7 @@ func TestSidecarSinkSplitsRows(t *testing.T) {
 	if len(got.results) != len(ref.results) {
 		t.Fatalf("%d rows through sidecar, want %d", len(got.results), len(ref.results))
 	}
-	hist, err := ReadSidecar(&side)
+	hist, err := readSidecar(&side)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,4 +128,31 @@ func TestSidecarSinkLeavesOriginalIntact(t *testing.T) {
 	if len(r.PerRound) != 2 {
 		t.Fatal("sink mutated the driver-owned Result")
 	}
+}
+
+// readSidecar decodes a sidecar stream into cell-ID → histogram.
+func readSidecar(rd io.Reader) (map[string][][2]int, error) {
+	out := map[string][][2]int{}
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var row sidecarRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			return nil, fmt.Errorf("sidecar line %d: %w", line, err)
+		}
+		h, err := row.PerRound()
+		if err != nil {
+			return nil, fmt.Errorf("sidecar line %d (%s): %w", line, row.ID, err)
+		}
+		out[row.ID] = h
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -188,7 +188,7 @@ func TestMultiSinkErrorPropagation(t *testing.T) {
 	// The JSONL prefix: the failing row reached the sinks BEFORE the
 	// failing one, so the destination holds failAt+1 complete flushed rows
 	// and nothing after.
-	state, err := ScanRows(bytes.NewReader(jsonlBuf.Buffer.Bytes()), nil)
+	state, err := scanRows(bytes.NewReader(jsonlBuf.Buffer.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

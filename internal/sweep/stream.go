@@ -11,7 +11,7 @@ import (
 )
 
 // defaultReorderWindow bounds how many completed cells the stream driver
-// may hold ahead of the emission frontier when Config.ReorderWindow is 0:
+// may hold ahead of the emission frontier when Config.reorderWindow is 0:
 // twice the cell-worker count (at least 4), enough that workers rarely
 // stall on a straggler without ever buffering more than a handful of rows.
 func defaultReorderWindow(cellWorkers int) int {
@@ -40,13 +40,12 @@ type StreamStats struct {
 
 // Stream executes the sweep, delivering every cell's Result to the sink
 // strictly in cell order as cells complete. Cells fan out across
-// Config.CellWorkers goroutines; a small reorder window keyed by cell
-// index (Config.ReorderWindow) restores deterministic order — a worker may
-// not start cell i until the emission frontier is within the window, so
-// driver-side memory is bounded by the window size regardless of how many
-// cells the grid expands to. The driver holds no reference to a row once
-// its Emit returns, so a row outlives its emission only if the sink keeps
-// it.
+// Config.CellWorkers goroutines; a small reorder window keyed by cell index
+// restores deterministic order — a worker may not start cell i until the
+// emission frontier is within the window, so driver-side memory is bounded
+// by the window size regardless of how many cells the grid expands to. The
+// driver holds no reference to a row once its Emit returns, so a row
+// outlives its emission only if the sink keeps it.
 //
 // The first Config.Done cells of the run's range are skipped entirely:
 // because emission is in-order, an interrupted streaming run always leaves
@@ -83,7 +82,7 @@ func Stream(ctx context.Context, cfg Config, sink Sink) (StreamStats, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	window := cfg.ReorderWindow
+	window := cfg.reorderWindow
 	if window <= 0 {
 		window = defaultReorderWindow(workers)
 	}

@@ -21,7 +21,7 @@ func TestStreamMatchesRun(t *testing.T) {
 	cfg := tinyConfig()
 	want := runJSONL(t, cfg)
 	for _, window := range []int{0, 1, 3} {
-		cfg.ReorderWindow = window
+		cfg.reorderWindow = window
 		var buf bytes.Buffer
 		stats, err := streamJSONL(t, context.Background(), cfg, &buf)
 		if err != nil {
@@ -48,7 +48,7 @@ func TestStreamWindowBoundsBuffering(t *testing.T) {
 			Reps:          reps,
 			Seed:          1,
 			CellWorkers:   4,
-			ReorderWindow: 3,
+			reorderWindow: 3,
 		}
 		var buf bytes.Buffer
 		stats, err := streamJSONL(t, context.Background(), cfg, &buf)
@@ -120,7 +120,7 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 	// the output stays a prefix; later cells die on the cancelled context.
 	killed := cfg
 	killed.CellWorkers = 2
-	killed.ReorderWindow = 2
+	killed.reorderWindow = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var partial bytes.Buffer
@@ -302,7 +302,7 @@ func TestStreamMillionNodeCell(t *testing.T) {
 		Seed:          1,
 		CheckBounds:   true,
 		CellWorkers:   2,
-		ReorderWindow: 2,
+		reorderWindow: 2,
 	}
 	var buf bytes.Buffer
 	var agg AggregateSink

@@ -17,7 +17,7 @@ type Config struct {
 	// "matching-union:n=4096..65536,k=16..1024". Each expands to its
 	// parameter cross product.
 	Grids []string
-	// Algos are algorithm names from the Algos registry. Empty means
+	// Algos are algorithm names from the algos registry. Empty means
 	// greedy only.
 	Algos []string
 	// Reps is the number of seeded repetitions per (family, params, algo)
@@ -36,10 +36,11 @@ type Config struct {
 	// CheckBounds holds every execution's traffic against its algorithm's
 	// dist.Contract and records violations in the results.
 	CheckBounds bool
-	// ReorderWindow bounds how many completed cells Stream may buffer
-	// ahead of the emission frontier (0 = twice the cell workers, at least 4). It is the
-	// streaming driver's entire per-cell memory ceiling.
-	ReorderWindow int
+	// reorderWindow bounds how many completed cells Stream may buffer
+	// ahead of the emission frontier (0 = twice the cell workers, at least
+	// 4). It is the streaming driver's entire per-cell memory ceiling. Only
+	// the package's tests set it.
+	reorderWindow int
 	// Done is the number of cells at the start of the run's range (the
 	// Shard slice when Shard is set) whose rows are already on disk;
 	// Stream skips them without building or running anything and appends
@@ -153,7 +154,7 @@ type Result struct {
 	// PerRound is the histogram of [messages, bytes] per round, in round
 	// order — the raw data the bounds checker evaluated.
 	PerRound [][2]int `json:"per_round,omitempty"`
-	// Violations are the contract breaches found by Check; only populated
+	// Violations are the contract breaches found by check; only populated
 	// when Config.CheckBounds is set, and empty on a conforming run.
 	Violations []Violation `json:"violations,omitempty"`
 }
@@ -336,7 +337,7 @@ func runCell(cfg Config, c cell) (Result, error) {
 		res.Bytes += t.Bytes
 	}
 	if cfg.CheckBounds {
-		res.Violations = Check(c.algo.Contract(g), len(g.Halves()), st)
+		res.Violations = check(c.algo.Contract(g), len(g.Halves()), st)
 	}
 	return res, nil
 }

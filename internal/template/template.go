@@ -177,18 +177,10 @@ func (p *PickerFunc) Pick(t group.Word) []group.Color {
 	return v
 }
 
-// FullPicker returns the (k−h−1)-colour picker P(t) = F(T, τ, t) that picks
+// fullPicker returns the (k−h−1)-colour picker P(t) = F(T, τ, t) that picks
 // every free colour; extending by it yields the realisation (§3.5).
-func FullPicker(t *Template) Picker {
+func fullPicker(t *Template) Picker {
 	return NewPickerFunc(t.K()-t.h-1, t.FreeColors)
-}
-
-// ConstPicker returns a picker choosing the same colour set at every node.
-// Useful for tests and for the finite base-case templates of §3.8.
-func ConstPicker(colors ...group.Color) Picker {
-	set := make([]group.Color, len(colors))
-	copy(set, colors)
-	return NewPickerFunc(len(set), func(group.Word) []group.Color { return set })
 }
 
 // Disjoint reports whether two pickers are disjoint on the window of nodes
@@ -316,7 +308,7 @@ func Extend(t *Template, p Picker) *Extension {
 
 // Realise returns the realisation (V, p) = real(T, τ): the extension by the
 // full picker. V is always d-regular for d = k − 1.
-func Realise(t *Template) *Extension { return Extend(t, FullPicker(t)) }
+func Realise(t *Template) *Extension { return Extend(t, fullPicker(t)) }
 
 // Base returns the template (T, τ) that was extended.
 func (e *Extension) Base() *Template { return e.base }

@@ -153,7 +153,7 @@ func TestTranslate(t *testing.T) {
 func TestConstPickerAndCheck(t *testing.T) {
 	tpl := oneTemplate(t, 4, 2, 1, 3)
 	// Colour 4 is free at both nodes.
-	p := ConstPicker(4)
+	p := constPicker(4)
 	if p.B() != 1 {
 		t.Fatalf("B = %d", p.B())
 	}
@@ -161,7 +161,7 @@ func TestConstPickerAndCheck(t *testing.T) {
 		t.Errorf("CheckPicker: %v", err)
 	}
 	// Colour 3 is forbidden at node 2 — not free there.
-	badPick := ConstPicker(3)
+	badPick := constPicker(3)
 	if err := CheckPicker(tpl, badPick, 2); err == nil {
 		t.Error("CheckPicker accepted a non-free pick")
 	}
@@ -174,9 +174,9 @@ func TestConstPickerAndCheck(t *testing.T) {
 
 func TestFullPicker(t *testing.T) {
 	tpl := oneTemplate(t, 4, 2, 1, 3)
-	p := FullPicker(tpl)
+	p := fullPicker(tpl)
 	if p.B() != 2 { // k − h − 1 = 4 − 1 − 1
-		t.Fatalf("FullPicker B = %d, want 2", p.B())
+		t.Fatalf("fullPicker B = %d, want 2", p.B())
 	}
 	if err := CheckPicker(tpl, p, 3); err != nil {
 		t.Errorf("CheckPicker(full): %v", err)
@@ -188,10 +188,10 @@ func TestDisjointAndUnionPicker(t *testing.T) {
 	// F at every node is [5] minus two incident colours (from {1,2}) minus
 	// τ; τ is the smallest non-incident colour. At e: C = {1, 2}, τ = 3,
 	// F = {4, 5}. Interior nodes have C = {1, 2}, so F = {4, 5} everywhere.
-	p := ConstPicker(4)
-	q := ConstPicker(5)
+	p := constPicker(4)
+	q := constPicker(5)
 	if !Disjoint(tpl, p, q, 4) {
-		t.Error("ConstPicker(4) and ConstPicker(5) reported non-disjoint")
+		t.Error("constPicker(4) and constPicker(5) reported non-disjoint")
 	}
 	if Disjoint(tpl, p, p, 4) {
 		t.Error("picker disjoint with itself")
@@ -258,7 +258,7 @@ func TestExtensionLemma6(t *testing.T) {
 	// (h+b)-regular colour system, (X, ξ) is an (h+b)-template, and
 	// C(X, x) = C(T, p(x)) ∪ P(p(x)).
 	tpl := pathTemplate(t, 5, []group.Color{1, 2}, []group.Color{2, 1})
-	p := ConstPicker(4)
+	p := constPicker(4)
 	ext := Extend(tpl, p)
 
 	if ext.H() != 3 {
@@ -343,8 +343,8 @@ func TestExtensionLemma8Commutation(t *testing.T) {
 	// equals ext(T, P ∪ Q) with composed projections.
 	tpl := pathTemplate(t, 6, []group.Color{1, 2}, []group.Color{2, 1})
 	// F = [6] \ {1, 2, 3} = {4, 5, 6} everywhere (τ = 3 on every node).
-	p := ConstPicker(4)
-	q := ConstPicker(5)
+	p := constPicker(4)
+	q := constPicker(5)
 	if !Disjoint(tpl, p, q, 3) {
 		t.Fatal("pickers not disjoint")
 	}
@@ -382,7 +382,7 @@ func TestExtensionLemma8Commutation(t *testing.T) {
 
 func TestExtensionProjectConcurrent(t *testing.T) {
 	tpl := pathTemplate(t, 5, []group.Color{1, 2, 3}, []group.Color{3, 2, 1})
-	ext := Extend(tpl, ConstPicker(5))
+	ext := Extend(tpl, constPicker(5))
 	words := colsys.Nodes(ext, 5)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -439,10 +439,18 @@ func BenchmarkExtensionContains(b *testing.B) {
 		b.Fatal(err)
 	}
 	tpl := New(p, 2, func(w group.Word) group.Color { return 3 })
-	ext := Extend(tpl, ConstPicker(4))
+	ext := Extend(tpl, constPicker(4))
 	words := colsys.Nodes(ext, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ext.Contains(words[i%len(words)])
 	}
+}
+
+// constPicker returns a picker choosing the same colour set at every node.
+// Useful for tests and for the finite base-case templates of §3.8.
+func constPicker(colors ...group.Color) Picker {
+	set := make([]group.Color, len(colors))
+	copy(set, colors)
+	return NewPickerFunc(len(set), func(group.Word) []group.Color { return set })
 }

@@ -40,8 +40,8 @@ func Canonical(v colsys.System, at group.Word, radius int) (string, error) {
 	return strings.Join(parts, ","), nil
 }
 
-// Equal reports whether two nodes have identical radius-h views.
-func Equal(a colsys.System, atA group.Word, b colsys.System, atB group.Word, radius int) (bool, error) {
+// equal reports whether two nodes have identical radius-h views.
+func equal(a colsys.System, atA group.Word, b colsys.System, atB group.Word, radius int) (bool, error) {
 	ballA, err := colsys.Ball(a, atA, radius)
 	if err != nil {
 		return false, fmt.Errorf("view: %w", err)
@@ -64,7 +64,7 @@ func CheckIndistinguishable(alg mm.Algorithm, a colsys.System, atA group.Word,
 		return fmt.Errorf("view: systems over %d and %d colours", a.K(), b.K())
 	}
 	r := alg.RunningTime(a.K())
-	same, err := Equal(a, atA, b, atB, r+1)
+	same, err := equal(a, atA, b, atB, r+1)
 	if err != nil {
 		return err
 	}
@@ -80,16 +80,13 @@ func CheckIndistinguishable(alg mm.Algorithm, a colsys.System, atA group.Word,
 	return nil
 }
 
-// Ball is one enumerated radius-h view of a d-regular system, materialised
-// as a finite colour system.
-type Ball = colsys.Finite
-
 // EnumerateBalls generates every radius-h ball of d-regular k-colour
-// systems, in deterministic order: the root has exactly d incident colours
-// and every interior node continues with d−1 fresh colours. These are the
-// nodes of Linial's h-neighbourhood graph (Remark 2). The count grows as
+// systems, each materialised as a finite colour system, in deterministic
+// order: the root has exactly d incident colours and every interior node
+// continues with d−1 fresh colours. These are the nodes of Linial's
+// h-neighbourhood graph (Remark 2). The count grows as
 // C(k,d)·(C(k−1,d−1))^(d·((d−1)^(h−1)−1)/(d−2))-ish — keep parameters tiny.
-func EnumerateBalls(k, d, h int) ([]*Ball, error) {
+func EnumerateBalls(k, d, h int) ([]*colsys.Finite, error) {
 	if d < 1 || d > k {
 		return nil, fmt.Errorf("view: need 1 ≤ d ≤ k, got d=%d k=%d", d, k)
 	}
@@ -111,7 +108,7 @@ func EnumerateBalls(k, d, h int) ([]*Ball, error) {
 		frontiers = nextFrontiers
 	}
 
-	out := make([]*Ball, 0, len(builders))
+	out := make([]*colsys.Finite, 0, len(builders))
 	for _, words := range builders {
 		f, err := colsys.NewFinite(k, words)
 		if err != nil {

@@ -37,7 +37,7 @@ func TestCanonicalAndEqual(t *testing.T) {
 	if c1 != c2 {
 		t.Errorf("radius-1 canonical forms differ: %q vs %q", c1, c2)
 	}
-	same, err := Equal(v, group.Identity(), v, mustWord(t, "3"), 2)
+	same, err := equal(v, group.Identity(), v, mustWord(t, "3"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
