@@ -361,6 +361,38 @@ func BenchmarkSweepStream(b *testing.B) {
 	})
 }
 
+// BenchmarkSweepSmallCells is the sweep cell's fixed cost — build, run,
+// check and emit — without mmbench: each op is one sweep.Stream pass over
+// sweep.DefaultGrids × greedy, reduced and proposal with 4 repetitions,
+// 108 cells of at most 128 nodes on one cell worker, with bounds checked
+// and rows encoded to io.Discard. allocs/op and B/op divided by cells/op
+// are the per-cell allocation numbers. Every pass starts a new stream, so
+// it includes its worker's first cell of each algorithm, which makes the
+// machine sources the later cells reuse.
+func BenchmarkSweepSmallCells(b *testing.B) {
+	cfg := sweep.Config{
+		Grids:         sweep.DefaultGrids(),
+		Algos:         []string{"greedy", "reduced", "proposal"},
+		Reps:          4,
+		Seed:          1,
+		CellWorkers:   1,
+		EngineWorkers: 1,
+		CheckBounds:   true,
+	}
+	cells, err := sweep.Expand(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := sweep.NewJSONLSink(io.Discard)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep.Stream(context.Background(), cfg, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cells), "cells/op")
+}
+
 // BenchmarkGenScenarios builds every registered scenario at a mid-size n,
 // so the bench smoke run exercises the whole registry and allocation
 // regressions in any family are visible.

@@ -2,7 +2,6 @@ package colsys
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/group"
@@ -174,23 +173,6 @@ func TestNodesRespectsMaxNorm(t *testing.T) {
 	}
 }
 
-func TestEdges(t *testing.T) {
-	v := figure2V(t)
-	edges := treeEdges(v, 3)
-	if len(edges) != 6 {
-		t.Fatalf("len(E(V)) = %d, want 6", len(edges))
-	}
-	// Each edge must connect w to pred(w) and carry colour tail(w).
-	for _, e := range edges {
-		if !e.Pred.Equal(e.V.Pred()) {
-			t.Errorf("edge %v–%v: pred mismatch", e.Pred, e.V)
-		}
-		if e.Color() != e.V.Tail() {
-			t.Errorf("edge %v–%v: colour %v, want %v", e.Pred, e.V, e.Color(), e.V.Tail())
-		}
-	}
-}
-
 func TestFull(t *testing.T) {
 	f := Full(3)
 	if f.K() != 3 {
@@ -326,64 +308,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestCached(t *testing.T) {
-	inner := &countingSystem{sys: Full(3)}
-	c := withCache(inner)
-	w := mustWord(t, "1·2·3")
-	for i := 0; i < 10; i++ {
-		if !c.Contains(w) {
-			t.Fatal("cached membership flipped")
-		}
-	}
-	if inner.calls != 1 {
-		t.Errorf("inner called %d times, want 1", inner.calls)
-	}
-	// withCache of withCache or of Finite is a no-op wrapper.
-	if withCache(c) != c {
-		t.Error("withCache(withCache(x)) allocated a new wrapper")
-	}
-	f := mustFinite(t, 3, "e, 1")
-	if withCache(f) != System(f) {
-		t.Error("withCache(Finite) should return the finite system itself")
-	}
-}
-
-func TestCachedConcurrent(t *testing.T) {
-	c := withCache(&countingSystem{sys: Full(4)})
-	words := group.Ball(4, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				w := words[rng.Intn(len(words))]
-				if !c.Contains(w) {
-					t.Errorf("member %v reported absent", w)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-}
-
-type countingSystem struct {
-	mu    sync.Mutex
-	calls int
-	sys   System
-}
-
-func (c *countingSystem) K() int { return c.sys.K() }
-
-func (c *countingSystem) Contains(w group.Word) bool {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return c.sys.Contains(w)
-}
-
 func TestBall(t *testing.T) {
 	v := figure2V(t)
 	// Ball around 3: (3̄V)[1] = {e, 1, 2, 3}.
@@ -494,66 +418,4 @@ func BenchmarkTranslatedContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.Contains(w)
 	}
-}
-
-// treeEdge is an edge {Pred, V} ∈ E(V) of the tree Γ_k(V); its colour is
-// V.Tail().
-type treeEdge struct {
-	Pred group.Word // the endpoint closer to e
-	V    group.Word // the endpoint farther from e
-}
-
-// Color returns the edge's colour.
-func (e treeEdge) Color() group.Color { return e.V.Tail() }
-
-// treeEdges returns E(V) restricted to nodes of norm ≤ maxNorm, in shortlex
-// order of the deeper endpoint.
-func treeEdges(v System, maxNorm int) []treeEdge {
-	var out []treeEdge
-	Walk(v, maxNorm, func(w group.Word) bool {
-		if !w.IsIdentity() {
-			out = append(out, treeEdge{Pred: w.Pred(), V: w})
-		}
-		return true
-	})
-	return out
-}
-
-// withCache wraps a system with a memoising membership cache. Useful for the
-// deeply nested lazy systems built by the lower-bound adversary, where a
-// single membership probe can cascade through many layers.
-func withCache(v System) System {
-	if _, ok := v.(*cached); ok {
-		return v
-	}
-	if _, ok := v.(*Finite); ok {
-		return v
-	}
-	return &cached{inner: v}
-}
-
-type cached struct {
-	inner System
-	mu    sync.Mutex
-	memo  map[string]bool
-}
-
-func (c *cached) K() int { return c.inner.K() }
-
-func (c *cached) Contains(w group.Word) bool {
-	key := w.Key()
-	c.mu.Lock()
-	if c.memo == nil {
-		c.memo = make(map[string]bool)
-	}
-	if v, ok := c.memo[key]; ok {
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := c.inner.Contains(w)
-	c.mu.Lock()
-	c.memo[key] = v
-	c.mu.Unlock()
-	return v
 }

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dist"
@@ -47,5 +48,38 @@ func TestReducedPipelineRoundLoopAllocFree(t *testing.T) {
 	}
 	if big-small > 1000 {
 		t.Errorf("allocations grew with the round count: %.0f (k=2048) vs %.0f (k=64)", big, small)
+	}
+}
+
+// TestReducedCellSetupAllocsFlat pins the set-up a sweep cell pays for the
+// reduced machines: a fresh source per run, as the sweep's registry makes
+// for every cell above its reuse cap. The machines' colour lists and
+// blocked-colour scratch come from the source's slabs, so the run's
+// allocation count does not grow with n: it is the same at two sizes of
+// the same family, and far below one per node. The collector is off while
+// it counts, since a collection may empty the engine's pooled scratch and
+// add its reallocation to either size.
+func TestReducedCellSetupAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts; the race detector's sync.Pool drops items at random")
+	}
+	const delta = 3
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, workers := range []int{1, 2} {
+		var counts []float64
+		for _, n := range []int{1024, 8192} {
+			g := graph.RandomBoundedDegree(n, 256, delta, 5*n, rand.New(rand.NewSource(int64(n))))
+			maxR := dist.TotalRounds(g.K(), g.MaxDegree()) + 8
+			counts = append(counts, testing.AllocsPerRun(5, func() {
+				src := dist.NewReducedGreedyMachinePool(g.MaxDegree(), g.N())
+				if _, _, err := runtime.RunWorkersN(g, nil, src, maxR, workers); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("workers=%d: %.0f allocs/run at n=1024, %.0f at n=8192", workers, counts[0], counts[1])
+		if counts[0] != counts[1] || counts[1] > 64 {
+			t.Errorf("workers=%d: %.0f allocs/run at n=1024 and %.0f at n=8192, want the same count, at most 64", workers, counts[0], counts[1])
+		}
 	}
 }

@@ -33,12 +33,12 @@ import (
 // requires the instance's maximum degree to be at most delta; it panics
 // otherwise, since no conflict-free reduction can exist.
 type ReducedGreedyMachine struct {
-	delta   int
+	delta   int           // the source's degree bound, taken at Init
 	colors  []group.Color // original incident colours (ascending); the output vocabulary
 	cur     []group.Color // current reduced colour per position
 	sent    colorList     // the list the last Send published; see Send
 	dirty   bool          // cur has changed since sent was last written
-	shared  *sharedSchedule
+	src     *reducedSource
 	sched   []Step        // this run's schedule, read-only and shared by the source's machines
 	next    []group.Color // phase-1 scratch: colours after the current step
 	blocked []int         // scratch for blockedFor, reused across rounds
@@ -94,18 +94,85 @@ func (s *sharedSchedule) get(k, d int) []Step {
 
 // NewReducedGreedyMachinePool returns a runtime.Source for machines that
 // reduce the palette for instances of maximum degree ≤ delta, backed by a
-// fixed arena of n machines reused across runs, like NewGreedyMachinePool:
-// Init fully resets a machine while keeping its scratch capacity, so
-// repeated runs on same-shaped instances allocate nothing per node. The
-// arena's machines share one schedule holder, so a run computes the
-// reduction schedule once, not once per node, and recomputes it only when
-// the palette changes.
+// fixed arena of n machines reused across runs, like NewGreedyMachinePool.
+// A machine's colour lists and blocked-colour scratch are carved from the
+// source's per-run slabs, so even a fresh source's first run allocates a
+// few slabs rather than a few slices per node, and repeated runs on
+// same-shaped instances allocate nothing. The arena's machines share one
+// schedule holder, so a run computes the reduction schedule once, not once
+// per node, and recomputes it only when the palette changes.
 func NewReducedGreedyMachinePool(delta, n int) runtime.Source {
-	shared := &sharedSchedule{}
-	return runtime.NewPool[ReducedGreedyMachine](n, func(m *ReducedGreedyMachine) {
-		m.delta = delta
-		m.shared = shared
-	})
+	s := &reducedSource{delta: delta}
+	s.pool = runtime.NewPool[ReducedGreedyMachine](n, func(m *ReducedGreedyMachine) { m.src = s })
+	return s
+}
+
+// reducedSource is the reduced machines' runtime.Source: the machine arena,
+// the schedule every machine reads, and the slabs their scratch is carved
+// from. Init carves, and the engine runs every Init serially in node order
+// before a round starts, so the slabs need no lock.
+type reducedSource struct {
+	pool     *runtime.Pool[ReducedGreedyMachine, *ReducedGreedyMachine]
+	delta    int // the degree bound Δ
+	schedule sharedSchedule
+	colors   slab[group.Color] // cur, sent and next: 3·deg per node
+	blocked  slab[int]         // blockedFor's scratch: deg+Δ−2 per node
+}
+
+// slabDegree is the node degree a run's first slab is sized for when the
+// degree bound is larger. It bounds the guess for instances whose maximum
+// degree is far above their average (a star); a run that needs more grows
+// the slab.
+const slabDegree = 4
+
+// Retarget sets the degree bound of the source's later runs, so one arena
+// serves instances of any Δ; the sweep's cell workers call it between
+// cells through an interface of their own. Every machine takes the bound
+// at Init.
+func (s *reducedSource) Retarget(delta int) { s.delta = delta }
+
+// NewPool implements runtime.Source: the arena's first n machines, with
+// both slabs rewound for the run their Init calls carve.
+func (s *reducedSource) NewPool(n int) []runtime.Machine {
+	d := min(max(s.delta, 1), slabDegree)
+	s.colors.reset(3 * d * n)
+	s.blocked.reset((2*d - 2) * n)
+	return s.pool.NewPool(n)
+}
+
+// slab hands out consecutive pieces of one backing array, so a run's n
+// machines take their scratch in a few allocations instead of n. Pieces
+// stay valid until the next reset, which reuses the memory.
+type slab[T any] struct {
+	buf  []T
+	off  int // first entry of buf not handed out
+	used int // entries handed out since reset, across every buf
+}
+
+// reset starts a run whose pieces are expected to total about hint
+// entries. buf keeps its memory when it holds everything the last run
+// carved and the hint; otherwise it is replaced by one that does, so a
+// run of a shape seen before carves without allocating.
+func (s *slab[T]) reset(hint int) {
+	if need := max(s.used, hint); need > len(s.buf) {
+		s.buf = make([]T, need)
+	}
+	s.off, s.used = 0, 0
+}
+
+// carve returns the next k entries, with capacity k so that appending to a
+// piece never writes into its neighbour's. When buf runs out, carving
+// moves on to a new array at least twice as large; the pieces already
+// handed out keep the old one.
+func (s *slab[T]) carve(k int) []T {
+	if s.off+k > len(s.buf) {
+		s.buf = make([]T, max(2*len(s.buf), k))
+		s.off = 0
+	}
+	p := s.buf[s.off : s.off+k : s.off+k]
+	s.off += k
+	s.used += k
+	return p
 }
 
 // Init implements runtime.Machine. The reduction schedule depends only on
@@ -122,11 +189,9 @@ func (m *ReducedGreedyMachine) Init(info runtime.NodeInfo) {
 		m.halted = true
 		return
 	}
-	d := m.delta
-	if d < 1 {
-		d = 1
-	}
-	m.sched = m.shared.get(info.K, 2*(d-1))
+	m.delta = m.src.delta
+	d := max(m.delta, 1)
+	m.sched = m.src.schedule.get(info.K, 2*(d-1))
 	m.sRounds = len(m.sched)
 	m.qstar = info.K
 	if m.sRounds > 0 {
@@ -137,7 +202,13 @@ func (m *ReducedGreedyMachine) Init(info runtime.NodeInfo) {
 	if m.qstar > m.target {
 		m.rRounds = m.qstar - m.target
 	}
-	m.cur = append(m.cur[:0], m.colors...)
+	deg := len(m.colors)
+	lists := m.src.colors.carve(3 * deg)
+	m.cur = lists[:deg:deg]
+	m.sent.colors = lists[deg : deg : 2*deg]
+	m.next = lists[2*deg:]
+	m.blocked = m.src.blocked.carve(deg + d - 2)
+	copy(m.cur, m.colors)
 	m.dirty = true
 	if m.sRounds+m.rRounds == 0 {
 		m.greedyStart()
@@ -231,13 +302,8 @@ func (m *ReducedGreedyMachine) Receive(in []runtime.Message) {
 	switch {
 	case r <= m.sRounds:
 		// Phase 1: one Linial step; every edge recolours simultaneously.
-		// The next-colours scratch persists on the machine so pooled runs
-		// do not re-allocate it every round.
 		st := m.sched[r-1]
-		if cap(m.next) < len(m.cur) {
-			m.next = make([]group.Color, len(m.cur))
-		}
-		next := m.next[:len(m.cur)]
+		next := m.next
 		for i := range m.cur {
 			nc, ok := stepColor(st, int(m.cur[i]), m.blockedFor(i, peerList(in, i)))
 			if !ok {

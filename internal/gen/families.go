@@ -17,6 +17,14 @@ func checkDensity(p Params) error {
 	return nil
 }
 
+// instance wraps a built graph as an unlabelled instance.
+func instance(g *graph.Graph, err error) (*Instance, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{G: g}, nil
+}
+
 func matchingUnion() Scenario {
 	return Scenario{
 		Name:   "matching-union",
@@ -69,11 +77,7 @@ func regular() Scenario {
 			if n%2 != 0 || n < 2 || k < 1 {
 				return nil, fmt.Errorf("need even n ≥ 2 and k ≥ 1, got n=%d k=%d", n, k)
 			}
-			g, err := graph.RandomRegular(n, k, rng)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{G: g}, nil
+			return instance(graph.RandomRegular(n, k, rng))
 		},
 	}
 }
@@ -88,13 +92,14 @@ func pathScenario() Scenario {
 			if n < 2 || k < 1 || (k < 2 && n > 2) {
 				return nil, fmt.Errorf("need n ≥ 2 and k ≥ 2 (k ≥ 1 for n = 2), got n=%d k=%d", n, k)
 			}
-			b := graph.NewCSRBuilder(n, k)
-			for i := 0; i+1 < n; i++ {
-				if err := b.AddEdge(i, i+1, group.Color(i%k+1)); err != nil {
-					return nil, err
+			return instance(graph.BuildWith(n, k, func(b *graph.CSRBuilder) error {
+				for i := 0; i+1 < n; i++ {
+					if err := b.AddEdge(i, i+1, group.Color(i%k+1)); err != nil {
+						return err
+					}
 				}
-			}
-			return &Instance{G: b.Build()}, nil
+				return nil
+			}))
 		},
 	}
 }
@@ -113,17 +118,18 @@ func cycleScenario() Scenario {
 			if n < 3 || k < need {
 				return nil, fmt.Errorf("need n ≥ 3 and k ≥ %d for this n, got n=%d k=%d", need, n, k)
 			}
-			b := graph.NewCSRBuilder(n, k)
-			for i := 0; i < n; i++ {
-				c := group.Color(i%2 + 1)
-				if i == n-1 && n%2 != 0 {
-					c = 3
+			return instance(graph.BuildWith(n, k, func(b *graph.CSRBuilder) error {
+				for i := 0; i < n; i++ {
+					c := group.Color(i%2 + 1)
+					if i == n-1 && n%2 != 0 {
+						c = 3
+					}
+					if err := b.AddEdge(i, (i+1)%n, c); err != nil {
+						return err
+					}
 				}
-				if err := b.AddEdge(i, (i+1)%n, c); err != nil {
-					return nil, err
-				}
-			}
-			return &Instance{G: b.Build()}, nil
+				return nil
+			}))
 		},
 	}
 }
@@ -138,22 +144,24 @@ func tree() Scenario {
 			if n < 2 || k < 1 {
 				return nil, fmt.Errorf("need n ≥ 2 and k ≥ 1, got n=%d k=%d", n, k)
 			}
-			b := graph.NewCSRBuilder(n, k)
-			for v := 1; v < n; v++ {
-				parent := rng.Intn(v)
-				// The child is fresh, so only the parent can be saturated;
-				// a saturated parent (degree ≥ k) leaves v isolated, which
-				// keeps the graph a forest rather than failing the build.
-				for c := group.Color(1); int(c) <= k; c++ {
-					if b.ColorFree(parent, c) {
-						if err := b.AddEdge(parent, v, c); err != nil {
-							return nil, err
+			return instance(graph.BuildWith(n, k, func(b *graph.CSRBuilder) error {
+				for v := 1; v < n; v++ {
+					parent := rng.Intn(v)
+					// The child is fresh, so only the parent can be
+					// saturated; a saturated parent (degree ≥ k) leaves v
+					// isolated, which keeps the graph a forest rather than
+					// failing the build.
+					for c := group.Color(1); int(c) <= k; c++ {
+						if b.ColorFree(parent, c) {
+							if err := b.AddEdge(parent, v, c); err != nil {
+								return err
+							}
+							break
 						}
-						break
 					}
 				}
-			}
-			return &Instance{G: b.Build()}, nil
+				return nil
+			}))
 		},
 	}
 }
@@ -191,27 +199,28 @@ func caterpillar() Scenario {
 					n += m
 				}
 			}
-			b := graph.NewCSRBuilder(n, k)
-			for i := 0; i < k; i++ {
-				if err := b.AddEdge(i, i+1, group.Color(k-i)); err != nil {
-					return nil, err
-				}
-			}
-			leg := spine
-			for s := 0; s < spine; s++ {
-				placed := 0
-				for c := group.Color(k); c >= 1 && placed < legs; c-- {
-					if !b.ColorFree(s, c) {
-						continue
+			return instance(graph.BuildWith(n, k, func(b *graph.CSRBuilder) error {
+				for i := 0; i < k; i++ {
+					if err := b.AddEdge(i, i+1, group.Color(k-i)); err != nil {
+						return err
 					}
-					if err := b.AddEdge(s, leg, c); err != nil {
-						return nil, err
-					}
-					leg++
-					placed++
 				}
-			}
-			return &Instance{G: b.Build()}, nil
+				leg := spine
+				for s := 0; s < spine; s++ {
+					placed := 0
+					for c := group.Color(k); c >= 1 && placed < legs; c-- {
+						if !b.ColorFree(s, c) {
+							continue
+						}
+						if err := b.AddEdge(s, leg, c); err != nil {
+							return err
+						}
+						leg++
+						placed++
+					}
+				}
+				return nil
+			}))
 		},
 	}
 }
@@ -249,22 +258,26 @@ func doubleCover() Scenario {
 			// colouring stays proper (each side of a split node sees the
 			// same colours v did) and the result is bipartite by
 			// construction, so the labels are a valid §1.1 input.
-			b := graph.NewCSRBuilder(2*n, k)
-			b.Grow(2 * base.NumEdges())
-			for u := 0; u < n; u++ {
-				for _, h := range base.Incident(u) {
-					if u > h.Peer {
-						continue // each undirected base edge once
-					}
-					if err := b.AddEdge(u, n+h.Peer, h.Color); err != nil {
-						return nil, err
-					}
-					if err := b.AddEdge(h.Peer, n+u, h.Color); err != nil {
-						return nil, err
+			g, err := graph.BuildWith(2*n, k, func(b *graph.CSRBuilder) error {
+				b.Grow(2 * base.NumEdges())
+				for u := 0; u < n; u++ {
+					for _, h := range base.Incident(u) {
+						if u > h.Peer {
+							continue // each undirected base edge once
+						}
+						if err := b.AddEdge(u, n+h.Peer, h.Color); err != nil {
+							return err
+						}
+						if err := b.AddEdge(h.Peer, n+u, h.Color); err != nil {
+							return err
+						}
 					}
 				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			g := b.Build()
 			labels := make([]int, 2*n)
 			for v := n; v < 2*n; v++ {
 				labels[v] = 1 // dist.SideBlack; whites are the zero value

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -124,18 +125,27 @@ func (s Scenario) resolve(overrides Params) (Params, error) {
 	return p, nil
 }
 
+// rngPool recycles Build's generators: each holds a 4.9 KB math/rand
+// source, which a small instance would otherwise allocate more bytes for
+// than for its graph.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Build instantiates the scenario: overrides (may be nil) are merged onto
 // the defaults and the family is generated from a deterministic rng stream
 // derived from (scenario name, seed) — distinct scenarios driven by the
 // same seed stay uncorrelated, and the same (name, params, seed) triple
-// names the same instance forever.
+// names the same instance forever. The generator comes from a pool;
+// Seed resets its whole state, so the stream is exactly that of a fresh
+// rand.New(rand.NewSource(…)).
 func (s Scenario) Build(seed int64, overrides Params) (*Instance, error) {
 	p, err := s.resolve(overrides)
 	if err != nil {
 		return nil, fmt.Errorf("gen: %s: %w", s.Name, err)
 	}
-	rng := rand.New(rand.NewSource(streamSeed(s.Name, seed)))
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(streamSeed(s.Name, seed))
 	inst, err := s.gen(p, rng)
+	rngPool.Put(rng)
 	if err != nil {
 		return nil, fmt.Errorf("gen: %s: %w", s.Name, err)
 	}

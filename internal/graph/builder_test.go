@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/colsys"
 	"repro/internal/group"
 )
 
@@ -219,4 +221,69 @@ func TestGeneratorAllocsBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPooledBuildsLeakNoState builds each small constructor's instance A,
+// then a larger instance B of another family with more nodes and colours,
+// then A again, on several goroutines at once (CI runs it under -race).
+// Every constructor takes its builder from BuildWith's pool, so B dirties
+// the builder the second A may get; both A builds must still carry
+// exactly the CSR arrays TestConstructorGolden pins.
+func TestPooledBuildsLeakNoState(t *testing.T) {
+	seeded := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	small := []struct {
+		name  string
+		build func() (*Graph, error)
+	}{
+		{"matching-union/seed=1", func() (*Graph, error) { return RandomMatchingUnion(200, 6, 0.7, seeded(1)), nil }},
+		{"bounded-degree/seed=2", func() (*Graph, error) { return RandomBoundedDegree(150, 64, 3, 800, seeded(2)), nil }},
+		{"regular/seed=3", func() (*Graph, error) { return RandomRegular(64, 5, seeded(3)) }},
+		{"worstcase/k=5", func() (*Graph, error) {
+			wc, err := NewWorstCase(5)
+			if err != nil {
+				return nil, err
+			}
+			return wc.G, nil
+		}},
+		{"path", func() (*Graph, error) { return PathGraph(4, []group.Color{1, 2, 3, 1, 4, 2}) }},
+		{"figure1", Figure1},
+		{"from-system/full(3)/r=4", func() (*Graph, error) {
+			g, _, err := FromSystem(colsys.Full(3), 4)
+			return g, err
+		}},
+	}
+	// big is B for every A: more nodes and colours than any of them, and
+	// a family none of them shares (bounded-degree runs with another
+	// palette, degree cap and shape).
+	big := func(seed int64) (*Graph, error) {
+		if seed%2 == 0 {
+			return RandomMatchingUnion(3000, 24, 0.9, seeded(seed)), nil
+		}
+		return RandomBoundedDegree(4000, 1024, 9, 20000, seeded(seed)), nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, a := range small {
+				for pass := 0; pass < 2; pass++ {
+					g, err := a.build()
+					if err != nil {
+						t.Errorf("%s: %v", a.name, err)
+						return
+					}
+					if d := csrDigest(g); d != constructorGolden[a.name] {
+						t.Errorf("goroutine %d, %s build %d: digest %s, pinned %s", w, a.name, pass+1, d, constructorGolden[a.name])
+					}
+					if pass == 0 {
+						if _, err := big(int64(w + i)); err != nil {
+							t.Errorf("B after %s: %v", a.name, err)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -37,9 +37,12 @@
 // The package provides generators for the paper's instances — the Figure 1
 // example, the §1.2 worst-case paths (NewWorstCase), unions of random
 // matchings, bounded-degree and k-regular families, windows of
-// Cayley-graph trees (FromSystem) — all on top of CSRBuilder, with their
-// CSR arrays pinned by a digest golden in the tests. Richer parameterised
-// families live in internal/gen.
+// Cayley-graph trees (FromSystem) — all on top of CSRBuilder through
+// BuildWith, with their CSR arrays pinned by a digest golden in the tests.
+// BuildWith takes a small instance's builder from a pool and returns it
+// once Build has copied the graph out, so consecutive small builds reuse
+// one builder's storage (ReusesScratch names the cap). Richer
+// parameterised families live in internal/gen, on the same path.
 //
 // Validate checks the CSR invariants; CheckMatching checks a
 // run's outputs against the matching conditions (M1–M3); SequentialGreedy

@@ -21,8 +21,10 @@ import (
 // accepted edges are then replayed, endpoints swapped, on a third builder
 // twice: in colour order, which Build scatters as they arrive, and in a
 // permutation drawn from the input bytes, which Build sorts first. Both
-// must give the same CSR arrays. The seed corpus lives in
-// testdata/fuzz/FuzzCSRBuilder.
+// must give the same CSR arrays. Finally the triples go through
+// BuildWith's pooled builder twice, with a larger build of the same bytes
+// at n = 64, k = 16 in between, and both pooled builds must give those
+// arrays too. The seed corpus lives in testdata/fuzz/FuzzCSRBuilder.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -92,5 +94,21 @@ func FuzzCSRBuilder(f *testing.F) {
 			accepted[i], accepted[j] = accepted[j], accepted[i]
 		}
 		rebuild("replay permuted", accepted)
+
+		pooled := func(n, k int) *Graph {
+			h, err := BuildWith(n, k, func(b *CSRBuilder) error {
+				for i := 2; i+2 < len(data); i += 3 {
+					b.TryAddEdge(int(data[i])%(n+2)-1, int(data[i+1])%(n+2)-1, group.Color(int(data[i+2])%(k+2)))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("BuildWith: %v", err)
+			}
+			return h
+		}
+		sameCSR(t, "first pooled build", pooled(n, k), g)
+		pooled(64, 16)
+		sameCSR(t, "pooled build after another", pooled(n, k), g)
 	})
 }

@@ -387,13 +387,14 @@ func (g *Graph) edgesByColor() []Edge {
 // PathGraph builds the path v0 − v1 − … − v_len with the given edge
 // colours (len(colors) edges, len(colors)+1 nodes).
 func PathGraph(k int, colors []group.Color) (*Graph, error) {
-	b := NewCSRBuilder(len(colors)+1, k)
-	for i, c := range colors {
-		if err := b.AddEdge(i, i+1, c); err != nil {
-			return nil, err
+	return BuildWith(len(colors)+1, k, func(b *CSRBuilder) error {
+		for i, c := range colors {
+			if err := b.AddEdge(i, i+1, c); err != nil {
+				return err
+			}
 		}
-	}
-	return b.Build(), nil
+		return nil
+	})
 }
 
 // WorstCase is the §1.2 lower-bound example for the greedy algorithm: two
@@ -412,19 +413,24 @@ func NewWorstCase(k int) (*WorstCase, error) {
 	}
 	// Component 1: u = node 0, edges k, k−1, …, 1 (k+1 nodes).
 	// Component 2: v = node k+1, edges k, k−1, …, 2 (k nodes).
-	b := NewCSRBuilder(2*k+1, k)
-	for i := 0; i < k; i++ {
-		if err := b.AddEdge(i, i+1, group.Color(k-i)); err != nil {
-			return nil, err
-		}
-	}
 	base := k + 1
-	for i := 0; i < k-1; i++ {
-		if err := b.AddEdge(base+i, base+i+1, group.Color(k-i)); err != nil {
-			return nil, err
+	g, err := BuildWith(2*k+1, k, func(b *CSRBuilder) error {
+		for i := 0; i < k; i++ {
+			if err := b.AddEdge(i, i+1, group.Color(k-i)); err != nil {
+				return err
+			}
 		}
+		for i := 0; i < k-1; i++ {
+			if err := b.AddEdge(base+i, base+i+1, group.Color(k-i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &WorstCase{G: b.Build(), U: 0, V: base}, nil
+	return &WorstCase{G: g, U: 0, V: base}, nil
 }
 
 // RandomMatchingUnion builds a random properly k-edge-coloured graph on n
@@ -433,30 +439,26 @@ func NewWorstCase(k int) (*WorstCase, error) {
 // degree ≤ k and is always properly coloured. A given (n, k, density, seed)
 // always names the same graph (TestConstructorGolden pins its CSR arrays).
 func RandomMatchingUnion(n, k int, density float64, rng *rand.Rand) *Graph {
-	b := NewCSRBuilder(n, k)
-	randomMatchingUnionInto(b, n, k, density, rng)
-	return b.Build()
-}
-
-// randomMatchingUnionInto streams the matching-union edges into an existing
-// builder; internal/gen reuses it for the double-cover scenario.
-func randomMatchingUnionInto(b *CSRBuilder, n, k int, density float64, rng *rand.Rand) {
-	b.Grow(int(density * float64(k) * float64(n) / 2))
-	perm := make([]int, n)
-	for c := group.Color(1); int(c) <= k; c++ {
-		for i := range perm {
-			perm[i] = i
-		}
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for i := 0; i+1 < n; i += 2 {
-			if rng.Float64() > density {
-				continue
+	g, _ := BuildWith(n, k, func(b *CSRBuilder) error {
+		b.Grow(int(density * float64(k) * float64(n) / 2))
+		perm := b.permutation()
+		for c := group.Color(1); int(c) <= k; c++ {
+			for i := range perm {
+				perm[i] = i
 			}
-			// Parallel edges are skipped (the colour is still free at both
-			// endpoints, but the pair may already be joined).
-			b.TryAddEdge(perm[i], perm[i+1], c)
+			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			for i := 0; i+1 < n; i += 2 {
+				if rng.Float64() > density {
+					continue
+				}
+				// Parallel edges are skipped (the colour is still free at
+				// both endpoints, but the pair may already be joined).
+				b.TryAddEdge(perm[i], perm[i+1], c)
+			}
 		}
-	}
+		return nil
+	})
+	return g
 }
 
 // RandomRegular builds a random k-regular properly k-edge-coloured graph on
@@ -478,37 +480,38 @@ func RandomRegular(n, k int, rng *rand.Rand) (*Graph, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular needs even n, got %d", n)
 	}
-	b := NewCSRBuilder(n, k)
-	b.Grow(n * k / 2)
-	perm := make([]int, n)
-	for c := group.Color(1); int(c) <= k; c++ {
-		placed := false
-		for attempt := 0; attempt < 50 && !placed; attempt++ {
-			for i := range perm {
-				perm[i] = i
-			}
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			placed = true
-			for i := 0; i+1 < n; i += 2 {
-				if b.HasEdge(perm[i], perm[i+1]) {
-					placed = false
-					break
+	return BuildWith(n, k, func(b *CSRBuilder) error {
+		b.Grow(n * k / 2)
+		perm := b.permutation()
+		for c := group.Color(1); int(c) <= k; c++ {
+			placed := false
+			for attempt := 0; attempt < 50 && !placed; attempt++ {
+				for i := range perm {
+					perm[i] = i
+				}
+				rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+				placed = true
+				for i := 0; i+1 < n; i += 2 {
+					if b.HasEdge(perm[i], perm[i+1]) {
+						placed = false
+						break
+					}
 				}
 			}
-		}
-		if !placed && !repairPairs(b, perm, rng) {
-			return nil, fmt.Errorf("graph: could not place colour class %v without parallel edges", c)
-		}
-		// Every pair was just checked against HasEdge; link it without
-		// walking the adjacency lists a second time.
-		for i := 0; i+1 < n; i += 2 {
-			if err := b.checkSlot(perm[i], perm[i+1], c); err != nil {
-				return nil, err
+			if !placed && !repairPairs(b, perm, rng) {
+				return fmt.Errorf("graph: could not place colour class %v without parallel edges", c)
 			}
-			b.link(perm[i], perm[i+1], c)
+			// Every pair was just checked against HasEdge; link it without
+			// walking the adjacency lists a second time.
+			for i := 0; i+1 < n; i += 2 {
+				if err := b.checkSlot(perm[i], perm[i+1], c); err != nil {
+					return err
+				}
+				b.link(perm[i], perm[i+1], c)
+			}
 		}
-	}
-	return b.Build(), nil
+		return nil
+	})
 }
 
 // repairPairs makes every pair (perm[2i], perm[2i+1]) a non-edge of b by
@@ -547,16 +550,21 @@ func FromSystem(v colsys.System, radius int) (*Graph, map[string]int, error) {
 	for i, w := range words {
 		index[w.Key()] = i
 	}
-	b := NewCSRBuilder(len(words), v.K())
-	for _, w := range words {
-		if w.IsIdentity() {
-			continue
+	g, err := BuildWith(len(words), v.K(), func(b *CSRBuilder) error {
+		for _, w := range words {
+			if w.IsIdentity() {
+				continue
+			}
+			if err := b.AddEdge(index[w.Pred().Key()], index[w.Key()], w.Tail()); err != nil {
+				return err
+			}
 		}
-		if err := b.AddEdge(index[w.Pred().Key()], index[w.Key()], w.Tail()); err != nil {
-			return nil, nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return b.Build(), index, nil
+	return g, index, nil
 }
 
 // Figure1 builds a 16-node, 4-regular, properly 4-edge-coloured instance
@@ -565,19 +573,20 @@ func FromSystem(v colsys.System, radius int) (*Graph, map[string]int, error) {
 // colour c joining i and i XOR 2^(c−1): every colour class is a perfect
 // matching, so greedy matches everything in the first round of its colour.
 func Figure1() (*Graph, error) {
-	b := NewCSRBuilder(16, 4)
-	for c := group.Color(1); c <= 4; c++ {
-		bit := 1 << (int(c) - 1)
-		for i := 0; i < 16; i++ {
-			j := i ^ bit
-			if i < j {
-				if err := b.AddEdge(i, j, c); err != nil {
-					return nil, fmt.Errorf("graph: figure 1: %w", err)
+	return BuildWith(16, 4, func(b *CSRBuilder) error {
+		for c := group.Color(1); c <= 4; c++ {
+			bit := 1 << (int(c) - 1)
+			for i := 0; i < 16; i++ {
+				j := i ^ bit
+				if i < j {
+					if err := b.AddEdge(i, j, c); err != nil {
+						return fmt.Errorf("graph: figure 1: %w", err)
+					}
 				}
 			}
 		}
-	}
-	return b.Build(), nil
+		return nil
+	})
 }
 
 // RandomBoundedDegree builds a random properly coloured graph with maximum
@@ -585,23 +594,21 @@ func Figure1() (*Graph, error) {
 // the k ≫ Δ regime of §1.3. It attempts `attempts` random edges, skipping
 // any that would violate the degree bound or the proper colouring.
 func RandomBoundedDegree(n, k, delta, attempts int, rng *rand.Rand) *Graph {
-	b := NewCSRBuilder(n, k)
-	if hint := n * delta / 2; hint < attempts {
-		b.Grow(hint)
-	} else {
-		b.Grow(attempts)
-	}
-	for i := 0; i < attempts; i++ {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v || b.Degree(u) >= delta || b.Degree(v) >= delta {
-			continue
+	g, _ := BuildWith(n, k, func(b *CSRBuilder) error {
+		b.Grow(min(n*delta/2, attempts))
+		for i := 0; i < attempts; i++ {
+			u := rng.Intn(n)
+			v := rng.Intn(n)
+			if u == v || b.Degree(u) >= delta || b.Degree(v) >= delta {
+				continue
+			}
+			c := group.Color(1 + rng.Intn(k))
+			// TryAddEdge enforces the remaining constraints; collisions are skipped.
+			b.TryAddEdge(u, v, c)
 		}
-		c := group.Color(1 + rng.Intn(k))
-		// TryAddEdge enforces the remaining constraints; collisions are skipped.
-		b.TryAddEdge(u, v, c)
-	}
-	return b.Build()
+		return nil
+	})
+	return g
 }
 
 // DOT writes the graph in Graphviz format. Edge labels are colours; the

@@ -169,25 +169,6 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	tests := []struct {
-		in   []Color
-		want string
-	}{
-		{nil, "e"},
-		{[]Color{1, 1}, "e"},
-		{[]Color{1, 2, 2, 1}, "e"},
-		{[]Color{1, 2, 2, 3}, "1·3"},
-		{[]Color{3, 3, 3}, "3"},
-		{[]Color{1, 2, 3}, "1·2·3"},
-	}
-	for _, tt := range tests {
-		if got := reduce(tt.in); got.String() != tt.want {
-			t.Errorf("reduce(%v) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestParseRoundTrip(t *testing.T) {
 	for _, s := range []string{"e", "1", "3·2·1", "1·2·1·2·1"} {
 		w := mustParse(t, s)
@@ -256,18 +237,6 @@ func TestBall(t *testing.T) {
 			if i > 0 && !Less(got[i-1], w) {
 				t.Errorf("Ball(%d, %d) not in shortlex order at %d: %v !< %v", tt.k, tt.radius, i, got[i-1], w)
 			}
-		}
-	}
-}
-
-func TestSphere(t *testing.T) {
-	got := sphere(3, 2)
-	if len(got) != 6 {
-		t.Fatalf("len(sphere(3, 2)) = %d, want 6", len(got))
-	}
-	for _, w := range got {
-		if w.Norm() != 2 {
-			t.Errorf("sphere(3, 2) contains %v with norm %d", w, w.Norm())
 		}
 	}
 }
@@ -462,43 +431,4 @@ func distance(x, y Word) int {
 		i++
 	}
 	return (len(x) - i) + (len(y) - i)
-}
-
-// reduce performs free reduction of an arbitrary letter sequence, repeatedly
-// cancelling adjacent equal letters, and returns the reduced word.
-func reduce(letters []Color) Word {
-	out := make(Word, 0, len(letters))
-	for _, c := range letters {
-		if n := len(out); n > 0 && out[n-1] == c {
-			out = out[:n-1]
-		} else {
-			out = append(out, c)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// sphere returns all reduced words of norm exactly radius, in lexicographic
-// order.
-func sphere(k, radius int) []Word {
-	if radius < 0 {
-		return nil
-	}
-	frontier := []Word{nil}
-	for r := 1; r <= radius; r++ {
-		var next []Word
-		for _, w := range frontier {
-			for c := Color(1); int(c) <= k; c++ {
-				if c == w.Tail() {
-					continue
-				}
-				next = append(next, w.Append(c))
-			}
-		}
-		frontier = next
-	}
-	return frontier
 }

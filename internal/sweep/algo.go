@@ -29,11 +29,13 @@ type Algo struct {
 }
 
 // algos returns the registered algorithms in a stable order. Every
-// algorithm's Source is one arena of machines per cell — one allocation per
-// cell instead of one per node, with set-up shared by the arena (the
-// reduced machines' schedule) done once. Each cell gets its own arena, so
-// concurrent cells share nothing; arenas are never reused across cells,
-// since retained scratch would count as live heap between cells.
+// algorithm's Source is one arena of machines — one allocation per cell
+// instead of one per node, with set-up shared by the arena (the reduced
+// machines' schedule) done once. Concurrent cells never share an arena:
+// each cell worker keeps one source of every algorithm for its small cells
+// (sources), while a cell above graph.ReusesScratch's cap gets a fresh
+// source that is dropped with it, since its retained scratch would count
+// as live heap between cells.
 func algos() []Algo {
 	return []Algo{
 		{
@@ -71,6 +73,36 @@ func algos() []Algo {
 			Contract:    func(g *graph.Graph) dist.Contract { return dist.BipartiteContract(g.MaxDegree()) },
 		},
 	}
+}
+
+// sources is one cell worker's kept machine sources, by algorithm name:
+// the source of the worker's first small cell of that algorithm, reused
+// for every later one. The worker runs one cell at a time, and every
+// machine's Init fully resets it, so a cell run on a kept source emits the
+// row a fresh source would.
+type sources map[string]runtime.Source
+
+// retargeter is a source made for one degree bound (the reduced
+// machines'), which a kept source is set to the next instance's Δ by.
+type retargeter interface{ Retarget(delta int) }
+
+// source returns the machine source for a cell of algorithm a on g: the
+// kept one, retargeted to g's Δ where it takes one, when g is small, else
+// a fresh one, which is kept when g is small and none is yet. A nil
+// sources always gives a fresh one.
+func (s sources) source(a Algo, g *graph.Graph) runtime.Source {
+	if s == nil || !graph.ReusesScratch(g.N()) {
+		return a.Source(g)
+	}
+	if src, ok := s[a.Name]; ok {
+		if r, ok := src.(retargeter); ok {
+			r.Retarget(g.MaxDegree())
+		}
+		return src
+	}
+	src := a.Source(g)
+	s[a.Name] = src
+	return src
 }
 
 // AlgoNames lists the registered algorithm names in registry order.

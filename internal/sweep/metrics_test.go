@@ -165,7 +165,7 @@ func TestRunCellAllocParity(t *testing.T) {
 	instrumented := base
 	instrumented.Metrics = NewMetrics(obs.NewRegistry())
 	run := func(cfg Config) {
-		if _, err := runCell(cfg, cells[0]); err != nil {
+		if _, err := runCell(cfg, cells[0], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/gen"
 )
@@ -26,6 +27,9 @@ type InstanceSpec struct {
 	// instance exists independent of any seed — but it still participates
 	// in the spec's identity so rows and cache keys stay uniform.
 	Seed int64
+	// params is Params.String() when the sweep driver has already
+	// rendered it, else empty.
+	params string
 }
 
 // ID is the spec's canonical content address, gen.InstanceID. It is the
@@ -33,7 +37,10 @@ type InstanceSpec struct {
 // a row's (scenario, params, seed) fields reassemble to exactly this
 // string.
 func (s InstanceSpec) ID() string {
-	return gen.InstanceID(s.Scenario, s.Params, s.Seed)
+	if s.params == "" {
+		return gen.InstanceID(s.Scenario, s.Params, s.Seed)
+	}
+	return s.Scenario + ":" + s.params + "@" + strconv.FormatInt(s.Seed, 10)
 }
 
 // ErrUnknownInstance reports that a provider does not know the spec's

@@ -104,6 +104,7 @@ func Stream(ctx context.Context, cfg Config, sink Sink) (StreamStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			srcs := sources{}
 			for {
 				i := claim()
 				if i >= len(jobs) {
@@ -116,7 +117,7 @@ func Stream(ctx context.Context, cfg Config, sink Sink) (StreamStats, error) {
 					o.fail(i, err)
 					return
 				}
-				res, err := runCell(cfg, jobs[i])
+				res, err := runCell(cfg, jobs[i], srcs)
 				if err != nil {
 					o.fail(i, err)
 					return

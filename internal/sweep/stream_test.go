@@ -6,6 +6,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // streamJSONL runs Stream with a JSONL sink into a buffer.
@@ -327,5 +330,76 @@ func TestStreamMillionNodeCell(t *testing.T) {
 		if row.Violations != 0 {
 			t.Errorf("aggregate records violations: %+v", row)
 		}
+	}
+}
+
+// TestKeptSourcesMatchFreshSources runs one cell worker over consecutive
+// cells that change n and Δ, under all four algorithms and with one cell
+// above graph.ReusesScratch's cap, so the worker's kept machine sources
+// serve instances of other sizes and degrees than they were made for. Its
+// JSONL must be byte-identical to the rows of the same cells run each on a
+// fresh Algo.Source. The kept sources must also really be reused: the
+// same source for every small cell of an algorithm (for reduced, at any
+// Δ), and a fresh one, never kept, for a cell above the cap.
+func TestKeptSourcesMatchFreshSources(t *testing.T) {
+	cfg := Config{
+		Grids: []string{
+			"path:n=64", "bounded-degree:n=128,k=64,delta=3", "path:n=8", "double-cover:n=16",
+			"bounded-degree:n=48,k=256,delta=3", "path:n=4100", "double-cover:n=24",
+		},
+		Algos:       AlgoNames(),
+		Reps:        2,
+		Seed:        3,
+		CellWorkers: 1,
+		CheckBounds: true,
+	}
+	var kept bytes.Buffer
+	if _, err := streamJSONL(t, context.Background(), cfg, &kept); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := runCells(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	sink := NewJSONLSink(&fresh)
+	for _, c := range cells {
+		res, err := runCell(cfg, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Emit(&res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(kept.Bytes(), fresh.Bytes()) {
+		t.Fatalf("rows on kept sources differ from rows on fresh sources:\n%s\nvs\n%s", kept.Bytes(), fresh.Bytes())
+	}
+
+	build := func(spec string) *graph.Graph {
+		inst, _, err := gen.BuildSpec(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.G
+	}
+	path64, path8, bd := build("path:n=64"), build("path:n=8"), build("bounded-degree:n=128,k=64,delta=3")
+	large := build("path:n=4100")
+	greedy, _ := AlgoByName("greedy")
+	reduced, _ := AlgoByName("reduced")
+	srcs := sources{}
+	g1 := srcs.source(greedy, path64)
+	if srcs.source(greedy, bd) != g1 || srcs.source(greedy, path8) != g1 {
+		t.Error("greedy: a small cell did not get the kept source")
+	}
+	r1 := srcs.source(reduced, path64)
+	if srcs.source(reduced, bd) != r1 || srcs.source(reduced, path8) != r1 {
+		t.Error("reduced: a small cell did not get the kept source")
+	}
+	if a, b := srcs.source(greedy, large), srcs.source(greedy, large); a == g1 || a == b {
+		t.Error("greedy: a cell above the cap did not get a fresh source")
+	}
+	if srcs.source(greedy, path8) != g1 {
+		t.Error("greedy: a cell above the cap replaced the kept source")
 	}
 }

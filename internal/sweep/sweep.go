@@ -175,13 +175,16 @@ func cellID(scenario, params, algo string, rep int) string {
 type cell struct {
 	scenario string
 	params   gen.Params
+	// paramStr is params.String(), rendered once per grid point in expand
+	// and shared by every cell of that point.
+	paramStr string
 	algo     Algo
 	rep      int
 }
 
 // id is the cell's canonical identity — identical to the Result.ID of its
 // row, which is how ScanPlan matches existing JSONL rows back to cells.
-func (c cell) id() string { return cellID(c.scenario, c.params.String(), c.algo.Name, c.rep) }
+func (c cell) id() string { return cellID(c.scenario, c.paramStr, c.algo.Name, c.rep) }
 
 // Expand resolves a Config into its cell list without running anything:
 // grids expand through gen.ParseGrid, and the cells are ordered grid by
@@ -232,9 +235,10 @@ func expand(cfg Config) ([]cell, error) {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
 		for _, params := range grid {
+			paramStr := params.String()
 			for _, a := range algos {
 				for rep := 0; rep < reps; rep++ {
-					cells = append(cells, cell{scenario: sc.Name, params: params, algo: a, rep: rep})
+					cells = append(cells, cell{scenario: sc.Name, params: params, paramStr: paramStr, algo: a, rep: rep})
 				}
 			}
 		}
@@ -248,9 +252,10 @@ func expand(cfg Config) ([]cell, error) {
 			// resume machinery to reconstruct their cells.
 			return nil, fmt.Errorf("sweep: instance %s has no params (rows need identity fields — record at least the shape, e.g. n and k)", ref.ID)
 		}
+		paramStr := ref.Params.String()
 		for _, a := range algos {
 			for rep := 0; rep < reps; rep++ {
-				cells = append(cells, cell{scenario: ref.ID, params: ref.Params, algo: a, rep: rep})
+				cells = append(cells, cell{scenario: ref.ID, params: ref.Params, paramStr: paramStr, algo: a, rep: rep})
 			}
 		}
 	}
@@ -265,22 +270,23 @@ func expand(cfg Config) ([]cell, error) {
 // given (family, params, rep), and reordering or extending the grid never
 // reshuffles instances.
 func cellSeed(cfg Config, c cell) int64 {
-	return gen.SubSeed(cfg.Seed, c.scenario, c.params.String(), strconv.Itoa(c.rep))
+	return gen.SubSeed(cfg.Seed, c.scenario, c.paramStr, strconv.Itoa(c.rep))
 }
 
 // runCell builds and executes one cell. The instance comes through the
 // configured InstanceProvider — generated, looked up in a store, or served
 // from a cache — and may be shared with concurrent cells, so it is strictly
-// read-only here.
-func runCell(cfg Config, c cell) (Result, error) {
+// read-only here. The machine source comes from srcs, the calling
+// worker's kept sources (nil: a fresh one from the algorithm).
+func runCell(cfg Config, c cell, srcs sources) (Result, error) {
 	res := Result{
 		Scenario: c.scenario,
-		Params:   c.params.String(),
+		Params:   c.paramStr,
 		Algo:     c.algo.Name,
 		Rep:      c.rep,
 		Seed:     cellSeed(cfg, c),
 	}
-	spec := InstanceSpec{Scenario: c.scenario, Params: c.params, Seed: res.Seed}
+	spec := InstanceSpec{Scenario: c.scenario, Params: c.params, Seed: res.Seed, params: c.paramStr}
 	var sp obs.Span
 	if cfg.Tracer != nil {
 		sp = cfg.Tracer.Start("resolve", "cell", res.ID())
@@ -301,7 +307,7 @@ func runCell(cfg Config, c cell) (Result, error) {
 	}
 	res.N, res.Edges, res.MaxDegree, res.K = g.N(), g.NumEdges(), g.MaxDegree(), g.K()
 
-	src := c.algo.Source(g)
+	src := srcs.source(c.algo, g)
 	maxRounds := c.algo.MaxRounds(g)
 	if cfg.Tracer != nil {
 		sp = cfg.Tracer.Start("run", "cell", res.ID())
